@@ -11,6 +11,11 @@ files are {"pairs": [["s", "s'"], ...]}.  Exit codes: 0 the checked statement
 holds (or the command just produced output), 1 a counterexample or violation
 was found, 2 usage or validation error.  DELTA_LAB_BUDGET overrides the
 subset-enumeration budgets.
+
+``--jobs N`` runs the frame sweeps of ``definability``, ``audit`` (with or
+without ``--negative``) and ``countermodel`` in up to N worker processes,
+clamped to the CPU count, through ``generators.sweep``; the output is the
+same as with ``--jobs 1``.  ``enumerate`` always streams serially.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from typing import Any
 
 from . import bisim, definability, generators, proofsys, transform
 from .formula import Formula, ParseError, parse
-from .model import (FRAME_CLASSES, BudgetError, KripkeModel,
+from .model import (BudgetError, FrameProperty, KripkeModel,
                     NeighborhoodModel, frame_class, validate)
-from .semantics import SemanticsKind, evaluate, frame_valid
+from .semantics import SemanticsKind, evaluate
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -254,16 +259,14 @@ def _cmd_definability(args) -> int:
     else:
         if not args.property or not args.formula:
             raise CliError("give either --builtin or both --property and --formula")
-        from .model import FrameProperty
+        try:
+            prop = FrameProperty.from_letter(args.property)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         claim = definability.DefinabilityClaim(
-            FrameProperty.from_letter(args.property),
-            _parse_formula(args.formula), args.background)
-    if args.jobs > 1 and claim.background in FRAME_CLASSES:
-        result = _parallel_defines(claim, args.max_states, args.jobs,
-                                   args.budget)
-    else:
-        result = definability.defines(claim, args.max_states,
-                                      max_bits=args.budget)
+            prop, _parse_formula(args.formula), args.background)
+    result = definability.defines(claim, args.max_states,
+                                  max_bits=args.budget, jobs=args.jobs)
     if result.confirmed:
         _emit(args, {"confirmed": True, "frames": result.frames_checked},
               f"confirmed ({result.frames_checked} frames)")
@@ -288,7 +291,8 @@ def _cmd_audit(args) -> int:
     if args.negative:
         if args.negative != "filter-deltaequ":
             raise CliError(f"unknown negative claim {args.negative!r}")
-        witness = proofsys.filter_equ_witness(args.max_states, args.budget)
+        witness = proofsys.filter_equ_witness(args.max_states, args.budget,
+                                              args.jobs)
         if witness is None:
             _emit(args, {"found": False}, "no witness up to the bound")
             return EXIT_OK
@@ -297,12 +301,8 @@ def _cmd_audit(args) -> int:
                      "witness": _witness_json(frame, check)},
               f"witness frame found; falsified at state {check.state}")
         return EXIT_FOUND
-    if args.jobs > 1:
-        report = _parallel_audit(system, args.max_states, args.jobs,
-                                 args.budget)
-    else:
-        report = proofsys.audit_soundness(system, args.max_states,
-                                          args.budget)
+    report = proofsys.audit_soundness(system, args.max_states, args.budget,
+                                      args.jobs)
     lines = []
     payload_axioms = []
     for audit in report.axioms:
@@ -327,13 +327,12 @@ def _cmd_proof_check(args) -> int:
     except ValueError:
         raise CliError(f"unknown system {args.system!r}") from None
     try:
-        with open(args.script, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        script = [proofsys.ProofLine(_parse_formula(line["formula"]),
-                                     line["by"]) for line in raw]
+        script = proofsys.load_script(args.script)
     except OSError as exc:
         raise CliError(f"cannot read {args.script}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except ParseError as exc:
+        raise CliError(f"bad formula: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed proof script: {exc}") from exc
     if not script:
         raise CliError("empty proof script")
@@ -351,7 +350,7 @@ def _cmd_countermodel(args) -> int:
     f = _parse_formula(args.formula)
     _class_props(args.klass)
     found = proofsys.countermodel_search(f, args.klass, args.max_states,
-                                         args.budget)
+                                         args.budget, args.jobs)
     if found is None:
         _emit(args, {"found": False, "max_states": args.max_states},
               f"none up to {args.max_states} states")
@@ -371,8 +370,6 @@ def _cmd_enumerate(args) -> int:
             stream = generators.enum_kripke_frames(spec)
         else:
             stream = generators.enum_frames(spec)
-        if args.jobs > 1 and args.kind == "frames" and args.mode == "exhaustive":
-            stream = _parallel_frames(spec, args.jobs)
         total = 0
         for frame in stream:
             total += 1
@@ -384,153 +381,17 @@ def _cmd_enumerate(args) -> int:
         if args.count_only:
             _emit(args, {"count": total}, str(total))
         return EXIT_OK
-    except BudgetError as exc:
+    except (BudgetError, generators.GenerationError) as exc:
         raise CliError(str(exc)) from exc
-
-
-def _sweep_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    chunk = (total + jobs - 1) // jobs
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
-def _parallel_frames(spec: generators.GenSpec, jobs: int):
-    """Partition the admissible index space into contiguous ranges per
-    worker; concatenating the ranges preserves the canonical order."""
-    import concurrent.futures
-
-    letters = tuple(sorted(p.value for p in spec.properties))
-    lists, _ = generators.admissible_space(spec.n_states,
-                                           spec.properties)
-    total = 1
-    for radix in lists:
-        total *= len(radix)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_frames_in_range,
-                             [(spec.n_states, letters, lo, hi)
-                              for lo, hi in _sweep_ranges(total, jobs)]):
-            yield from part
-
-
-def _resolve_props(letters):
-    from .model import FrameProperty
-
-    return frozenset(FrameProperty.from_letter(x) for x in letters)
-
-
-def _frames_in_range(job) -> list:
-    n, prop_letters, lo, hi = job
-    from .model import has_property
-
-    lists, global_props = generators.admissible_space(n,
-                                                      _resolve_props(prop_letters))
-    out = []
-    for k in range(lo, hi):
-        frame = generators.decode_admissible(n, lists, k)
-        if all(has_property(frame, p) for p in global_props):
-            out.append(frame)
-    return out
-
-
-def _definability_range(job):
-    """Check one index range of the background class; first mismatch wins."""
-    letter, formula_text, background, n, lo, hi, budget = job
-    from .model import FRAME_CLASSES, FrameProperty, has_property
-
-    claim = definability.DefinabilityClaim(
-        FrameProperty.from_letter(letter), parse(formula_text), background)
-    lists, global_props = generators.admissible_space(
-        n, FRAME_CLASSES[background])
-    checked = 0
-    for k in range(lo, hi):
-        frame = generators.decode_admissible(n, lists, k)
-        if not all(has_property(frame, p) for p in global_props):
-            continue
-        checked += 1
-        counter = definability.check_frame(claim, frame, budget)
-        if counter is not None:
-            return checked, counter
-    return checked, None
-
-
-def _parallel_defines(claim, max_states: int, jobs: int,
-                      budget: int) -> definability.DefinesResult:
-    import concurrent.futures
-
-    checked = 0
-    job_args = []
-    for n in range(1, max_states + 1):
-        lists, _ = generators.admissible_space(
-            n, FRAME_CLASSES[claim.background])
-        total = 1
-        for radix in lists:
-            total *= len(radix)
-        job_args.extend((claim.prop.value, str(claim.formula),
-                         claim.background, n, lo, hi, budget)
-                        for lo, hi in _sweep_ranges(total, jobs))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for count, counter in pool.map(_definability_range, job_args):
-            checked += count
-            if counter is not None:
-                return definability.DefinesResult(False, checked, counter)
-    return definability.DefinesResult(True, checked)
-
-
-def _audit_range(job):
-    """Validity of one axiom instance over one index range of a class."""
-    formula_text, class_name, n, lo, hi, budget = job
-    from .model import frame_class, has_property
-    from .semantics import SemanticsKind, frame_valid
-
-    instance = parse(formula_text)
-    lists, global_props = generators.admissible_space(n,
-                                                      frame_class(class_name))
-    checked = 0
-    for k in range(lo, hi):
-        frame = generators.decode_admissible(n, lists, k)
-        if not all(has_property(frame, p) for p in global_props):
-            continue
-        checked += 1
-        result = frame_valid(frame, instance, SemanticsKind.NEW, budget)
-        if not result.valid:
-            return checked, (frame, result)
-    return checked, None
-
-
-def _parallel_audit(system, max_states: int, jobs: int,
-                    budget: int) -> proofsys.AuditReport:
-    import concurrent.futures
-
-    audits = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for name in system.schema_names:
-            instance = proofsys.schema_instance(name)
-            job_args = []
-            for n in range(1, max_states + 1):
-                lists, _ = generators.admissible_space(
-                    n, FRAME_CLASSES[system.frame_class])
-                total = 1
-                for radix in lists:
-                    total *= len(radix)
-                job_args.extend((str(instance), system.frame_class, n, lo, hi,
-                                 budget)
-                                for lo, hi in _sweep_ranges(total, jobs))
-            checked = 0
-            counter = None
-            for count, found in pool.map(_audit_range, job_args):
-                checked += count
-                if found is not None and counter is None:
-                    counter = found
-            audits.append(proofsys.AxiomAudit(name, instance, counter is None,
-                                              checked, counter))
-    negative = proofsys.filter_equ_witness(max_states, budget)
-    return proofsys.AuditReport(system, max_states, tuple(audits), negative)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
 def _build_parser() -> argparse.ArgumentParser:
-    budget = int(os.environ.get("DELTA_LAB_BUDGET", DEFAULT_BUDGET))
+    # A string default goes through ``type`` like a command-line value, so a
+    # malformed DELTA_LAB_BUDGET is a usage error, not a traceback.
+    budget = os.environ.get("DELTA_LAB_BUDGET", str(DEFAULT_BUDGET))
     top = argparse.ArgumentParser(
         prog="delta-lab",
         description="finite-model workbench for non-contingency logic")
@@ -611,6 +472,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Least accepted value of each integer flag.  Below it a sweep would cover no
+# frames (and report a vacuous verdict) or run with no workers.
+_MINIMUMS = {"jobs": 1, "budget": 0, "max_states": 1, "states": 1,
+             "count": 0, "limit": 0}
+
+
+def _check_minimums(args) -> None:
+    for name, least in _MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(f"{flag} must be at least {least}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -618,6 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_minimums(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

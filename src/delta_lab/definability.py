@@ -9,9 +9,11 @@ background is the c-frames; (c) and (ws) are defined over all frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable
 
 from .formula import Formula, parse
+from .generators import first_hit, sweep
 from .model import FRAME_CLASSES, FrameProperty, NeighborhoodModel, has_property
 from .semantics import FrameCheck, SemanticsKind, frame_valid
 
@@ -83,24 +85,14 @@ def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
 
 def defines(claim: DefinabilityClaim, max_states: int = 2,
             frames: Iterable[NeighborhoodModel] | None = None,
-            max_bits: int = 24) -> DefinesResult:
+            max_bits: int = 24, jobs: int = 1) -> DefinesResult:
     """Verify the claim over every background-class frame with at most
-    ``max_states`` states, or over an explicit frame stream."""
+    ``max_states`` states, or over an explicit frame stream.  ``jobs`` is
+    passed to ``generators.sweep``; the result is the same for every value."""
+    check = partial(check_frame, claim, max_bits=max_bits)
     if frames is None:
-        frames = _background_frames(claim, max_states)
-    checked = 0
-    for frame in frames:
-        checked += 1
-        counter = check_frame(claim, frame, max_bits)
-        if counter is not None:
-            return DefinesResult(False, checked, counter)
-    return DefinesResult(True, checked)
-
-
-def _background_frames(claim: DefinabilityClaim,
-                       max_states: int) -> Iterator[NeighborhoodModel]:
-    from .generators import GenSpec, enum_frames
-
-    props = FRAME_CLASSES[claim.background]
-    for n in range(1, max_states + 1):
-        yield from enum_frames(GenSpec(n_states=n, properties=props))
+        checked, counter = sweep(FRAME_CLASSES[claim.background], max_states,
+                                 check, jobs)
+    else:
+        checked, counter = first_hit(frames, check)
+    return DefinesResult(counter is None, checked, counter)

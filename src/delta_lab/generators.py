@@ -12,10 +12,12 @@ that.  Distribution shape is not a contract.
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
@@ -26,6 +28,8 @@ MAX_EXHAUSTIVE_NBH = 3
 MAX_EXHAUSTIVE_KRIPKE = 4
 _PRECOMPUTE_LIMIT = 4     # 2^(2^4) = 65536 family codes is still cheap
 _RETRY_LIMIT = 10_000
+
+T = TypeVar("T")
 
 
 class GenerationError(RuntimeError):
@@ -41,6 +45,10 @@ class GenSpec:
     seed: int = 0
     mode: str = "exhaustive"
     count: int = 10
+
+    def __post_init__(self) -> None:
+        if self.n_states < 1:
+            raise ValueError(f"n_states must be at least 1, got {self.n_states}")
 
 
 def state_names(n: int) -> tuple[str, ...]:
@@ -99,17 +107,16 @@ def admissible_space(n: int, properties: Iterable[FrameProperty]
     return [_admissible_codes(n, local, s) for s in range(n)], global_props
 
 
-def decode_admissible(n: int, lists: list[tuple[int, ...]],
-                      index: int) -> NeighborhoodModel:
-    """Frame #index of the product of per-state admissible code lists,
-    matching the order of ``enum_frames`` under the same filter."""
-    codes = []
-    for radix in reversed(lists):
-        index, at = divmod(index, len(radix))
-        codes.append(radix[at])
-    if index:
-        raise ValueError("index out of range")
-    return frame_from_codes(n, tuple(reversed(codes)))
+def _product_frames(n: int, properties: Iterable[FrameProperty],
+                    start: int = 0, stop: int | None = None
+                    ) -> Iterator[NeighborhoodModel]:
+    """Frames #start..stop-1 of the product of per-state admissible lists
+    that also have the global properties."""
+    per_state, global_props = admissible_space(n, properties)
+    for codes in itertools.islice(itertools.product(*per_state), start, stop):
+        frame = frame_from_codes(n, codes)
+        if all(has_property(frame, p) for p in global_props):
+            yield frame
 
 
 def enum_frames(spec: GenSpec) -> Iterator[NeighborhoodModel]:
@@ -123,16 +130,92 @@ def enum_frames(spec: GenSpec) -> Iterator[NeighborhoodModel]:
         for _ in range(spec.count):
             yield _random_frame(spec.n_states, spec.properties, rnd)
         return
-    n = spec.n_states
+    _check_exhaustive(spec.n_states)
+    yield from _product_frames(spec.n_states, spec.properties)
+
+
+def _check_exhaustive(n: int) -> None:
     if n > MAX_EXHAUSTIVE_NBH:
         raise BudgetError(
             f"exhaustive neighborhood enumeration is limited to "
             f"{MAX_EXHAUSTIVE_NBH} states, got {n}")
-    per_state, global_props = admissible_space(n, spec.properties)
-    for codes in itertools.product(*per_state):
-        frame = frame_from_codes(n, codes)
-        if all(has_property(frame, p) for p in global_props):
-            yield frame
+
+
+def first_hit(frames: Iterable[NeighborhoodModel],
+              check: Callable[[NeighborhoodModel], T | None]
+              ) -> tuple[int, T | None]:
+    """Run ``check`` on each frame until it returns something other than
+    None: the number of frames checked, and that result or None."""
+    return _merge((1, check(frame)) for frame in frames)
+
+
+def _sweep_range(check: Callable[[NeighborhoodModel], T | None],
+                 n: int, properties: frozenset[FrameProperty],
+                 start: int, stop: int) -> tuple[int, T | None]:
+    return first_hit(_product_frames(n, properties, start, stop), check)
+
+
+def sweep(properties: Iterable[FrameProperty], max_states: int,
+          check: Callable[[NeighborhoodModel], T | None], jobs: int = 1
+          ) -> tuple[int, T | None]:
+    """Check every frame with the properties and 1 to ``max_states`` states,
+    in the canonical order of ``enum_frames``, until ``check`` returns
+    something other than None.
+
+    Returns the number of frames checked, up to and including the hit, and
+    the first hit or None.  Both are the same for every ``jobs``.  Sizes
+    below 1 are refused with ``ValueError`` and sizes above
+    ``MAX_EXHAUSTIVE_NBH`` with ``BudgetError``, before any frame is built.
+
+    With ``jobs`` above 1 (clamped to the CPU count) each size's raw product
+    index is split into contiguous ranges that worker processes sweep.
+    ``check`` must then be picklable, for example a ``functools.partial`` of
+    a module-level function.
+    """
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
+    _check_exhaustive(max_states)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    properties = frozenset(properties)
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1:
+        return _merge(first_hit(enum_frames(GenSpec(n, properties)), check)
+                      for n in range(1, max_states + 1))
+    ranges = []
+    for n in range(1, max_states + 1):
+        total = math.prod(map(len, admissible_space(n, properties)[0]))
+        chunk = max(1, -(-total // jobs))
+        ranges.extend((n, lo, min(lo + chunk, total))
+                      for lo in range(0, total, chunk))
+    # Imported here so that serial sweeps never load multiprocessing.
+    import concurrent.futures
+    import multiprocessing
+    import threading
+
+    # The platform's default start method (fork on Linux) is safe while this
+    # is the only thread: the executor starts every fork-started worker before
+    # its own management thread.  A threaded caller gets spawn.
+    method = None if threading.active_count() == 1 else "spawn"
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context(method)) as pool:
+        futures = [pool.submit(_sweep_range, check, n, properties, lo, hi)
+                   for n, lo, hi in ranges]
+        try:
+            return _merge(future.result() for future in futures)
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _merge(parts: Iterable[tuple[int, T | None]]) -> tuple[int, T | None]:
+    """Concatenate in-order partial sweeps up to the first one with a hit."""
+    checked = 0
+    for count, hit in parts:
+        checked += count
+        if hit is not None:
+            return checked, hit
+    return checked, None
 
 
 def enum_kripke_frames(spec: GenSpec) -> Iterator[KripkeModel]:

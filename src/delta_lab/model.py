@@ -299,11 +299,6 @@ def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     raise ValueError(f"unknown frame property {prop!r}")
 
 
-def has_properties(m: NeighborhoodModel,
-                   props: Iterable[FrameProperty]) -> bool:
-    return all(has_property(m, p) for p in props)
-
-
 def classify(m: NeighborhoodModel) -> set[str]:
     """The composite classes whose defining property sets all hold of ``m``."""
     verdicts = {}

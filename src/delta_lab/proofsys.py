@@ -12,13 +12,16 @@ countermodel search.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Sequence
 
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top, expand_sugar, metrics, parse)
-from .model import BudgetError, NeighborhoodModel
+from .generators import sweep
+from .model import BudgetError, NeighborhoodModel, frame_class
 from .semantics import FrameCheck, SemanticsKind, frame_valid
 
 
@@ -150,9 +153,6 @@ class ProofLine:
     by: str
 
 
-ProofScript = Sequence[ProofLine]
-
-
 @dataclass(frozen=True)
 class ProofVerdict:
     ok: bool
@@ -174,7 +174,8 @@ def _parse_refs(parts: list[str], count: int, upto: int) -> list[int] | str:
     return refs
 
 
-def check_proof(system: AxiomSystem, script: ProofScript) -> ProofVerdict:
+def check_proof(system: AxiomSystem,
+                script: Sequence[ProofLine]) -> ProofVerdict:
     """Validate every line as a tautology instance, a schema instance of the
     system, modus ponens, or replacement from an earlier biconditional."""
     if not script:
@@ -186,7 +187,7 @@ def check_proof(system: AxiomSystem, script: ProofScript) -> ProofVerdict:
     return ProofVerdict(True)
 
 
-def _check_line(system: AxiomSystem, script: ProofScript, no: int,
+def _check_line(system: AxiomSystem, script: Sequence[ProofLine], no: int,
                 line: ProofLine) -> str | None:
     by = line.by.strip()
     if by == "TAUT":
@@ -221,13 +222,18 @@ def _check_line(system: AxiomSystem, script: ProofScript, no: int,
     return f"unknown justification {by!r}"
 
 
+def _script_lines(raw) -> list[ProofLine]:
+    """Proof lines from a decoded JSON array of {"formula": ..., "by": ...}."""
+    pairs = [(line["formula"], line["by"]) for line in raw]
+    if not all(isinstance(text, str) for pair in pairs for text in pair):
+        raise TypeError('"formula" and "by" must be strings')
+    return [ProofLine(parse(formula), by) for formula, by in pairs]
+
+
 def load_script(path) -> list[ProofLine]:
     """Read a proof script: a JSON array of {"formula": ..., "by": ...}."""
-    import json
-
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return [ProofLine(parse(line["formula"]), line["by"]) for line in raw]
+        return _script_lines(json.load(fh))
 
 
 def sample_scripts() -> dict[str, list[ProofLine]]:
@@ -238,11 +244,8 @@ def sample_scripts() -> dict[str, list[ProofLine]]:
     root = resources.files(__package__) / "proofs"
     for entry in sorted(root.iterdir()):
         if entry.name.endswith(".json"):
-            import json
-
             raw = json.loads(entry.read_text(encoding="utf-8"))
-            out[entry.name.removesuffix(".json")] = [
-                ProofLine(parse(line["formula"]), line["by"]) for line in raw]
+            out[entry.name.removesuffix(".json")] = _script_lines(raw)
     return out
 
 
@@ -280,60 +283,53 @@ class AuditReport:
         return all(a.valid for a in self.axioms)
 
 
-def _class_frames(class_name: str, max_states: int) -> Iterator[NeighborhoodModel]:
-    from .generators import GenSpec, enum_frames
-    from .model import frame_class
-
-    props = frame_class(class_name)
-    for n in range(1, max_states + 1):
-        yield from enum_frames(GenSpec(n_states=n, properties=props))
+def _counterexample(f: Formula, max_bits: int, frame: NeighborhoodModel,
+                    ) -> tuple[NeighborhoodModel, FrameCheck] | None:
+    """The frame and its falsifying valuation for ``f``, or None if valid."""
+    result = frame_valid(frame, f, SemanticsKind.NEW, max_bits)
+    return None if result.valid else (frame, result)
 
 
 def audit_soundness(system: AxiomSystem, max_states: int = 2,
-                    max_bits: int = 24) -> AuditReport:
+                    max_bits: int = 24, jobs: int = 1) -> AuditReport:
     """Sweep every frame of the system's class up to ``max_states`` against a
     fresh-atom instance of each axiom schema.  The report also carries the
     standing negative result: the smallest filter frame (monotone, closed
     under intersections, containing the unit, but not under complements)
     falsifying the ΔEqu instance, showing the equivalence axiom is unsound on
-    filters."""
+    filters.  ``jobs`` is passed to ``generators.sweep``; the report is the
+    same for every value."""
+    props = frame_class(system.frame_class)
     audits = []
     for name in system.schema_names:
         instance = schema_instance(name)
-        checked = 0
-        counter = None
-        for frame in _class_frames(system.frame_class, max_states):
-            checked += 1
-            result = frame_valid(frame, instance, SemanticsKind.NEW, max_bits)
-            if not result.valid:
-                counter = (frame, result)
-                break
+        checked, counter = sweep(
+            props, max_states, partial(_counterexample, instance, max_bits),
+            jobs)
         audits.append(AxiomAudit(name, instance, counter is None, checked,
                                  counter))
-    negative = filter_equ_witness(max_states, max_bits)
+    negative = filter_equ_witness(max_states, max_bits, jobs)
     return AuditReport(system, max_states, tuple(audits), negative)
 
 
-def filter_equ_witness(max_states: int = 1, max_bits: int = 24,
+def filter_equ_witness(max_states: int = 1, max_bits: int = 24, jobs: int = 1,
                        ) -> tuple[NeighborhoodModel, FrameCheck] | None:
     """First filter frame with at most ``max_states`` states falsifying the
-    ΔEqu instance, if any."""
-    instance = schema_instance("ΔEqu")
-    for frame in _class_frames("filter", max_states):
-        result = frame_valid(frame, instance, SemanticsKind.NEW, max_bits)
-        if not result.valid:
-            return frame, result
-    return None
+    ΔEqu instance, if any.  ``jobs`` is passed to ``generators.sweep``."""
+    check = partial(_counterexample, schema_instance("ΔEqu"), max_bits)
+    return sweep(frame_class("filter"), max_states, check, jobs)[1]
 
 
 def countermodel_search(f: Formula, class_name: str, max_states: int = 2,
-                        max_bits: int = 24,
+                        max_bits: int = 24, jobs: int = 1,
                         ) -> tuple[NeighborhoodModel, str] | None:
     """A model of the class with at most ``max_states`` states and a state
     falsifying ``f``, or None if the bounded search is exhausted.  Never a
-    validity claim."""
-    for frame in _class_frames(class_name, max_states):
-        result = frame_valid(frame, f, SemanticsKind.NEW, max_bits)
-        if not result.valid:
-            return frame.with_valuation(result.valuation), result.state
-    return None
+    validity claim.  ``jobs`` is passed to ``generators.sweep``; the model
+    found is the same for every value."""
+    found = sweep(frame_class(class_name), max_states,
+                  partial(_counterexample, f, max_bits), jobs)[1]
+    if found is None:
+        return None
+    frame, result = found
+    return frame.with_valuation(result.valuation), result.state

@@ -117,6 +117,12 @@ def test_proof_check_command(tmp_path, capsys):
     path.write_text(json.dumps(bad, ensure_ascii=False))
     assert main(["proof-check", "--system", "E", "--script", str(path)]) == 1
     assert "invalid line 1" in capsys.readouterr().out
+    for malformed in ([{"formula": 5, "by": "TAUT"}], [{"formula": "p"}],
+                      {"formula": "p", "by": "TAUT"}):
+        path.write_text(json.dumps(malformed))
+        assert main(["proof-check", "--system", "E",
+                     "--script", str(path)]) == 2
+        assert "malformed proof script" in capsys.readouterr().err
 
 
 def test_countermodel_command(capsys):
@@ -173,27 +179,46 @@ def test_budget_env_override(tmp_path, nbh_path, monkeypatch, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    for argv in (
+            ["--jobs", "0", "enumerate", "--states", "1"],
+            ["--jobs", "-2", "audit", "--system", "E", "--max-states", "1"],
+            ["--budget", "-3", "enumerate", "--states", "1"],
+            ["enumerate", "--states", "-1"],
+            ["enumerate", "--states", "0", "--count-only"],
+            ["enumerate", "--states", "2", "--class", "n,c,d",
+             "--mode", "random"],
+            ["definability", "--property", "zz", "--formula", "p"],
+            ["definability", "--builtin", "i", "--max-states", "-1"],
+            ["audit", "--system", "K", "--max-states", "0"],
+            ["audit", "--system", "E", "--negative", "filter-deltaequ",
+             "--max-states", "0"],
+            ["countermodel", "--formula", "D p", "--max-states", "0"],
+            ["--jobs", "2", "audit", "--system", "E", "--max-states", "4"],
+            ["--jobs", "2", "definability", "--builtin", "i",
+             "--max-states", "4"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+        assert err.count("\n") == 1, argv
 
 
 def test_parallel_sweeps_match_sequential(capsys):
-    main(["--format", "json", "definability", "--builtin", "c",
-          "--max-states", "2"])
-    sequential = capsys.readouterr().out
-    main(["--format", "json", "--jobs", "2", "definability", "--builtin", "c",
-          "--max-states", "2"])
-    assert capsys.readouterr().out == sequential
-
-    main(["--format", "json", "audit", "--system", "M", "--max-states", "2"])
-    sequential = capsys.readouterr().out
-    main(["--format", "json", "--jobs", "2", "audit", "--system", "M",
-          "--max-states", "2"])
-    assert capsys.readouterr().out == sequential
-
-    main(["enumerate", "--states", "2", "--class", "c", "--count-only"])
-    sequential = capsys.readouterr().out
-    main(["--jobs", "3", "enumerate", "--states", "2", "--class", "c",
-          "--count-only"])
-    assert capsys.readouterr().out == sequential
+    for argv in (
+            ["definability", "--builtin", "c", "--max-states", "2"],
+            ["definability", "--property", "t", "--formula", "D p",
+             "--background", "c", "--max-states", "2"],
+            ["audit", "--system", "M", "--max-states", "2"],
+            ["audit", "--system", "R", "--negative", "filter-deltaequ",
+             "--max-states", "2"],
+            ["countermodel", "--formula", "D p -> D D p", "--class", "c",
+             "--max-states", "3"],
+            ["countermodel", "--formula", "D p <-> D ~p", "--class", "c",
+             "--max-states", "2"],
+            ["enumerate", "--states", "2", "--class", "c", "--count-only"]):
+        sequential = main(["--format", "json", "--jobs", "1", *argv])
+        expected = capsys.readouterr().out
+        assert main(["--format", "json", "--jobs", "2", *argv]) == sequential
+        assert capsys.readouterr().out == expected, argv
 
 
 def test_witness_frames_round_trip_through_model_format(capsys):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from delta_lab.formula import (And, Atom, Bot, Box, Delta, Iff, Imp, Nabla,
@@ -91,6 +93,7 @@ def test_roundtrip_parse_print():
     for seed in range(500):
         f = random_formula(4, ["p", "q", "r"], seed, include_box=True)
         assert parse(str(f)) == f
+        assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_print_parse_print_fixed_point():

@@ -1,10 +1,17 @@
+import concurrent.futures
+import threading
+from functools import partial
+
 import pytest
 
+from delta_lab import generators
 from delta_lab.formula import parse
 from delta_lab.generators import (GenerationError, GenSpec, enum_frames,
                                   enum_kripke_frames, frame_at,
-                                  random_formula, random_kripke, random_model)
+                                  random_formula, random_kripke, random_model,
+                                  sweep)
 from delta_lab.model import BudgetError, FrameProperty, classify, has_property
+from delta_lab.proofsys import AxiomSystem, audit_soundness
 from delta_lab.formula import metrics
 
 FP = FrameProperty
@@ -129,3 +136,77 @@ def test_complement_closed_family_count_two_states():
     # families; two independent states give 16 frames
     frames = list(enum_frames(GenSpec(2, frozenset({FP.C}))))
     assert len(frames) == 16
+
+
+def _hit_at(target, frame):
+    return "hit" if frame == target else None
+
+
+def test_sweep_hit_in_a_later_range_matches_serial():
+    # At 2 states with two workers the ranges are 0-1 and 2-3 at one state,
+    # then 0-127 and 128-255; frame #200 lies in the last range.
+    check = partial(_hit_at, frame_at(2, 200))
+    assert sweep((), 2, check, jobs=1) == (4 + 201, "hit")
+    assert sweep((), 2, check, jobs=2) == (4 + 201, "hit")
+    assert sweep((), 1, check, jobs=2) == (4, None)
+
+
+def test_sweep_from_a_thread_matches_serial():
+    # With another thread running, workers are spawned instead of forked.
+    check = partial(_hit_at, frame_at(1, 2))
+    got = []
+    worker = threading.Thread(target=lambda: got.append(
+        sweep((), 1, check, jobs=2)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert got == [sweep((), 1, check, jobs=1)] == [(3, "hit")]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run pool work in-process on a 2-CPU machine; list the pool sizes asked
+    for, so no test starts real workers to check them."""
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers, **_):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, **_):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(generators.os, "cpu_count", lambda: 2)
+    return sizes
+
+
+def test_sweep_clamps_jobs_to_the_cpu_count(pool_sizes, monkeypatch):
+    check = partial(_hit_at, frame_at(2, 200))
+    assert sweep((), 2, check, jobs=64) == (205, "hit")
+    assert pool_sizes == [2]
+    monkeypatch.setattr(generators.os, "cpu_count", lambda: None)
+    assert sweep((), 2, check, jobs=64) == (205, "hit")
+    assert pool_sizes == [2]
+
+
+def test_sweep_refuses_before_starting_a_pool(pool_sizes):
+    with pytest.raises(BudgetError):
+        audit_soundness(AxiomSystem.E, max_states=4, jobs=2)
+    for max_states, jobs in ((0, 2), (-1, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            sweep((), max_states, partial(_hit_at, None), jobs)
+    assert pool_sizes == []
+    with pytest.raises(ValueError):
+        GenSpec(0)
