@@ -364,11 +364,6 @@ class Partition:
                 return b
         raise ValueError(f"state {ref} not covered by the partition")
 
-    def same_block(self, a: StateRef, b: StateRef, depth: int = -1) -> bool:
-        if depth < 0:
-            depth += len(self.history)
-        return self.block_index(depth, a) == self.block_index(depth, b)
-
     def cross_pairs(self, left: int = 0, right: int = 1,
                     depth: int = -1) -> frozenset[tuple[str, str]]:
         """Same-block pairs between two of the input models, by state name."""

@@ -336,7 +336,11 @@ def _cmd_proof_check(args) -> int:
         raise CliError(f"malformed proof script: {exc}") from exc
     if not script:
         raise CliError("empty proof script")
-    verdict = proofsys.check_proof(system, script)
+    try:
+        verdict = proofsys.check_proof(system, script)
+    except RecursionError:
+        # schema matching and premise comparison walk the formula trees
+        raise CliError("formula nested too deeply to compare") from None
     if verdict.ok:
         _emit(args, {"ok": True, "lines": len(script)},
               f"ok ({len(script)} lines)")

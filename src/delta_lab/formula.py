@@ -261,7 +261,11 @@ def parse(text: str) -> Formula:
     if not text.strip():
         raise ParseError("empty formula", 0)
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        offset = p.tokens[min(p.i, len(p.tokens) - 1)][2]
+        raise ParseError("formula nested too deeply", offset) from None
     if p.peek() != "$":
         _, tok, offset = p.tokens[p.i]
         raise ParseError(f"trailing input {tok!r}", offset, ("$",))

@@ -77,10 +77,16 @@ def frame_at(n: int, index: int) -> NeighborhoodModel:
     return frame_from_codes(n, tuple(reversed(codes)))
 
 
-@lru_cache(maxsize=None)
 def _admissible_codes(n: int, props: frozenset[FrameProperty],
                       state: int) -> tuple[int, ...]:
-    """Family codes whose family satisfies every local property, ascending."""
+    """Family codes whose family satisfies every local property, ascending.
+    Only (t) reads the state, so without it all states share one tuple."""
+    return _codes(n, props, state if FrameProperty.T in props else 0)
+
+
+@lru_cache(maxsize=None)
+def _codes(n: int, props: frozenset[FrameProperty],
+           state: int) -> tuple[int, ...]:
     n_subsets = 1 << n
     full = n_subsets - 1
     out = []
@@ -179,6 +185,15 @@ def sweep(properties: Iterable[FrameProperty], max_states: int,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     properties = frozenset(properties)
     jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        import pickle  # here, like multiprocessing below
+
+        try:
+            pickle.dumps(check)
+        except RecursionError:
+            # Nested too deeply to send to a worker (a pool would hang on
+            # it); the serial sweep gives the same result.
+            jobs = 1
     if jobs == 1:
         return _merge(first_hit(enum_frames(GenSpec(n, properties)), check)
                       for n in range(1, max_states + 1))

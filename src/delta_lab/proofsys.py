@@ -11,7 +11,6 @@ countermodel search.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -19,10 +18,12 @@ from functools import partial
 from typing import Sequence
 
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
-                      Not, Or, Top, expand_sugar, metrics, parse)
+                      Not, Or, Top, parse)
 from .generators import sweep
 from .model import BudgetError, NeighborhoodModel, frame_class
-from .semantics import FrameCheck, SemanticsKind, frame_valid
+from .semantics import (AND, ATOM, BOX, DELTA, NOT, TOP, FrameCheck,
+                        Program, SemanticsKind, compile_formula, frame_valid,
+                        program_valid)
 
 
 @dataclass(frozen=True)
@@ -106,45 +107,49 @@ def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:
 
 _TAUT_ATOM_BUDGET = 20
 
+# Truth-table rows are the valuations of a one-state frame.
+_ONE_STATE = NeighborhoodModel(("s",), (frozenset(),))
+
+
+def _skeleton(prog: Program) -> Program:
+    """``prog`` with each maximal modal subformula made an atom (equal
+    subformulas share one slot, hence one atom) and every op below one made
+    a constant, so only the skeleton's atoms are swept."""
+    keep: set[int] = set()
+    labels: dict[int, str] = {}
+    stack = [prog.root]
+    while stack:
+        slot = stack.pop()
+        if slot in keep:
+            continue
+        keep.add(slot)
+        op, a, b = prog.ops[slot]
+        if op == ATOM:
+            labels[slot] = prog.names[a]
+        elif op in (DELTA, BOX):
+            labels[slot] = f"#{slot}"
+        elif op == NOT:
+            stack.append(a)
+        elif op == AND:
+            stack += (a, b)
+    names = sorted(labels.values())
+    pos = {name: i for i, name in enumerate(names)}
+    ops = tuple((ATOM, pos[labels[slot]], 0) if slot in labels
+                else op if slot in keep else (TOP, 0, 0)
+                for slot, op in enumerate(prog.ops))
+    return Program(ops, tuple(names), prog.root)
+
 
 def is_taut_instance(f: Formula, atom_budget: int = _TAUT_ATOM_BUDGET) -> bool:
     """Propositional tautology after abstracting each maximal modal subformula
-    to a fresh atom (equal subformulas share one atom)."""
-    core = expand_sugar(f)
-    table: dict[Formula, int] = {}
-
-    def abstract(g: Formula) -> Formula:
-        cls = type(g)
-        if cls in (Delta, Box):
-            if g not in table:
-                table[g] = len(table)
-            return Atom(f"#{table[g]}")
-        if cls is Not:
-            return Not(abstract(g.child))
-        if cls is And:
-            return And(abstract(g.left), abstract(g.right))
-        return g
-
-    skeleton = abstract(core)
-    names = sorted(metrics(skeleton).vars)
-    if len(names) > atom_budget:
-        raise BudgetError(f"abstraction yields {len(names)} atoms, "
+    to a fresh atom (equal subformulas share one atom): the skeleton's truth
+    table is checked as frame validity on a one-state frame."""
+    skeleton = _skeleton(compile_formula(f))
+    if len(skeleton.names) > atom_budget:
+        raise BudgetError(f"abstraction yields {len(skeleton.names)} atoms, "
                           f"budget is {atom_budget}")
-
-    def truth(g: Formula, row: dict[str, bool]) -> bool:
-        cls = type(g)
-        if cls is Atom:
-            return row[g.name]
-        if cls is Top:
-            return True
-        if cls is Not:
-            return not truth(g.child, row)
-        return truth(g.left, row) and truth(g.right, row)
-
-    for values in itertools.product((False, True), repeat=len(names)):
-        if not truth(skeleton, dict(zip(names, values))):
-            return False
-    return True
+    return program_valid(_ONE_STATE, skeleton, SemanticsKind.NEW,
+                         atom_budget).valid
 
 
 @dataclass(frozen=True)

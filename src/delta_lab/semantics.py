@@ -2,17 +2,46 @@
 
 ``OLD`` reads non-contingency as "the extension or its complement is a
 neighborhood", ``NEW`` as "the extension is a neighborhood", ``KRIPKE`` as
-"all successors agree on the extension".  Extensions are computed bottom-up
-once per subformula, so one evaluation is linear in formula size.
+"all successors agree on the extension".
+
+One evaluator serves ``extension``, ``frame_valid`` and the tautology check
+of ``proofsys``.  ``compile_formula`` turns a formula into a ``Program``: a
+flat, hash-consed list of ops (``atom``/``top``/``not``/``and``/``delta``/
+``box``) over integer slots, children before parents, with the sugar kinds
+expanded during the same iterative walk, so equal subformulas share one slot
+and no recursion depth limit applies.
+
+The program runs over *bit planes* of width V.  A slot's value is one int of
+n·V bits laid out state by state: bits [s·V, (s+1)·V) are state s's plane,
+and bit v of a plane is the truth at s under valuation v.  ``not`` is one
+XOR with the full mask and ``and`` one AND, for all valuations at once.  At
+Δ/□ a state's plane is the union of the minterms M_X (the valuations where
+the child's extension is exactly X) over X ∈ N(s); ``old`` Δ also adds
+M_{S∖X}.  The minterms are shared by all states: up to ``_TABLE_STATES``
+states all 2^n are built by doubling, above it each on first use.  Kripke Δ
+is the AND over R(s) of the child's planes OR-ed with the AND of their
+complements, and □ is the first term alone.  ``extension`` runs the same
+program at V = 1, where a plane is one bit, a value is a state mask and the
+modal step tests membership directly.  ``frame_valid`` keeps the program of
+the last formula it was given, checked with ``is``.
+
+``frame_valid`` numbers the valuations of the sorted atoms with the first
+atom most significant: valuation v gives atom i the state mask
+(v >> n·(k-1-i)) & full.  The witness is the lowest falsifying v and the
+lowest state falsified under it.  Sweeps wider than ``_CHUNK_BITS`` run in
+passes that fix the leading bits of v and sweep the trailing ones, in
+ascending order, stopping at the first failing pass.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import Sequence
 
-from .formula import And, Atom, Delta, Formula, Not, Top, expand_sugar, metrics
+from .formula import (And, Atom, Bot, Box, Delta, Formula, Iff, Imp, Nabla,
+                      Not, Or, Top)
 from .model import BudgetError, KripkeModel, NeighborhoodModel, bits
 
 
@@ -42,49 +71,198 @@ def delta_holds(m: Model, state: int, ext: int, kind: SemanticsKind) -> bool:
             or (m.full & ~ext) in m.neighborhoods[state])
 
 
-def box_holds(m: Model, state: int, ext: int, kind: SemanticsKind) -> bool:
-    """The necessity clause at one state."""
+# ---------------------------------------------------------------------------
+# Compilation.
+
+ATOM, TOP, NOT, AND, DELTA, BOX = range(6)
+
+
+@dataclass(frozen=True)
+class Program:
+    """A compiled formula.  ``ops[i]`` is ``(op, a, b)``: for ``ATOM`` ``a``
+    indexes ``names``; for ``NOT``/``DELTA``/``BOX`` ``a`` is the child slot;
+    for ``AND`` ``a`` and ``b`` are the conjunct slots.  ``root`` is the slot
+    of the whole formula and ``names`` the sorted atom names."""
+
+    ops: tuple[tuple[int, int, int], ...]
+    names: tuple[str, ...]
+    root: int
+
+
+_UNARY = {Not: NOT, Delta: DELTA, Box: BOX, Nabla: NOT}
+
+
+def compile_formula(f: Formula) -> Program:
+    """Expand sugar, hash-cons and flatten ``f``; iterative, so any depth."""
+    ops: list[tuple] = []
+    index: dict[tuple, int] = {}
+    slot_of: dict[int, int] = {}  # id(node) -> slot; f keeps every node alive
+
+    def emit(op: int, a: int | str = 0, b: int = 0) -> int:
+        # an ATOM key holds the atom's name until the names are sorted
+        key = (op, a, b)
+        slot = index.get(key)
+        if slot is None:
+            slot = index[key] = len(ops)
+            ops.append(key)
+        return slot
+
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in slot_of:
+            continue
+        cls = type(node)
+        if cls is Atom:
+            slot_of[id(node)] = emit(ATOM, node.name)
+            continue
+        if cls is Top:
+            slot_of[id(node)] = emit(TOP)
+            continue
+        if cls is Bot:
+            slot_of[id(node)] = emit(NOT, emit(TOP))
+            continue
+        if cls in _UNARY:
+            if not ready:
+                stack += ((node, True), (node.child, False))
+                continue
+            child = slot_of[id(node.child)]
+            if cls is Nabla:
+                child = emit(DELTA, child)
+            slot_of[id(node)] = emit(_UNARY[cls], child)
+            continue
+        if cls not in (And, Or, Imp, Iff):
+            raise TypeError(f"not a formula: {node!r}")
+        if not ready:
+            stack += ((node, True), (node.right, False), (node.left, False))
+            continue
+        left, right = slot_of[id(node.left)], slot_of[id(node.right)]
+        if cls is And:
+            slot = emit(AND, left, right)
+        elif cls is Or:
+            slot = emit(NOT, emit(AND, emit(NOT, left), emit(NOT, right)))
+        elif cls is Imp:
+            slot = emit(NOT, emit(AND, left, emit(NOT, right)))
+        else:
+            slot = emit(AND, emit(NOT, emit(AND, left, emit(NOT, right))),
+                        emit(NOT, emit(AND, right, emit(NOT, left))))
+        slot_of[id(node)] = slot
+    names = sorted({a for op, a, _ in ops if op == ATOM})
+    pos = {name: i for i, name in enumerate(names)}
+    flat = tuple((op, pos[a], 0) if op == ATOM else (op, a, b)
+                 for op, a, b in ops)
+    return Program(flat, tuple(names), slot_of[id(f)])
+
+
+# The last formula compiled and its program.  Sweeps pass one formula object
+# for every frame; checking it with ``is`` never hashes the formula, and one
+# entry cannot grow over many distinct formulas.
+_last: tuple[Formula | None, Program | None] = (None, None)
+
+
+def _program(f: Formula) -> Program:
+    global _last
+    seen, prog = _last
+    if seen is not f:
+        prog = compile_formula(f)
+        _last = (f, prog)
+    return prog
+
+
+# ---------------------------------------------------------------------------
+# Evaluation.
+
+def _run(prog: Program, m: Model, kind: SemanticsKind, width: int,
+        atoms: Sequence[int]) -> int:
+    """Value of ``prog`` on ``m`` at plane width ``width``, given each atom's
+    n·width-bit value in ``names`` order."""
+    n = len(m.states)
+    full = (1 << n * width) - 1
+    vals: list[int] = []
+    for op, a, b in prog.ops:
+        if op == AND:
+            vals.append(vals[a] & vals[b])
+        elif op == NOT:
+            vals.append(full ^ vals[a])
+        elif op == ATOM:
+            vals.append(atoms[a])
+        elif op == TOP:
+            vals.append(full)
+        else:
+            vals.append(_modal(m, kind, op == BOX, vals[a], n, width))
+    return vals[prog.root]
+
+
+def _modal(m: Model, kind: SemanticsKind, box: bool, x: int, n: int,
+           width: int) -> int:
+    """Δ (or □ if ``box``) applied to the child value ``x``, state by state."""
+    out = 0
+    if width == 1:
+        for s in range(n):
+            if not box:
+                holds = delta_holds(m, s, x, kind)
+            elif kind is SemanticsKind.KRIPKE:
+                holds = m.succ[s] & x == m.succ[s]
+            else:
+                holds = x in m.neighborhoods[s]
+            if holds:
+                out |= 1 << s
+        return out
+    plane = (1 << width) - 1
+    pos = [x >> t * width & plane for t in range(n)]
+    neg = [plane ^ p for p in pos]
     if kind is SemanticsKind.KRIPKE:
-        r = m.succ[state]
-        return r & ext == r
-    return ext in m.neighborhoods[state]
+        for s, r in enumerate(m.succ):
+            yes = no = plane
+            for t in bits(r):
+                yes &= pos[t]
+                no &= neg[t]
+            out |= (yes if box else yes | no) << s * width
+        return out
+    if n <= _TABLE_STATES:
+        # all 2^n minterms by doubling; index bit t picks pos[t] over neg[t]
+        minterms = [plane]
+        for p, q in zip(pos, neg):
+            minterms = [mt & q for mt in minterms] + [mt & p for mt in minterms]
+    else:
+        minterms = _Minterms(pos, neg, plane)
+    both = kind is SemanticsKind.OLD and not box
+    full = (1 << n) - 1
+    for s, fam in enumerate(m.neighborhoods):
+        got = 0
+        for mask in fam:
+            got |= minterms[mask]
+            if both:
+                got |= minterms[full ^ mask]
+        out |= got << s * width
+    return out
+
+
+# Frames up to this many states get the full minterm table at each modal op;
+# larger ones compute only the minterms their families name.
+_TABLE_STATES = 4
+
+
+class _Minterms(dict):
+    """Minterm planes M_X computed on first lookup of X."""
+
+    def __init__(self, pos: list[int], neg: list[int], plane: int):
+        super().__init__()
+        self.pos, self.neg, self.plane = pos, neg, plane
+
+    def __missing__(self, mask: int) -> int:
+        got = self.plane
+        for t, (p, q) in enumerate(zip(self.pos, self.neg)):
+            got &= p if mask >> t & 1 else q
+        self[mask] = got
+        return got
 
 
 def extension(m: Model, f: Formula, kind: SemanticsKind) -> int:
     """Bitmask of the states where ``f`` is true."""
     _check_kind(m, kind)
-    full = m.full
-    memo: dict[Formula, int] = {}
-
-    def ext(g: Formula) -> int:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        cls = type(g)
-        if cls is Atom:
-            out = m.atom_mask(g.name)
-        elif cls is Top:
-            out = full
-        elif cls is Not:
-            out = full & ~ext(g.child)
-        elif cls is And:
-            out = ext(g.left) & ext(g.right)
-        elif cls is Delta:
-            child = ext(g.child)
-            out = 0
-            for s in range(len(m.states)):
-                if delta_holds(m, s, child, kind):
-                    out |= 1 << s
-        else:  # Box
-            child = ext(g.child)
-            out = 0
-            for s in range(len(m.states)):
-                if box_holds(m, s, child, kind):
-                    out |= 1 << s
-        memo[g] = out
-        return out
-
-    return ext(expand_sugar(f))
+    prog = _program(f)
+    return _run(prog, m, kind, 1, [m.atom_mask(name) for name in prog.names])
 
 
 def evaluate(m: Model, state: str, f: Formula, kind: SemanticsKind) -> bool:
@@ -104,6 +282,71 @@ class FrameCheck:
         return self.valid
 
 
+_VALID = FrameCheck(True)
+
+# Valuation-index bits swept in one pass: planes of 2^12 bits per state.
+_CHUNK_BITS = 12
+
+
+@lru_cache(maxsize=256)
+def _layout(n: int, k: int) -> tuple[int, tuple[int, ...],
+                                     tuple[tuple[int, int, int], ...]]:
+    """The valuation-index bits one pass sweeps, each atom's value over them,
+    and the (atom, state, pass-number bit) triples for the bits above them,
+    whose states a pass fills in with a constant plane."""
+    width_bits = min(n * k, _CHUNK_BITS)
+    width = 1 << width_bits
+    ones = (1 << width) - 1
+    atoms = [0] * k
+    high = []
+    for i in range(k):
+        for s in range(n):
+            b = n * (k - 1 - i) + s
+            if b >= width_bits:
+                high.append((i, s, b - width_bits))
+                continue
+            # bit v set iff bit b of v is: the upper half of each 2^(b+1) run
+            period = (1 << (2 << b)) - 1
+            upper = period ^ ((1 << (1 << b)) - 1)
+            atoms[i] |= ones // period * upper << s * width
+    return width_bits, tuple(atoms), tuple(high)
+
+
+def program_valid(frame: Model, prog: Program, kind: SemanticsKind,
+                  max_bits: int = 24) -> FrameCheck:
+    """Frame validity of a compiled program; see ``frame_valid``."""
+    names = prog.names
+    n, k = len(frame.states), len(names)
+    if n * k > max_bits:
+        raise BudgetError(
+            f"valuation sweep needs 2^{n * k} cases, budget is 2^{max_bits}; "
+            f"--budget (max_bits=) lifts it")
+    width_bits, base, high = _layout(n, k)
+    width = 1 << width_bits
+    plane = (1 << width) - 1
+    full = (1 << n * width) - 1
+    for hi in range(1 << n * k - width_bits):
+        atoms = list(base) if high else base
+        for i, s, j in high:
+            if hi >> j & 1:
+                atoms[i] |= plane << s * width
+        got = _run(prog, frame, kind, width, atoms)
+        if got == full:
+            continue
+        zeros = full ^ got
+        any_zero = 0
+        for s in range(n):
+            any_zero |= zeros >> s * width
+        low = any_zero & plane
+        v = (low & -low).bit_length() - 1
+        state = next(s for s in range(n) if zeros >> s * width + v & 1)
+        index = hi << width_bits | v
+        valuation = {name: index >> n * (k - 1 - i) & frame.full
+                     for i, name in enumerate(names)}
+        return FrameCheck(False, valuation, frame.states[state])
+    return _VALID
+
+
 def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
                 max_bits: int = 24) -> FrameCheck:
     """Validity of ``f`` on the frame: every valuation of vars(f), every state.
@@ -113,16 +356,4 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     refused.  Returns the first falsifying valuation and state otherwise.
     """
     _check_kind(frame, kind)
-    names = sorted(metrics(f).vars)
-    n = len(frame.states)
-    if len(names) * n > max_bits:
-        raise BudgetError(
-            f"valuation sweep needs 2^{len(names) * n} cases, budget is 2^{max_bits}")
-    full = frame.full
-    for masks in itertools.product(range(full + 1), repeat=len(names)):
-        valuation = dict(zip(names, masks))
-        got = extension(frame.with_valuation(valuation), f, kind)
-        if got != full:
-            state = next(bits(full & ~got))
-            return FrameCheck(False, valuation, frame.states[state])
-    return FrameCheck(True)
+    return program_valid(frame, _program(f), kind, max_bits)

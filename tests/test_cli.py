@@ -62,6 +62,19 @@ def test_eval_usage_errors(nbh_path, capsys):
     assert main(["eval", "--model", nbh_path, "--state", "s",
                  "--formula", "D p", "--semantics", "kripke"]) == 2
     capsys.readouterr()
+    # nesting beyond the parser's recursion depth is a usage error...
+    for text in ("~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000,
+                 "D " * 2000 + "p"):
+        assert main(["eval", "--model", nbh_path, "--state", "s",
+                     "--formula", text, "--semantics", "new"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+    # ...but a long flat chain parses, and evaluation has no depth limit
+    assert main(["eval", "--model", nbh_path, "--state", "s",
+                 "--formula", " & ".join(["p"] * 3000),
+                 "--semantics", "new"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
 
 
 def test_transform_and_bisim_pipeline(tmp_path, nbh_path, kripke_path, capsys):
@@ -123,6 +136,14 @@ def test_proof_check_command(tmp_path, capsys):
         assert main(["proof-check", "--system", "E",
                      "--script", str(path)]) == 2
         assert "malformed proof script" in capsys.readouterr().err
+    chain = " & ".join(["p"] * 3000)
+    deep = [{"formula": f"{chain} -> {chain}", "by": "TAUT"},
+            {"formula": f"({chain} -> {chain}) -> top", "by": "TAUT"},
+            {"formula": "top", "by": "MP 1 2"}]
+    path.write_text(json.dumps(deep))
+    assert main(["proof-check", "--system", "K", "--script", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_countermodel_command(capsys):

@@ -210,3 +210,15 @@ def test_sweep_refuses_before_starting_a_pool(pool_sizes):
     assert pool_sizes == []
     with pytest.raises(ValueError):
         GenSpec(0)
+
+
+def test_sweep_runs_too_deep_a_check_serially(pool_sizes):
+    # A formula nested beyond pickle's depth cannot reach a worker; the sweep
+    # runs it in-process, with the serial result, and starts no pool.
+    from delta_lab.proofsys import _counterexample
+
+    deep = parse(" & ".join(["p"] * 3000) + " -> D p")
+    check = partial(_counterexample, deep, 24)
+    assert sweep(frozenset({FP.C}), 2, check, jobs=2) == \
+        sweep(frozenset({FP.C}), 2, check, jobs=1)
+    assert pool_sizes == []
