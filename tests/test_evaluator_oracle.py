@@ -109,7 +109,7 @@ def test_frame_valid_matches_oracle_on_random_frames():
     rnd = random.Random(7)
     for case in range(600):
         kind = (NEW, OLD, KRIPKE)[case % 3]
-        n = 1 + case % 4
+        n = 1 + case % 5
         atoms = ["p", "q", "r"][:1 + rnd.randrange(3 if n <= 2 else 2)]
         f = random_formula(2, atoms, rnd.randrange(10**6), include_box=True,
                            size=rnd.randrange(3, 12))
