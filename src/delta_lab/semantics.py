@@ -173,7 +173,7 @@ def _program(f: Formula) -> Program:
 # Evaluation.
 
 def _run(prog: Program, m: Model, kind: SemanticsKind, width: int,
-        atoms: Sequence[int]) -> int:
+         atoms: Sequence[int]) -> int:
     """Value of ``prog`` on ``m`` at plane width ``width``, given each atom's
     n·width-bit value in ``names`` order."""
     n = len(m.states)
