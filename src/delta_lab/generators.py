@@ -77,16 +77,10 @@ def frame_at(n: int, index: int) -> NeighborhoodModel:
     return frame_from_codes(n, tuple(reversed(codes)))
 
 
+@lru_cache(maxsize=None)
 def _admissible_codes(n: int, props: frozenset[FrameProperty],
                       state: int) -> tuple[int, ...]:
-    """Family codes whose family satisfies every local property, ascending.
-    Only (t) reads the state, so without it all states share one tuple."""
-    return _codes(n, props, state if FrameProperty.T in props else 0)
-
-
-@lru_cache(maxsize=None)
-def _codes(n: int, props: frozenset[FrameProperty],
-           state: int) -> tuple[int, ...]:
+    """Family codes whose family satisfies every local property, ascending."""
     n_subsets = 1 << n
     full = n_subsets - 1
     out = []

@@ -20,10 +20,8 @@ from typing import Sequence
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top, parse)
 from .generators import sweep
-from .model import BudgetError, NeighborhoodModel, frame_class
-from .semantics import (AND, ATOM, BOX, DELTA, NOT, TOP, FrameCheck,
-                        Program, SemanticsKind, compile_formula, frame_valid,
-                        program_valid)
+from .model import NeighborhoodModel, frame_class
+from .semantics import FrameCheck, SemanticsKind, frame_valid, taut_valid
 
 
 @dataclass(frozen=True)
@@ -107,49 +105,11 @@ def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:
 
 _TAUT_ATOM_BUDGET = 20
 
-# Truth-table rows are the valuations of a one-state frame.
-_ONE_STATE = NeighborhoodModel(("s",), (frozenset(),))
-
-
-def _skeleton(prog: Program) -> Program:
-    """``prog`` with each maximal modal subformula made an atom (equal
-    subformulas share one slot, hence one atom) and every op below one made
-    a constant, so only the skeleton's atoms are swept."""
-    keep: set[int] = set()
-    labels: dict[int, str] = {}
-    stack = [prog.root]
-    while stack:
-        slot = stack.pop()
-        if slot in keep:
-            continue
-        keep.add(slot)
-        op, a, b = prog.ops[slot]
-        if op == ATOM:
-            labels[slot] = prog.names[a]
-        elif op in (DELTA, BOX):
-            labels[slot] = f"#{slot}"
-        elif op == NOT:
-            stack.append(a)
-        elif op == AND:
-            stack += (a, b)
-    names = sorted(labels.values())
-    pos = {name: i for i, name in enumerate(names)}
-    ops = tuple((ATOM, pos[labels[slot]], 0) if slot in labels
-                else op if slot in keep else (TOP, 0, 0)
-                for slot, op in enumerate(prog.ops))
-    return Program(ops, tuple(names), prog.root)
-
 
 def is_taut_instance(f: Formula, atom_budget: int = _TAUT_ATOM_BUDGET) -> bool:
     """Propositional tautology after abstracting each maximal modal subformula
-    to a fresh atom (equal subformulas share one atom): the skeleton's truth
-    table is checked as frame validity on a one-state frame."""
-    skeleton = _skeleton(compile_formula(f))
-    if len(skeleton.names) > atom_budget:
-        raise BudgetError(f"abstraction yields {len(skeleton.names)} atoms, "
-                          f"budget is {atom_budget}")
-    return program_valid(_ONE_STATE, skeleton, SemanticsKind.NEW,
-                         atom_budget).valid
+    to a fresh atom (equal subformulas share one atom)."""
+    return taut_valid(f, atom_budget)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from delta_lab.generators import (GenSpec, random_formula, random_kripke,
                                   random_model, state_names)
 from delta_lab.model import KripkeModel, NeighborhoodModel, bits
 from delta_lab.proofsys import is_taut_instance
-from delta_lab.semantics import (_CHUNK_BITS, FrameCheck, SemanticsKind,
-                                 delta_holds, extension, frame_valid)
+from delta_lab.semantics import (_CHUNK_BITS, AND, ATOM, TOP, FrameCheck,
+                                 SemanticsKind, compile_formula, delta_holds,
+                                 extension, frame_valid)
 
 NEW, OLD, KRIPKE = SemanticsKind.NEW, SemanticsKind.OLD, SemanticsKind.KRIPKE
 
@@ -157,6 +158,24 @@ def test_extension_matches_oracle_on_random_models():
         for kind in (NEW, OLD):
             assert extension(m, f, kind) == oracle_extension(m, f, kind)
         assert extension(k, f, KRIPKE) == oracle_extension(k, f, KRIPKE)
+
+
+def _tree(prog, slot: int) -> tuple:
+    op, a, b = prog.ops[slot]
+    if op == ATOM:
+        return op, prog.names[a]
+    if op == AND:
+        return op, _tree(prog, a), _tree(prog, b)
+    return (op,) if op == TOP else (op, _tree(prog, a))
+
+
+def test_compiled_sugar_matches_expand_sugar():
+    # compile_formula expands the sugar kinds itself; its program must read
+    # back as the core formula that expand_sugar rewrites to
+    for seed in range(300):
+        f = random_formula(3, ["p", "q"], seed, include_box=True)
+        got, want = compile_formula(f), compile_formula(expand_sugar(f))
+        assert _tree(got, got.root) == _tree(want, want.root), str(f)
 
 
 def test_taut_matches_oracle():
