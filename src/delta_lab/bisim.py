@@ -2,22 +2,35 @@
 
 Six notions are supported, all but one phrased through coherent pairs: a pair
 of subsets (U, U') is Z-coherent when every (x, y) in Z has x in U iff y in
-U'.  ``check_bisim`` takes the notions literally, quantifying coherent pairs
+U'.  ``check_bisim`` takes the notions literally, streaming the coherent pairs
 by enumerating U and propagating the forced memberships into U' through Z.
-``max_bisim`` computes greatest bisimilarity as the largest post-fixed point
-of the clause operator over the disjoint union of the two models, by
-iterated removal from the atom-agreeing relation; same-side pairs take part
-in the fixpoint, which is what makes bisimilarity line up with logical
-equivalence on finite models.  Logical-equivalence partitions are computed
-by depth refinement against unions of blocks, stabilizing within the total
-state count.
+
+``max_bisim`` and ``logical_equiv_partition`` share one refinement core over
+the disjoint union of the models: group states by atoms, then split blocks by
+a per-state signature until the block count stops growing.  Greatest
+bisimilarity is the final partition's cross-model part; same-side states take
+part, which makes it line up with logical equivalence on finite models.  A
+signature says which unions U of blocks make Δ hold, read off the input:
+
+- Kripke: with Q the blocks R(s) meets, Δ holds iff Q ⊆ U or Q ∩ U = ∅.
+- ``new`` (and ``c``, ``monotonic-c``, ``qf``): Δ holds iff U ∩ P is the
+  block set of a member of N(s) that is a union of blocks' pieces, P being
+  the blocks with states in s's model.
+- ``old`` (and ``nbh-delta``): the same, with those block sets' complements
+  within P.
+
+Each is a family of block sets over coordinates P (Kripke: {∅, Q} over Q),
+reduced to its essential coordinates, those whose toggle changes it, so equal
+signatures mean the same unions, across models too.  ``c-monotonic`` uses the
+⊆-minimal block sets met by N(s), equal exactly when zig and zag hold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .formula import And, Atom, Bot, Delta, Formula, Not, Or, Top
 from .model import (BudgetError, FrameProperty, KripkeModel, NeighborhoodModel,
@@ -153,10 +166,8 @@ def _check_class(kind: BisimKind, left: Model, right: Model) -> None:
                                  f"({prop.value}); it fails on the {side} model")
 
 
-def _check_budget(left: Model, right: Model, budget: int) -> None:
-    if left.n + right.n > budget:
-        raise BudgetError(f"coherent-pair enumeration over {left.n}+{right.n} "
-                          f"states exceeds the budget of {budget}")
+#: Coherent pairs held at once by ``check_bisim``.
+_CHUNK = 1024
 
 
 def _zig(fam_a, fam_b, partner_of_b_in_a):
@@ -170,6 +181,15 @@ def _zig(fam_a, fam_b, partner_of_b_in_a):
                 break
         if not ok:
             return x
+    return None
+
+
+def _violation(clause, i: int, j: int, chunk: list[tuple[int, int]]
+               ) -> tuple[int, int] | None:
+    """The first coherent pair of ``chunk`` at which (i, j) breaks the clause."""
+    for u, u2 in chunk:
+        if not clause(i, j, u, u2):
+            return u, u2
     return None
 
 
@@ -205,44 +225,34 @@ def check_bisim(kind: BisimKind, z: PairRelation, left: Model, right: Model,
                                     reason="no matching left neighborhood (zag)")
         return BisimVerdict(True)
 
-    _check_budget(left, right, budget)
+    if left.n + right.n > budget:
+        raise BudgetError(f"coherent-pair enumeration over {left.n}+{right.n} "
+                          f"states exceeds the budget of {budget}")
     clause = _clause(kind, left, right)
-    coherent = list(_coherent_pairs(pairs, left.n, right.n))
-    for i, j in pairs:
-        for u, u2 in coherent:
-            if not clause(i, j, u, u2):
-                return BisimVerdict(False, (left.states[i], right.states[j]),
-                                    witness=(left.names(u), right.names(u2)),
-                                    reason="coherent pair breaks the clause")
-    return BisimVerdict(True)
+    # Pair-major search over chunks of the streamed coherent pairs: it finds
+    # what a search over all of them would, the first failing pair of z at
+    # its first failing coherent pair, since once pair p has failed, later
+    # chunks only need the pairs before it.
+    coherent = _coherent_pairs(pairs, left.n, right.n)
+    first, witness = len(pairs), None
+    while first and (chunk := list(islice(coherent, _CHUNK))):
+        for p in range(first):
+            bad = _violation(clause, *pairs[p], chunk)
+            if bad:
+                first, witness = p, bad
+                break
+    if witness is None:
+        return BisimVerdict(True)
+    i, j = pairs[first]
+    return BisimVerdict(False, (left.states[i], right.states[j]),
+                        witness=(left.names(witness[0]), right.names(witness[1])),
+                        reason="coherent pair breaks the clause")
 
 
-def _components(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
-    """Connected components of the pair graph over 0..n-1, as masks."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, int] = {}
-    for t in range(n):
-        root = find(t)
-        groups[root] = groups.get(root, 0) | (1 << t)
-    return list(groups.values())
-
-
-def max_bisim(kind: BisimKind, left: Model, right: Model,
-              budget: int = 24) -> PairRelation:
+def max_bisim(kind: BisimKind, left: Model, right: Model) -> PairRelation:
     """Greatest bisimilarity of the given kind between the two models.
 
-    The fixpoint runs over the disjoint union of the models, so pairs of
+    The refinement runs over the disjoint union of the models, so pairs of
     same-side states take part and constrain coherence; the result is the
     cross-model restriction.  (A bisimulation confined to cross-model pairs
     leaves states without partners unconstrained, which on some finite
@@ -251,76 +261,13 @@ def max_bisim(kind: BisimKind, left: Model, right: Model,
     every relation accepted by ``check_bisim`` is contained in the result.
     """
     _check_class(kind, left, right)
-    nl, nt = left.n, left.n + right.n
-
-    def resolve(t):
-        return (left, t) if t < nl else (right, t - nl)
-
-    def agree(a, b):
-        ma, ia = resolve(a)
-        mb, ib = resolve(b)
-        return all((ma.atom_mask(p) >> ia & 1) == (mb.atom_mask(p) >> ib & 1)
-                   for p in left.valuation.keys() | right.valuation.keys())
-
-    z = [(a, b) for a in range(nt) for b in range(nt) if agree(a, b)]
-
-    if kind is BisimKind.C_MONOTONIC:
-        def families(t):
-            m, i = resolve(t)
-            shift = 0 if t < nl else nl
-            return [x << shift for x in m.neighborhoods[i]]
-
-        fams = [families(t) for t in range(nt)]
-        while z:
-            pred = [0] * nt
-            succ = [0] * nt
-            for a, b in z:
-                pred[b] |= 1 << a
-                succ[a] |= 1 << b
-            keep = [(a, b) for a, b in z
-                    if _zig(fams[a], fams[b], pred) is None
-                    and _zig(fams[b], fams[a], succ) is None]
-            if keep == z:
-                break
-            z = keep
-    else:
-        _check_budget(left, right, budget)
-
-        if kind is BisimKind.REL_DELTA:
-            def holds(t, u):
-                m, i = resolve(t)
-                proj = u & ((1 << nl) - 1) if t < nl else u >> nl
-                r = m.succ[i]
-                return r & proj == r or r & proj == 0
-        elif kind is BisimKind.NBH_DELTA:
-            def holds(t, u):
-                m, i = resolve(t)
-                proj = u & ((1 << nl) - 1) if t < nl else u >> nl
-                return (proj in m.neighborhoods[i]
-                        or (m.full & ~proj) in m.neighborhoods[i])
-        else:
-            def holds(t, u):
-                m, i = resolve(t)
-                proj = u & ((1 << nl) - 1) if t < nl else u >> nl
-                return proj in m.neighborhoods[i]
-
-        while z:
-            # identity pairs always agree on atoms and never fail the
-            # clause, so every state is constrained and the coherent pairs
-            # are exactly (U, U) with U a union of components of z.
-            comps = _components(z, nt)
-            closed = [0]
-            for comp in comps:
-                closed.extend(u | comp for u in list(closed))
-            keep = [(a, b) for a, b in z
-                    if all(holds(a, u) == holds(b, u) for u in closed)]
-            if keep == z:
-                break
-            z = keep
-
-    seen = frozenset((left.states[a], right.states[b - nl])
-                     for a, b in z if a < nl <= b)
-    return PairRelation(seen)
+    sem = {BisimKind.REL_DELTA: SemanticsKind.KRIPKE,
+           BisimKind.NBH_DELTA: SemanticsKind.OLD}.get(kind, SemanticsKind.NEW)
+    signature = (_minimal_signature if kind is BisimKind.C_MONOTONIC
+                 else _delta_signature)
+    vocab = tuple(sorted(left.valuation.keys() | right.valuation.keys()))
+    part = _refine((left, right), (sem, sem), vocab, signature)
+    return PairRelation(part.cross_pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +275,9 @@ def max_bisim(kind: BisimKind, left: Model, right: Model,
 
 StateRef = tuple[int, int]   # (model index, state index)
 Block = frozenset[StateRef]
+
+#: Most base blocks whose unions ``char_formula`` sweeps for a separator.
+SEPARATOR_BLOCKS = 20
 
 
 def _model_kind(m: Model, kind: SemanticsKind) -> SemanticsKind:
@@ -375,28 +325,106 @@ class Partition:
                        for a in lefts for b in rights)
         return frozenset(out)
 
-    def _block_mask(self, depth: int, block_id: int, model: int) -> int:
-        mask = 0
-        for mi, s in self.history[depth][block_id]:
-            if mi == model:
-                mask |= 1 << s
-        return mask
-
-    def _union_mask(self, depth: int, union: int, model: int) -> int:
-        mask = 0
-        for b in bits(union):
-            mask |= self._block_mask(depth, b, model)
-        return mask
-
     def _delta_on_union(self, ref: StateRef, depth: int, union: int) -> bool:
         mi, s = ref
-        return delta_holds(self.models[mi], s,
-                           self._union_mask(depth, union, mi), self.kinds[mi])
+        mask = 0
+        for b in bits(union):
+            mask |= sum(1 << t for mj, t in self.history[depth][b] if mj == mi)
+        return delta_holds(self.models[mi], s, mask, self.kinds[mi])
+
+
+def _met(mask: int, block_of: list[int]) -> int:
+    """The blocks that the states of ``mask`` lie in."""
+    out = 0
+    for t in bits(mask):
+        out |= 1 << block_of[t]
+    return out
+
+
+def _canonical(coords: int, family: set[int]) -> tuple[int, frozenset[int]]:
+    """The family of block sets over ``coords``, reduced to its essential
+    coordinates: those whose toggle changes the family."""
+    essential = 0
+    for b in bits(coords):
+        bit = 1 << b
+        if any(x ^ bit not in family for x in family):
+            essential |= bit
+    return essential, frozenset(x & essential for x in family)
+
+
+def _delta_signature(m: Model, kind: SemanticsKind, s: int,
+                     block_of: list[int], pieces: list[int]
+                     ) -> tuple[int, frozenset[int]]:
+    """Which unions of blocks make Δ hold at ``s``, in canonical form."""
+    if kind is SemanticsKind.KRIPKE:
+        met = _met(m.succ[s], block_of)
+        return _canonical(met, {0, met})
+    present = _met(m.full, block_of)
+    family = set()
+    for x in m.neighborhoods[s]:
+        blocks = 0
+        for t in bits(x):
+            b = block_of[t]
+            if pieces[b] & ~x:
+                break   # x cuts block b, so no union of blocks is x
+            blocks |= 1 << b
+        else:
+            family.add(blocks)
+            if kind is SemanticsKind.OLD:
+                family.add(present & ~blocks)
+    return _canonical(present, family)
+
+
+def _minimal_signature(m: Model, kind: SemanticsKind, s: int,
+                       block_of: list[int], pieces: list[int]
+                       ) -> frozenset[int]:
+    """The ⊆-minimal block sets met by the members of N(s)."""
+    met = {_met(x, block_of) for x in m.neighborhoods[s]}
+    return frozenset(a for a in met
+                     if not any(b != a and b & a == b for b in met))
+
+
+def _sorted_blocks(groups: Iterable[list[StateRef]]) -> list[Block]:
+    return [frozenset(group) for group in sorted(groups, key=min)]
+
+
+def _refine(models: Sequence[Model], kinds: Sequence[SemanticsKind],
+            vocab: tuple[str, ...], signature: Callable[..., Hashable]
+            ) -> Partition:
+    """Group the states of ``models`` by atom truth over ``vocab``, then split
+    blocks by ``signature(model, kind, state, block_of, pieces)`` until the
+    block count stops growing.  ``block_of[t]`` is the block of the model's
+    state t, ``pieces[b]`` the mask of block b's states in the model."""
+    part = Partition(tuple(models), tuple(kinds), vocab)
+    by_atoms: dict[tuple[int, ...], list[StateRef]] = {}
+    for mi, m in enumerate(models):
+        for s in range(m.n):
+            key = tuple(m.atom_mask(p) >> s & 1 for p in vocab)
+            by_atoms.setdefault(key, []).append((mi, s))
+    blocks = _sorted_blocks(by_atoms.values())
+    part.history.append(blocks)
+
+    while True:
+        block_of = [[0] * m.n for m in models]
+        pieces = [[0] * len(blocks) for _ in models]
+        for b, block in enumerate(blocks):
+            for mi, s in block:
+                block_of[mi][s] = b
+                pieces[mi][b] |= 1 << s
+        grouped: dict[tuple[int, Hashable], list[StateRef]] = {}
+        for b, block in enumerate(blocks):
+            for mi, s in block:
+                sig = signature(models[mi], kinds[mi], s, block_of[mi],
+                                pieces[mi])
+                grouped.setdefault((b, sig), []).append((mi, s))
+        if len(grouped) == len(blocks):
+            return part
+        blocks = _sorted_blocks(grouped.values())
+        part.history.append(blocks)
 
 
 def logical_equiv_partition(models: Sequence[Model], vocab: Iterable[str],
-                            kind: SemanticsKind,
-                            block_budget: int = 20) -> Partition:
+                            kind: SemanticsKind) -> Partition:
     """Refine the disjoint union of ``models`` until no formula over ``vocab``
     splits a block.
 
@@ -406,45 +434,7 @@ def logical_equiv_partition(models: Sequence[Model], vocab: Iterable[str],
     ``kind``.  Stabilizes within the total state count.
     """
     kinds = tuple(_model_kind(m, kind) for m in models)
-    vocab = tuple(sorted(set(vocab)))
-    part = Partition(tuple(models), kinds, vocab)
-
-    refs = [(mi, s) for mi, m in enumerate(models) for s in range(m.n)]
-    sig0 = {}
-    for ref in refs:
-        mi, s = ref
-        sig0.setdefault(
-            tuple(models[mi].atom_mask(p) >> s & 1 for p in vocab), []).append(ref)
-    blocks = [frozenset(group) for _, group in sorted(
-        sig0.items(), key=lambda kv: min(kv[1]))]
-    part.history.append(blocks)
-
-    while True:
-        k = len(blocks)
-        if k > block_budget:
-            raise BudgetError(
-                f"union-of-blocks sweep needs 2^{k} cases, budget is 2^{block_budget}")
-        depth = len(part.history) - 1
-        union_masks = [[part._union_mask(depth, union, mi)
-                        for union in range(1 << k)]
-                       for mi in range(len(models))]
-        grouped: dict[tuple[int, int], list[StateRef]] = {}
-        for b, block in enumerate(blocks):
-            for ref in block:
-                mi, s = ref
-                sig = 0
-                for union in range(1 << k):
-                    if delta_holds(models[mi], s, union_masks[mi][union],
-                                   kinds[mi]):
-                        sig |= 1 << union
-                grouped.setdefault((b, sig), []).append(ref)
-        new_blocks = [frozenset(group) for _, group in sorted(
-            grouped.items(), key=lambda kv: min(kv[1]))]
-        if len(new_blocks) == len(blocks):
-            break
-        blocks = new_blocks
-        part.history.append(blocks)
-    return part
+    return _refine(models, kinds, tuple(sorted(set(vocab))), _delta_signature)
 
 
 def char_formula(partition: Partition, block: Block | int, depth: int) -> Formula:
@@ -544,6 +534,11 @@ def _separator(partition: Partition, block_id: int, other: int, depth: int,
         raise AssertionError("depth-0 blocks must differ on some atom")
     base = split_at - 1
     k = len(partition.history[base])
+    if k > SEPARATOR_BLOCKS:
+        raise BudgetError(
+            f"char_formula sweeps the 2^{k} unions of the {k} depth-{base} "
+            f"blocks for a separator; the limit is {SEPARATOR_BLOCKS} blocks")
+    # The numerically least separating union keeps the formulas stable.
     for union in range(1 << k):
         mine = partition._delta_on_union(ref, base, union)
         theirs = partition._delta_on_union(ref2, base, union)

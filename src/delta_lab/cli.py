@@ -223,7 +223,7 @@ def _cmd_bisim(args) -> int:
                 return EXIT_FOUND
             _emit(args, payload, "ok")
             return EXIT_OK
-        z = bisim.max_bisim(kind, left, right, args.budget)
+        z = bisim.max_bisim(kind, left, right)
         payload = {"pairs": sorted(list(p) for p in z.pairs)}
         human = ("no bisimilar pairs" if not z.pairs else
                  " ".join(f"({a},{b})" for a, b in sorted(z.pairs)))
@@ -402,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("human", "json"), default="human")
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--budget", type=int, default=budget,
-                     help="subset-enumeration budget (bits)")
+                     help="subset-enumeration budget in bits (bisim check and "
+                          "valuation sweeps)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a formula at a state")

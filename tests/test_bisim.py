@@ -7,7 +7,8 @@ from delta_lab.bisim import (BisimKind, PairRelation, char_formula,
                              max_bisim)
 from delta_lab.generators import GenSpec, random_formula, random_kripke, \
     random_model
-from delta_lab.model import BudgetError, FrameProperty, NeighborhoodModel
+from delta_lab.model import BudgetError, FrameProperty, KripkeModel, \
+    NeighborhoodModel
 from delta_lab.semantics import SemanticsKind, extension
 from delta_lab.transform import c_variation, qf_variation
 
@@ -81,6 +82,23 @@ def test_check_bisim_class_preconditions():
         check_bisim(BisimKind.REL_DELTA, z, non_c, other)
     with pytest.raises(ValueError, match="nonempty"):
         check_bisim(BisimKind.NBH_DELTA, PairRelation.of([]), non_c, other)
+
+
+def test_check_bisim_streams_coherent_pairs():
+    # 10+10 states with z = {(s0, s0)} have 2^19 coherent pairs; they are
+    # checked as they are generated, never held in a list
+    import tracemalloc
+
+    big = nm([f"s{i}" for i in range(10)], {})
+    z = PairRelation.of([("s0", "s0")])
+    tracemalloc.start()
+    try:
+        verdict = check_bisim(BisimKind.NBH_DELTA, z, big, big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    assert peak < 1 << 20, peak
 
 
 def test_check_bisim_budget():
@@ -290,6 +308,38 @@ def test_max_bisim_monotone_kinds_coincide():
         assert a.pairs == b.pairs
         part = logical_equiv_partition([left, right], ["p"], NEW)
         assert part.cross_pairs(0, 1) == a.pairs
+
+
+def test_large_rel_delta_pairs_refine():
+    # 80 blocks: far beyond any sweep over unions of blocks
+    left = random_kripke(GenSpec(40, seed=41, mode="random"), ["p", "q", "r"])
+    right = random_kripke(GenSpec(40, seed=42, mode="random"), ["p", "q", "r"])
+    part = logical_equiv_partition([left, right], ["p", "q", "r"], KRIPKE)
+    assert len(part.blocks_at(part.depth)) > 20
+    assert part.cross_pairs() == max_bisim(BisimKind.REL_DELTA, left,
+                                           right).pairs
+    # identical copies are bisimilar state by state
+    same = max_bisim(BisimKind.REL_DELTA, left, left).pairs
+    assert {(s, s) for s in left.states} <= same
+
+
+def test_char_formula_refuses_wide_separator_sweeps():
+    # 21 states with distinct valuations, plus a and b agreeing with s0:
+    # a sees two blocks, b none, so they split at depth 1 and separating
+    # them sweeps the unions of 21 depth-0 blocks
+    names = [f"s{i}" for i in range(21)]
+    atoms = [f"p{k}" for k in range(5)]
+    valuation = {p: [s for i, s in enumerate(names) if i >> k & 1]
+                 for k, p in enumerate(atoms)}
+
+    succ = {s: [] for s in names}
+    succ.update(a=["s1", "s2"], b=[])
+    m = KripkeModel.from_names(names + ["a", "b"], succ, valuation)
+    part = logical_equiv_partition([m], atoms, KRIPKE)
+    assert part.depth == 1
+    block = part.block_index(1, (0, m.index("a")))
+    with pytest.raises(BudgetError, match="limit is 20 blocks"):
+        char_formula(part, block, 1)
 
 
 def test_partition_trivial_cases():

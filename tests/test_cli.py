@@ -268,3 +268,34 @@ def test_bisim_max_reports_no_bisimilar_pairs(tmp_path, capsys):
     assert main(["bisim", "max", "--kind", "c", "--left", str(left),
                  "--right", str(right)]) == 0
     assert capsys.readouterr().out.strip() == "no bisimilar pairs"
+
+
+def test_bisim_max_and_partition_on_32_blocks(tmp_path, capsys):
+    # Four atoms pair l<i> with r<i> at depth 0 (16 blocks); r<i> sees two
+    # blocks and l<i> none, so depth 1 has 32 blocks, whose unions no
+    # command sweeps.
+    import time
+
+    names = [str(i) for i in range(16)]
+
+    def kripke(prefix, succ):
+        states = [prefix + s for s in names]
+        return {"type": "kripke", "states": states,
+                "R": {prefix + s: succ(int(s)) for s in names},
+                "V": {f"p{k}": [prefix + s for s in names if int(s) >> k & 1]
+                      for k in range(4)}}
+
+    left, right = tmp_path / "l.json", tmp_path / "r.json"
+    left.write_text(json.dumps(kripke("l", lambda i: [])))
+    right.write_text(json.dumps(kripke(
+        "r", lambda i: [f"r{i}", f"r{(i + 1) % 16}"])))
+    start = time.perf_counter()
+    assert main(["--format", "json", "bisim", "max", "--kind", "rel-delta",
+                 "--left", str(left), "--right", str(right)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"pairs": []}
+    assert main(["--format", "json", "equiv-partition", "--models", str(left),
+                 str(right), "--vocab", "p0,p1,p2,p3",
+                 "--semantics", "kripke"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["depth"] == 1 and len(payload["blocks"]) == 32
+    assert time.perf_counter() - start < 1.0
