@@ -33,8 +33,8 @@ from itertools import islice
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .formula import And, Atom, Bot, Delta, Formula, Not, Or, Top
-from .model import (BudgetError, FrameProperty, KripkeModel, NeighborhoodModel,
-                    bits, has_property, submasks)
+from .model import (BudgetError, KripkeModel, Model, bits, first_failing,
+                    submasks)
 from .semantics import SemanticsKind, delta_holds
 
 
@@ -47,18 +47,13 @@ class BisimKind(Enum):
     REL_DELTA = "rel-delta"
 
 
-#: Model-class preconditions: (needs Kripke models, required frame properties).
+#: The composite model class each neighborhood notion requires.
 _KIND_CLASS = {
-    BisimKind.NBH_DELTA: (False, ()),
-    BisimKind.C: (False, (FrameProperty.C,)),
-    BisimKind.MONOTONIC_C: (False, (FrameProperty.S, FrameProperty.C)),
-    BisimKind.C_MONOTONIC: (False, (FrameProperty.S, FrameProperty.C)),
-    BisimKind.QF: (False, (FrameProperty.N, FrameProperty.I, FrameProperty.C,
-                           FrameProperty.WS)),
-    BisimKind.REL_DELTA: (True, ()),
+    BisimKind.C: "c-model",
+    BisimKind.MONOTONIC_C: "monotonic-c",
+    BisimKind.C_MONOTONIC: "monotonic-c",
+    BisimKind.QF: "quasi-filter",
 }
-
-Model = NeighborhoodModel | KripkeModel
 
 
 @dataclass(frozen=True)
@@ -154,16 +149,17 @@ def _clause(kind: BisimKind, left: Model, right: Model):
 
 
 def _check_class(kind: BisimKind, left: Model, right: Model) -> None:
-    needs_kripke, props = _KIND_CLASS[kind]
+    needs_kripke = kind is BisimKind.REL_DELTA
     for side, m in (("left", left), ("right", right)):
         if isinstance(m, KripkeModel) != needs_kripke:
             want = "Kripke" if needs_kripke else "neighborhood"
             raise ValueError(f"{kind.value} bisimulation needs {want} models; "
                              f"{side} model is a {type(m).__name__}")
-        for prop in props:
-            if not has_property(m, prop):
-                raise ValueError(f"{kind.value} bisimulation requires property "
-                                 f"({prop.value}); it fails on the {side} model")
+        prop = (first_failing(m, _KIND_CLASS[kind])
+                if kind in _KIND_CLASS else None)
+        if prop is not None:
+            raise ValueError(f"{kind.value} bisimulation requires property "
+                             f"({prop.value}); it fails on the {side} model")
 
 
 #: Coherent pairs held at once by ``check_bisim``.

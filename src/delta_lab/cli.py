@@ -366,6 +366,9 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.kind == "kripke" and (args.klass or args.mode == "random"):
+        raise CliError("--class and --mode random apply to neighborhood "
+                       "frames; --kind kripke enumerates every Kripke frame")
     props = _class_props(args.klass) if args.klass else frozenset()
     spec = generators.GenSpec(n_states=args.states, properties=props,
                               seed=args.seed, mode=args.mode, count=args.count)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
 from .model import (LOCAL_PROPERTIES, BudgetError, FrameProperty, KripkeModel,
-                    NeighborhoodModel, family_satisfies, has_property)
+                    NeighborhoodModel, bits, family_satisfies, has_property)
 
 MAX_EXHAUSTIVE_NBH = 3
 MAX_EXHAUSTIVE_KRIPKE = 4
@@ -257,16 +257,7 @@ def _random_family(n: int, props: frozenset[FrameProperty],
                 fam |= extra
                 changed = True
         if FrameProperty.S in props:
-            extra = set()
-            for x in fam:
-                rest = full & ~x
-                sub = rest
-                while True:
-                    if (x | sub) not in fam:
-                        extra.add(x | sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & rest
+            extra = {x | 1 << i for x in fam for i in bits(full & ~x)} - fam
             if extra:
                 fam |= extra
                 changed = True

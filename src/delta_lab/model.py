@@ -2,14 +2,26 @@
 
 States are named; every set of states is a bitmask over the model's fixed
 state ordering, so subset sweeps are integer loops.  A frame is a model with
-an empty valuation.
+an empty valuation.  Both model types share one base class, ``Model``.
+
+Property checks are polynomial in the families' size: (s) asks X ∪ {i} ∈ N
+for each X ∈ N and i ∉ X; (ws) reads N's upward core, built largest first by
+the same one-step rule; (b), (4), (5) read which states hold each set as a
+neighborhood.  ``has_property`` computes each verdict once per model.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+
+
+_M = TypeVar("_M", bound="Model")
+
+#: Instance ``__dict__`` key of a model's memoised property verdicts.
+_VERDICTS = "_verdicts"
 
 
 class BudgetError(RuntimeError):
@@ -32,13 +44,6 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
 
 
 class FrameProperty(Enum):
@@ -79,6 +84,11 @@ MODEL_CLASSES: dict[str, frozenset[FrameProperty]] = {
                                FrameProperty.C, FrameProperty.WS}),
 }
 
+# Each composite class's properties in declaration order, the order in
+# which ``first_failing`` checks them.
+_DECLARED_ORDER = {name: tuple(p for p in FrameProperty if p in props)
+                   for name, props in MODEL_CLASSES.items()}
+
 FRAME_CLASSES: dict[str, frozenset[FrameProperty]] = {
     "all": frozenset(),
     "c": MODEL_CLASSES["c-model"],
@@ -100,8 +110,76 @@ def frame_class(name: str) -> frozenset[FrameProperty]:
                      for part in name.split(",") if part.strip())
 
 
+class Model:
+    """What both model types share: states in a fixed order, one relation
+    entry per state, and a valuation from atoms to bitmasks.  Property
+    verdicts live in the instance ``__dict__``, outside ``==`` and pickling.
+    """
+
+    states: tuple[str, ...]
+    valuation: dict[str, int]
+
+    @property
+    def n(self) -> int:
+        return len(self.states)
+
+    @property
+    def full(self) -> int:
+        return (1 << len(self.states)) - 1
+
+    def index(self, name: str) -> int:
+        try:
+            return self.states.index(name)
+        except ValueError:
+            raise ValueError(f"unknown state {name!r}") from None
+
+    def complement(self, mask: int) -> int:
+        return self.full & ~mask
+
+    def atom_mask(self, atom: str) -> int:
+        return self.valuation.get(atom, 0)
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        return tuple(sorted(self.states[i] for i in bits(mask)))
+
+    def frame(self: _M) -> _M:
+        return replace(self, valuation={})
+
+    def with_valuation(self: _M, valuation: Mapping[str, int]) -> _M:
+        return replace(self, valuation=dict(valuation))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(_VERDICTS, None)
+        return state
+
+    @classmethod
+    def from_names(cls: type[_M], states: Iterable[str],
+                   relation: Mapping[str, Any],
+                   valuation: Mapping[str, Iterable[str]] | None = None) -> _M:
+        """A model from state names; ``_entry`` turns each state's entry in
+        ``relation`` (empty if missing) into its relation value."""
+        order = tuple(states)
+        pos = {name: i for i, name in enumerate(order)}
+        if len(pos) != len(order):
+            raise ValueError("duplicate state names")
+
+        def to_mask(group: Iterable[str]) -> int:
+            out = 0
+            for name in group:
+                if name not in pos:
+                    raise ValueError(f"unknown state {name!r}")
+                out |= 1 << pos[name]
+            return out
+
+        to_mask(relation)  # refuses an entry keyed by an unknown state
+        rel = tuple(cls._entry(relation.get(name, ()), to_mask) for name in order)
+        val = {p: to_mask(group) for p, group in (valuation or {}).items()}
+        return cls(order, rel, val)
+
+
 @dataclass(frozen=True)
-class NeighborhoodModel:
+class NeighborhoodModel(Model):
     """States, a neighborhood family per state, and a valuation.
 
     ``neighborhoods[i]`` is the set of neighborhoods of state ``i``, each a
@@ -113,123 +191,39 @@ class NeighborhoodModel:
     neighborhoods: tuple[frozenset[int], ...]
     valuation: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
-    @property
-    def full(self) -> int:
-        return (1 << len(self.states)) - 1
-
-    def index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ValueError(f"unknown state {name!r}") from None
-
-    def complement(self, mask: int) -> int:
-        return self.full & ~mask
-
-    def atom_mask(self, atom: str) -> int:
-        return self.valuation.get(atom, 0)
-
-    def names(self, mask: int) -> tuple[str, ...]:
-        return tuple(sorted(self.states[i] for i in bits(mask)))
-
-    def frame(self) -> "NeighborhoodModel":
-        return replace(self, valuation={})
-
-    def with_valuation(self, valuation: Mapping[str, int]) -> "NeighborhoodModel":
-        return replace(self, valuation=dict(valuation))
-
-    @classmethod
-    def from_names(cls, states: Iterable[str],
-                   neighborhoods: Mapping[str, Iterable[Iterable[str]]],
-                   valuation: Mapping[str, Iterable[str]] | None = None,
-                   ) -> "NeighborhoodModel":
-        order = tuple(states)
-        pos = {name: i for i, name in enumerate(order)}
-        if len(pos) != len(order):
-            raise ValueError("duplicate state names")
-
-        def to_mask(group: Iterable[str]) -> int:
-            out = 0
-            for name in group:
-                if name not in pos:
-                    raise ValueError(f"unknown state {name!r}")
-                out |= 1 << pos[name]
-            return out
-
-        fams = []
-        for name in order:
-            fams.append(frozenset(to_mask(x) for x in neighborhoods.get(name, ())))
-        val = {p: to_mask(group) for p, group in (valuation or {}).items()}
-        return cls(order, tuple(fams), val)
+    @staticmethod
+    def _entry(groups: Iterable[Iterable[str]],
+               to_mask: Callable[[Iterable[str]], int]) -> frozenset[int]:
+        return frozenset(map(to_mask, groups))
 
 
 @dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(Model):
     """States, a successor bitmask per state, and a valuation."""
 
     states: tuple[str, ...]
     succ: tuple[int, ...]
     valuation: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
-    @property
-    def full(self) -> int:
-        return (1 << len(self.states)) - 1
-
-    def index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ValueError(f"unknown state {name!r}") from None
-
-    def complement(self, mask: int) -> int:
-        return self.full & ~mask
-
-    def atom_mask(self, atom: str) -> int:
-        return self.valuation.get(atom, 0)
-
-    def names(self, mask: int) -> tuple[str, ...]:
-        return tuple(sorted(self.states[i] for i in bits(mask)))
-
-    def frame(self) -> "KripkeModel":
-        return replace(self, valuation={})
-
-    def with_valuation(self, valuation: Mapping[str, int]) -> "KripkeModel":
-        return replace(self, valuation=dict(valuation))
-
-    @classmethod
-    def from_names(cls, states: Iterable[str],
-                   successors: Mapping[str, Iterable[str]],
-                   valuation: Mapping[str, Iterable[str]] | None = None,
-                   ) -> "KripkeModel":
-        order = tuple(states)
-        pos = {name: i for i, name in enumerate(order)}
-        if len(pos) != len(order):
-            raise ValueError("duplicate state names")
-
-        def to_mask(group: Iterable[str]) -> int:
-            out = 0
-            for name in group:
-                if name not in pos:
-                    raise ValueError(f"unknown state {name!r}")
-                out |= 1 << pos[name]
-            return out
-
-        succ = tuple(to_mask(successors.get(name, ())) for name in order)
-        val = {p: to_mask(group) for p, group in (valuation or {}).items()}
-        return cls(order, succ, val)
+    @staticmethod
+    def _entry(group: Iterable[str],
+               to_mask: Callable[[Iterable[str]], int]) -> int:
+        return to_mask(group)
 
 
-def _all_supersets_in(family: frozenset[int], x: int, full: int) -> bool:
-    rest = full & ~x
-    return all((x | extra) in family for extra in submasks(rest))
+def _steps_in(family: set[int] | frozenset[int], x: int, full: int) -> bool:
+    """Whether every one-state extension X ∪ {i} of ``x`` lies in ``family``."""
+    return all((x | 1 << i) in family for i in bits(full & ~x))
+
+
+def _upward_core(family: frozenset[int], full: int) -> set[int]:
+    """The members all of whose supersets are members.  Largest first, a
+    member is in the core iff each of its one-state extensions is."""
+    core: set[int] = set()
+    for x in sorted(family, key=int.bit_count, reverse=True):
+        if _steps_in(core, x, full):
+            core.add(x)
+    return core
 
 
 def family_satisfies(prop: FrameProperty, family: frozenset[int],
@@ -245,7 +239,8 @@ def family_satisfies(prop: FrameProperty, family: frozenset[int],
     if prop is FrameProperty.I:
         return all((x & y) in family for x in family for y in family)
     if prop is FrameProperty.S:
-        return all(_all_supersets_in(family, x, full) for x in family)
+        # Upward closed iff closed under adding one state at a time.
+        return all(_steps_in(family, x, full) for x in family)
     if prop is FrameProperty.C:
         return all((full & ~x) in family for x in family)
     if prop is FrameProperty.D:
@@ -256,63 +251,60 @@ def family_satisfies(prop: FrameProperty, family: frozenset[int],
         # forall Y,Z: X|Y in N or (S\X)|Z in N  <=>  all supersets of X are
         # in N, or all supersets of S\X are (a missing witness on each side
         # would otherwise violate the disjunction at that (Y,Z) pair).
-        return all(_all_supersets_in(family, x, full)
-                   or _all_supersets_in(family, full & ~x, full)
-                   for x in family)
+        core = _upward_core(family, full)
+        return all(x in core or (full & ~x) in core for x in family)
     raise ValueError(f"property ({prop.value}) is not per-family")
 
 
 def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
-    """Whether every state's neighborhood family satisfies ``prop``."""
+    """Whether every state's neighborhood family satisfies ``prop``.
+
+    Each verdict is computed once per model instance and kept on it."""
+    verdicts = m.__dict__.setdefault(_VERDICTS, {})
+    verdict = verdicts.get(prop)
+    if verdict is None:
+        verdict = verdicts[prop] = _holds(m, prop)
+    return verdict
+
+
+def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     full = m.full
+    fams = m.neighborhoods
     if prop in LOCAL_PROPERTIES:
         return all(family_satisfies(prop, fam, full, s)
-                   for s, fam in enumerate(m.neighborhoods))
+                   for s, fam in enumerate(fams))
+    # holders[x]: the states that have x as a neighborhood.
+    holders = defaultdict(int)
+    for u, fam in enumerate(fams):
+        for x in fam:
+            holders[x] |= 1 << u
     if prop is FrameProperty.B:
-        for s in range(m.n):
-            for x in range(1 << m.n):
-                if not x >> s & 1:
-                    continue
-                derived = mask_of(u for u in range(m.n)
-                                  if (full & ~x) not in m.neighborhoods[u])
-                if derived not in m.neighborhoods[s]:
-                    return False
-        return True
+        return all((full & ~holders[full & ~x]) in fam
+                   for s, fam in enumerate(fams)
+                   for x in range(full + 1) if x >> s & 1)
     if prop is FrameProperty.FOUR:
-        for s in range(m.n):
-            for x in m.neighborhoods[s]:
-                derived = mask_of(u for u in range(m.n)
-                                  if x in m.neighborhoods[u])
-                if derived not in m.neighborhoods[s]:
-                    return False
-        return True
+        return all(holders[x] in fam for fam in fams for x in fam)
     if prop is FrameProperty.FIVE:
-        for s in range(m.n):
-            for x in range(1 << m.n):
-                if x in m.neighborhoods[s]:
-                    continue
-                derived = mask_of(u for u in range(m.n)
-                                  if x not in m.neighborhoods[u])
-                if derived not in m.neighborhoods[s]:
-                    return False
-        return True
+        return all((full & ~holders[x]) in fam
+                   for fam in fams for x in range(full + 1) if x not in fam)
     raise ValueError(f"unknown frame property {prop!r}")
 
 
 def classify(m: NeighborhoodModel) -> set[str]:
     """The composite classes whose defining property sets all hold of ``m``."""
-    verdicts = {}
-
-    def check(prop: FrameProperty) -> bool:
-        if prop not in verdicts:
-            verdicts[prop] = has_property(m, prop)
-        return verdicts[prop]
-
     return {name for name, props in MODEL_CLASSES.items()
-            if all(check(p) for p in props)}
+            if all(has_property(m, p) for p in props)}
 
 
-def validate(m: NeighborhoodModel | KripkeModel) -> list[str]:
+def first_failing(m: NeighborhoodModel, class_name: str
+                  ) -> FrameProperty | None:
+    """The first property of the composite class, in ``FrameProperty``
+    declaration order, that fails on ``m``; None if ``m`` is in the class."""
+    return next((p for p in _DECLARED_ORDER[class_name]
+                 if not has_property(m, p)), None)
+
+
+def validate(m: Model) -> list[str]:
     """All structural violations; an empty list means the model is valid."""
     problems = []
     if not m.states:

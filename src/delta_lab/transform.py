@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .model import (BudgetError, FrameProperty, KripkeModel, NeighborhoodModel,
-                    has_property, mask_of)
+from .model import BudgetError, KripkeModel, NeighborhoodModel, first_failing
 
 #: Largest state count for which per-state subset sweeps stay exact here.
 MAX_SUBSET_STATES = 16
@@ -45,16 +44,14 @@ def qf_to_kripke(m: NeighborhoodModel) -> KripkeModel:
     Rejects models outside the quasi-filter class, naming the failing
     property; the construction is only correct under (n), (i), (c), (ws).
     """
-    for prop in (FrameProperty.N, FrameProperty.I, FrameProperty.C,
-                 FrameProperty.WS):
-        if not has_property(m, prop):
-            raise ValueError(
-                f"not a quasi-filter model: property ({prop.value}) fails")
+    prop = first_failing(m, "quasi-filter")
+    if prop is not None:
+        raise ValueError(f"not a quasi-filter model: property ({prop.value}) fails")
     succ = []
     for fam in m.neighborhoods:
         reachable = 0
         for x in fam:
             reachable |= x
-        singled = mask_of(t for t in range(m.n) if (1 << t) in fam)
+        singled = sum(1 << t for t in range(m.n) if (1 << t) in fam)
         succ.append(reachable & ~singled)
     return KripkeModel(m.states, tuple(succ), dict(m.valuation))

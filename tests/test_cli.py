@@ -197,10 +197,18 @@ def test_budget_env_override(tmp_path, nbh_path, monkeypatch, capsys):
     monkeypatch.delenv("DELTA_LAB_BUDGET")
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+    stray = tmp_path / "stray.json"
+    stray.write_text(json.dumps({"type": "neighborhood", "states": ["s"],
+                                 "N": {"zz": [["s"]]}}))
     for argv in (
+            ["eval", "--model", str(stray), "--state", "s", "--formula", "p",
+             "--semantics", "new"],
+            ["enumerate", "--kind", "kripke", "--states", "2", "--class", "c"],
+            ["enumerate", "--kind", "kripke", "--states", "2",
+             "--mode", "random"],
             ["--jobs", "0", "enumerate", "--states", "1"],
             ["--jobs", "-2", "audit", "--system", "E", "--max-states", "1"],
             ["--budget", "-3", "enumerate", "--states", "1"],

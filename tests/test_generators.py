@@ -1,4 +1,5 @@
 import concurrent.futures
+import random
 import threading
 from functools import partial
 
@@ -84,6 +85,53 @@ def test_random_model_large_states_closure_path():
     cs = random_model(GenSpec(5, frozenset({FP.C, FP.S}), seed=3,
                               mode="random"), ["p"])
     assert has_property(cs, FP.C) and has_property(cs, FP.S)
+
+
+def superset_walk_family(n, props, rnd):
+    """Reference closure for ``_random_family``: each round adds every
+    superset of every member by walking the submasks of its complement."""
+    full = (1 << n) - 1
+    fam = {rnd.getrandbits(n) for _ in range(rnd.randrange(0, n + 3))}
+    if FP.N in props:
+        fam.add(full)
+    changed = True
+    while changed:
+        changed = False
+        if FP.C in props:
+            extra = {full & ~x for x in fam} - fam
+            if extra:
+                fam |= extra
+                changed = True
+        if FP.S in props:
+            extra = set()
+            for x in fam:
+                rest = full & ~x
+                sub = rest
+                while True:
+                    if (x | sub) not in fam:
+                        extra.add(x | sub)
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & rest
+            if extra:
+                fam |= extra
+                changed = True
+    return frozenset(fam)
+
+
+def test_random_family_closure_matches_superset_walk(monkeypatch):
+    for props in ({FP.S}, {FP.C, FP.S}, {FP.N, FP.C, FP.S}):
+        for n in (1, 3, 5, 7):
+            for seed in range(40):
+                new, old = random.Random(seed), random.Random(seed)
+                assert (generators._random_family(n, frozenset(props), new)
+                        == superset_walk_family(n, props, old))
+                assert new.random() == old.random()
+    specs = [GenSpec(n, frozenset({FP.C, FP.S}), seed=seed, mode="random")
+             for n in (5, 6) for seed in range(30)]
+    models = [random_model(spec, ["p", "q"]) for spec in specs]
+    monkeypatch.setattr(generators, "_random_family", superset_walk_family)
+    assert models == [random_model(spec, ["p", "q"]) for spec in specs]
 
 
 def test_random_model_unsatisfiable_filter_raises():

@@ -1,8 +1,15 @@
+import dataclasses
 import itertools
+import pickle
 
-from delta_lab.generators import GenSpec, enum_frames, random_model
-from delta_lab.model import (FrameProperty, KripkeModel, NeighborhoodModel,
-                             classify, has_property, validate)
+import pytest
+
+from delta_lab.generators import (GenSpec, enum_frames, random_kripke,
+                                  random_model)
+from delta_lab.model import (_VERDICTS, MODEL_CLASSES, FrameProperty,
+                             KripkeModel, NeighborhoodModel, classify,
+                             first_failing, has_property, validate)
+from delta_lab.transform import c_variation, qf_variation
 
 FP = FrameProperty
 
@@ -142,6 +149,66 @@ def test_has_property_matches_literal_oracle_sampled_3_states():
             assert has_property(m, prop) == oracle(m, prop), (m, prop)
 
 
+def _closed_family_models():
+    """Seeded models whose families are closed under (s), (c) or the
+    quasi-filter conditions, plus quasi-filter variations of Kripke frames:
+    the samples where (s), (ws), (b), (4) and (5) can go either way."""
+    # At 5 states the quasi-filter sampler gives up on some seeds; the
+    # variations of Kripke frames cover quasi-filters up to 5 states.
+    draws = (({FP.S}, (3, 5)), ({FP.C}, (3, 5)), ({FP.C, FP.S}, (3, 5)),
+             (MODEL_CLASSES["quasi-filter"], (3,)))
+    for props, sizes in draws:
+        for n in sizes:
+            for seed in range(12):
+                yield random_model(GenSpec(n, frozenset(props), seed=seed,
+                                           mode="random"), ["p"])
+    for n in (3, 4, 5):
+        for seed in range(12):
+            yield qf_variation(random_kripke(GenSpec(n, seed=seed), ["p"]))
+
+
+def test_has_property_matches_literal_oracle_on_closed_families():
+    seen = {prop: set() for prop in FrameProperty}
+    for m in _closed_family_models():
+        for prop in FrameProperty:
+            verdict = has_property(m, prop)
+            assert verdict == oracle(m, prop), (m, prop)
+            seen[prop].add(verdict)
+        assert classify(m) == {name for name, props in MODEL_CLASSES.items()
+                               if all(oracle(m, p) for p in props)}, m
+    for prop in (FP.S, FP.WS, FP.B, FP.FOUR, FP.FIVE):
+        assert seen[prop] == {False, True}, prop
+
+
+def test_first_failing_follows_declaration_order():
+    m = nm(["a", "b"], {"a": [["a"]], "b": []})
+    assert first_failing(m, "quasi-filter") is FP.N
+    assert first_failing(m, "monotonic-c") is FP.S
+    powerset = nm(["a"], {"a": [[], ["a"]]})
+    assert all(first_failing(powerset, name) is None for name in MODEL_CLASSES)
+
+
+def test_verdicts_are_kept_per_model_instance():
+    m = nm(["a", "b"], {"a": [["a"]], "b": [["a", "b"]]}, {"p": ["a"]})
+    assert not has_property(m, FP.C) and not has_property(m, FP.S)
+    assert has_property(m, FP.I)
+    # Models derived from ``m`` start with no verdicts of their own.
+    assert _VERDICTS not in vars(m.with_valuation({"q": 1}))
+    assert _VERDICTS not in vars(m.frame())
+    assert has_property(c_variation(m), FP.C)
+    widened = dataclasses.replace(
+        m, neighborhoods=(frozenset({0b01, 0b10, 0b11}), m.neighborhoods[1]))
+    assert has_property(widened, FP.S) and not has_property(widened, FP.I)
+    # The memo is outside equality, repr and pickling.
+    fresh = nm(["a", "b"], {"a": [["a"]], "b": [["a", "b"]]}, {"p": ["a"]})
+    assert fresh == m and repr(fresh) == repr(m)
+    vars(m)[_VERDICTS][FP.C] = True  # a false verdict that must not travel
+    assert classify(m) == {"c-model"}
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and _VERDICTS not in vars(copy)
+    assert classify(copy) == classify(fresh) == set()
+
+
 def test_quasi_filter_iff_component_properties():
     for seed in range(80):
         m = random_model(GenSpec(2, seed=seed, mode="random"), [])
@@ -171,12 +238,14 @@ def test_validate_ok_and_violations():
 
 
 def test_from_names_rejects_unknowns_and_duplicates():
-    import pytest
-
     with pytest.raises(ValueError):
         nm(["a"], {"a": [["zz"]]})
     with pytest.raises(ValueError):
         nm(["a", "a"], {"a": []})
+    with pytest.raises(ValueError, match="unknown state 'x'"):
+        nm(["s"], {"x": [["s"]]})
+    with pytest.raises(ValueError, match="unknown state 'x'"):
+        KripkeModel.from_names(["s"], {"x": ["s"]})
 
 
 def test_validate_empty_state_set():
