@@ -3,7 +3,11 @@
 Exhaustive neighborhood enumeration encodes each state's family as an integer
 over 2^(2^n) (bit k set iff subset-mask k belongs to the family) and walks
 the n-tuple of codes in ascending order, so frame #k is reproducible from
-(n, k) and filtered counts are stable.  Random generation is deterministic
+(n, k) and filtered counts are stable.  The admissible codes of a size and a
+set of local properties form one list that every state shares; only (t)
+reads the state, and it filters that list per state.  A sweep builds each
+admissible family once and takes the product over the families, so frames
+share their family objects.  Random generation is deterministic
 per seed; constrained sampling draws per-state families from the precomputed
 admissible lists at small sizes and falls back to closure-then-check above
 that.  Distribution shape is not a contract.
@@ -78,17 +82,33 @@ def frame_at(n: int, index: int) -> NeighborhoodModel:
 
 
 @lru_cache(maxsize=None)
-def _admissible_codes(n: int, props: frozenset[FrameProperty],
-                      state: int) -> tuple[int, ...]:
-    """Family codes whose family satisfies every local property, ascending."""
+def _shared_codes(n: int, props: frozenset[FrameProperty]) -> tuple[int, ...]:
+    """Family codes whose family satisfies every local property but (t),
+    ascending; the same list for every state."""
     n_subsets = 1 << n
     full = n_subsets - 1
+    # declaration order puts the costly (ws) last, after the cheap tests
+    props = [p for p in FrameProperty if p in props and p is not FrameProperty.T]
     out = []
     for code in range(1 << n_subsets):
         fam = _family_of_code(code, n_subsets)
-        if all(family_satisfies(p, fam, full, state) for p in props):
+        if all(family_satisfies(p, fam, full, 0) for p in props):
             out.append(code)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _admissible_codes(n: int, props: frozenset[FrameProperty],
+                      state: int) -> tuple[int, ...]:
+    """Family codes whose family satisfies every local property at
+    ``state``, ascending.  Only (t) reads the state, so without it every
+    state shares one list."""
+    codes = _shared_codes(n, props)
+    if FrameProperty.T not in props:
+        return codes
+    # (t): no member leaves out the state, i.e. no code bit at such a mask
+    outside = sum(1 << x for x in range(1 << n) if not x >> state & 1)
+    return tuple(code for code in codes if not code & outside)
 
 
 def _split_props(props: Iterable[FrameProperty]
@@ -111,10 +131,14 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
                     start: int = 0, stop: int | None = None
                     ) -> Iterator[NeighborhoodModel]:
     """Frames #start..stop-1 of the product of per-state admissible lists
-    that also have the global properties."""
+    that also have the global properties.  Each admissible family is built
+    once per call and shared by every frame that has it."""
     per_state, global_props = admissible_space(n, properties)
-    for codes in itertools.islice(itertools.product(*per_state), start, stop):
-        frame = frame_from_codes(n, codes)
+    names = state_names(n)
+    choices = [[_family_of_code(code, 1 << n) for code in codes]
+               for codes in per_state]
+    for fams in itertools.islice(itertools.product(*choices), start, stop):
+        frame = NeighborhoodModel(names, fams)
         if all(has_property(frame, p) for p in global_props):
             yield frame
 
@@ -241,13 +265,14 @@ def enum_kripke_frames(spec: GenSpec) -> Iterator[KripkeModel]:
 
 def _random_family(n: int, props: frozenset[FrameProperty],
                    rnd: random.Random) -> frozenset[int]:
-    """A random family closed under whatever (n)/(c)/(s) require; the caller
-    verifies the remaining properties and retries."""
+    """A random family closed under whatever (n)/(c)/(s)/(i) require; the
+    caller verifies the remaining properties and retries."""
     full = (1 << n) - 1
     fam = {rnd.getrandbits(n) for _ in range(rnd.randrange(0, n + 3))}
     if FrameProperty.N in props:
         fam.add(full)
-    # Complement and superset closures feed each other; iterate to fixpoint.
+    # Complement, superset and intersection closures feed each other;
+    # iterate to fixpoint.
     changed = True
     while changed:
         changed = False
@@ -258,6 +283,11 @@ def _random_family(n: int, props: frozenset[FrameProperty],
                 changed = True
         if FrameProperty.S in props:
             extra = {x | 1 << i for x in fam for i in bits(full & ~x)} - fam
+            if extra:
+                fam |= extra
+                changed = True
+        if FrameProperty.I in props:
+            extra = {x & y for x in fam for y in fam} - fam
             if extra:
                 fam |= extra
                 changed = True

@@ -33,6 +33,17 @@ atom most significant: valuation v gives atom i the state mask
 lowest state falsified under it.  Sweeps wider than ``_CHUNK_BITS`` run in
 passes that fix the leading bits of v and sweep the trailing ones, in
 ascending order, stopping at the first failing pass.
+
+A program of modal depth at most 1 is *state-local*: its truth at state s
+under valuation v reads only N(s) (or R(s)) and v, so the state's lowest
+falsifying v is fixed by (semantics, n, s, N(s)).  ``frame_valid`` memoises
+exactly that for the current program.  A frame whose every state is in the
+memo gets its witness with no evaluation: the least of the states' entries,
+at the lowest state that has it.  On a miss the frame is evaluated once,
+with passes continuing until each state has its first zero, and every
+state's entry is stored.  Deeper programs take the whole-frame path above.
+Only ``frame_valid`` decides locality; ``extension`` and ``taut_valid``
+never do.
 """
 
 from __future__ import annotations
@@ -318,39 +329,82 @@ def _layout(n: int, k: int) -> tuple[int, tuple[int, ...],
     return width_bits, tuple(atoms), tuple(high)
 
 
-def _program_valid(frame: Model, prog: Program, kind: SemanticsKind,
-                   max_bits: int = 24) -> FrameCheck:
-    """Frame validity of a compiled program; see ``frame_valid``."""
-    names = prog.names
-    n, k = len(frame.states), len(names)
+def _check_bits(n: int, k: int, max_bits: int) -> None:
     if n * k > max_bits:
         raise BudgetError(
             f"valuation sweep needs 2^{n * k} cases, budget is 2^{max_bits}; "
             f"--budget (max_bits=) lifts it")
+
+
+def _program_valid(frame: Model, prog: Program, kind: SemanticsKind,
+                   max_bits: int = 24) -> FrameCheck:
+    """Frame validity of a compiled program, from its first failing pass."""
+    _check_bits(len(frame.states), len(prog.names), max_bits)
+    return _witness(frame, prog.names, _first_zeros(frame, prog, kind, 1))
+
+
+def _witness(frame: Model, names: tuple[str, ...], first: list[int]
+             ) -> FrameCheck:
+    """The frame's witness from each state's lowest falsifying valuation
+    index (2^(n·k), past the last index, if none): the lowest index, at the
+    lowest state falsified under it."""
+    n, k = len(frame.states), len(names)
+    index = min(first)
+    if index >> n * k:
+        return _VALID
+    valuation = {name: index >> n * (k - 1 - i) & frame.full
+                 for i, name in enumerate(names)}
+    return FrameCheck(False, valuation, frame.states[first.index(index)])
+
+
+def _first_zeros(frame: Model, prog: Program, kind: SemanticsKind,
+                 wanted: int) -> list[int]:
+    """Each state's lowest falsifying valuation index, or 2^(n·k) if it has
+    none in the passes run: they run in order until ``wanted`` states have
+    one, or run out."""
+    n, k = len(frame.states), len(prog.names)
     width_bits, base, high = _layout(n, k)
     width = 1 << width_bits
     plane = (1 << width) - 1
     full = (1 << n * width) - 1
+    first = [1 << n * k] * n
     for hi in range(1 << n * k - width_bits):
         atoms = list(base) if high else base
         for i, s, j in high:
             if hi >> j & 1:
                 atoms[i] |= plane << s * width
-        got = _run(prog, frame, kind, width, atoms)
-        if got == full:
+        zeros = full ^ _run(prog, frame, kind, width, atoms)
+        if not zeros:
             continue
-        zeros = full ^ got
-        any_zero = 0
         for s in range(n):
-            any_zero |= zeros >> s * width
-        low = any_zero & plane
-        v = (low & -low).bit_length() - 1
-        state = next(s for s in range(n) if zeros >> s * width + v & 1)
-        index = hi << width_bits | v
-        valuation = {name: index >> n * (k - 1 - i) & frame.full
-                     for i, name in enumerate(names)}
-        return FrameCheck(False, valuation, frame.states[state])
-    return _VALID
+            low = zeros >> s * width & plane
+            if low and first[s] >> n * k:
+                first[s] = hi << width_bits | (low & -low).bit_length() - 1
+                wanted -= 1
+        if wanted <= 0:
+            break
+    return first
+
+
+def _modal_depth(prog: Program) -> int:
+    depth: list[int] = []
+    for op, a, b in prog.ops:
+        if op in (ATOM, TOP):
+            depth.append(0)
+        elif op == AND:
+            depth.append(max(depth[a], depth[b]))
+        else:
+            depth.append(depth[a] + (op != NOT))
+    return depth[prog.root]
+
+
+# The program whose per-state verdicts are memoised, and the memo: (kind, n,
+# state, that state's family or successor mask) -> the state's lowest
+# falsifying valuation index, or 2^(n·k) if none; None for a program of modal
+# depth 2 or more.  A new program drops the memo, and a full memo is cleared,
+# so it holds at most ``_MEMO_LIMIT`` entries.
+_memo: tuple[Program | None, dict | None] = (None, None)
+_MEMO_LIMIT = 1 << 16
 
 
 def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
@@ -361,8 +415,28 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     2^(|S| * |vars|) valuations; sweeps beyond ``max_bits`` exponent bits are
     refused.  Returns the first falsifying valuation and state otherwise.
     """
+    global _memo
     _check_kind(frame, kind)
-    return _program_valid(frame, _program(f), kind, max_bits)
+    prog = _program(f)
+    seen, memo = _memo
+    if seen is not prog:
+        memo = {} if _modal_depth(prog) <= 1 else None
+        _memo = (prog, memo)
+    if memo is None:
+        return _program_valid(frame, prog, kind, max_bits)
+    n = len(frame.states)
+    _check_bits(n, len(prog.names), max_bits)
+    rel = frame.succ if kind is SemanticsKind.KRIPKE else frame.neighborhoods
+    tag = kind.value
+    keys = [(tag, n, s, entry) for s, entry in enumerate(rel)]
+    try:
+        first = [memo[key] for key in keys]
+    except KeyError:
+        first = _first_zeros(frame, prog, kind, n)
+        if len(memo) + n > _MEMO_LIMIT:
+            memo.clear()
+        memo.update(zip(keys, first))
+    return _witness(frame, prog.names, first)
 
 
 # Truth-table rows are the valuations of a one-state frame.

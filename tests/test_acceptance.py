@@ -8,7 +8,8 @@ import pytest
 
 from delta_lab.bisim import (BisimKind, PairRelation, check_bisim,
                              logical_equiv_partition, max_bisim)
-from delta_lab.definability import builtin_table, check_frame, defines
+from delta_lab.definability import (DefinesResult, builtin_table,
+                                    check_frame, defines)
 from delta_lab.formula import Not, parse
 from delta_lab.generators import (GenSpec, enum_frames, enum_kripke_frames,
                                   random_formula, random_kripke, random_model)
@@ -292,6 +293,12 @@ def test_criterion_9_definability_table():
         assert len(table) == 10
         for claim in table:
             assert defines(claim, max_states=2).confirmed, claim.prop
+        exact = [claim for claim in table if claim.background == "c"]
+        assert len(exact) == 8
+        for claim in exact:
+            # 2 + 16 + 4096 c-frames up to 3 states
+            assert defines(claim, max_states=3) == DefinesResult(True, 4114), \
+                claim.prop
         sampled = 0
         for ci, claim in enumerate(table):
             props = C_PROPS if claim.background == "c" else frozenset()
@@ -300,7 +307,8 @@ def test_criterion_9_definability_table():
                 sampled += 1
                 assert check_frame(claim, frame) is None, (claim.prop, frame)
         assert sampled == 10_000
-        r.detail = "exhaustive to 2 states, 10000 sampled 3-state frames"
+        r.detail = ("exhaustive to 2 states, the 8 c-background claims "
+                    "exhaustive to 3 states, 10000 sampled 3-state frames")
 
 
 def test_criterion_10_soundness_and_proofs():
@@ -309,6 +317,10 @@ def test_criterion_10_soundness_and_proofs():
             rep = audit_soundness(system, max_states=2)
             assert rep.ok, system
             assert all(a.frames_checked > 0 for a in rep.axioms)
+            exact = audit_soundness(system, max_states=3)
+            assert exact.ok, system
+            assert all(a.frames_checked > b.frames_checked
+                       for a, b in zip(exact.axioms, rep.axioms))
 
         witness = filter_equ_witness(1)
         assert witness is not None
@@ -356,5 +368,6 @@ def test_criterion_10_soundness_and_proofs():
         assert len(mutations) == 50
         for mutant in mutations:
             assert not check_proof(AxiomSystem.K, mutant).ok
-        r.detail = ("4 audits clean, witnesses found, 3 scripts accepted, "
+        r.detail = ("4 audits clean at 2 and 3 states, witnesses found, "
+                    "3 scripts accepted, "
                     "50 mutations rejected")

@@ -14,9 +14,11 @@ from delta_lab.generators import (GenSpec, random_formula, random_kripke,
                                   random_model, state_names)
 from delta_lab.model import KripkeModel, NeighborhoodModel, bits
 from delta_lab.proofsys import is_taut_instance
+from delta_lab import semantics
 from delta_lab.semantics import (_CHUNK_BITS, AND, ATOM, TOP, FrameCheck,
-                                 SemanticsKind, compile_formula, delta_holds,
-                                 extension, frame_valid)
+                                 SemanticsKind, _program_valid,
+                                 compile_formula, delta_holds, extension,
+                                 frame_valid)
 
 NEW, OLD, KRIPKE = SemanticsKind.NEW, SemanticsKind.OLD, SemanticsKind.KRIPKE
 
@@ -219,3 +221,164 @@ def _models(draw):
 def test_extension_equals_oracle_property(model_kind, f):
     m, kind = model_kind
     assert extension(m, f, kind) == oracle_extension(m, f, kind)
+
+
+# ---------------------------------------------------------------------------
+# The state-local memo of ``frame_valid`` against the whole-frame path.
+
+def _whole_frame(frame, f: Formula, kind: SemanticsKind) -> FrameCheck:
+    return _program_valid(frame, compile_formula(f), kind)
+
+
+def _pooled_frames(kind: SemanticsKind, n: int, rnd: random.Random,
+                   count: int) -> list:
+    """Frames whose state entries come from a few per-state candidates, so
+    that later frames repeat earlier frames' (state, entry) pairs in new
+    combinations."""
+    pool = [_random_frame(kind, n, rnd.randrange(10**6)) for _ in range(3)]
+    names = state_names(n)
+    frames = []
+    for _ in range(count):
+        picks = [rnd.choice(pool) for _ in range(n)]
+        if kind is KRIPKE:
+            succ = tuple(p.succ[s] for s, p in enumerate(picks))
+            frames.append(KripkeModel(names, succ))
+        else:
+            fams = tuple(p.neighborhoods[s] for s, p in enumerate(picks))
+            frames.append(NeighborhoodModel(names, fams))
+    return frames
+
+
+def test_memo_path_matches_whole_frame_path_and_oracle():
+    rnd = random.Random(11)
+    for case in range(240):
+        kind = (NEW, OLD, KRIPKE)[case % 3]
+        n = 1 + case // 3 % 5
+        depth = case // 15 % 3
+        atoms = ["p", "q"][:1 + (n <= 3)]
+        f = Top()
+        while metrics(f).modal_depth != depth:
+            f = random_formula(depth, atoms, rnd.randrange(10**6),
+                               include_box=True, size=rnd.randrange(3, 12))
+        for frame in _pooled_frames(kind, n, rnd, 8):
+            got = frame_valid(frame, f, kind)
+            assert got == _whole_frame(frame, f, kind), (case, kind, str(f))
+            assert got == oracle_frame_valid(frame, f, kind), (case, str(f))
+        assert (semantics._memo[1] is not None) == (depth <= 1)
+
+
+def test_memo_path_above_the_chunk_width():
+    # 5 states and 3 atoms give 15 index bits; a miss runs passes until
+    # every state has its first falsifying valuation, so the memo must hold
+    # the right one for each state, which pooled frames then combine
+    assert 5 * 3 > _CHUNK_BITS
+    late = [parse("~(p0 & q & r & D p0)"), parse("p0 | q | r | B ~r"),
+            parse("D p0 | N q | r"), parse("(p0 -> q) | r | D r"),
+            parse("p0 & q & r -> p0"), parse("D(p0 & q & r) | ~D(p0 & q & r)")]
+    rnd = random.Random(5)
+    for kind in (NEW, OLD, KRIPKE):
+        frames = _pooled_frames(kind, 5, rnd, 6)
+        for f in late:
+            for frame in frames:
+                assert frame_valid(frame, f, kind) == \
+                    _whole_frame(frame, f, kind), (kind, str(f))
+    frame = frames[0]
+    for f in late[:2]:
+        assert frame_valid(frame, f, KRIPKE) == \
+            oracle_frame_valid(frame, f, KRIPKE), str(f)
+
+
+def test_frame_answered_from_earlier_entries_runs_no_pass(monkeypatch):
+    # frames a and b fill the memo; c takes its states from both, so its
+    # witness comes from the memo alone and must still be the lowest one
+    f = parse("D p -> p | q")
+    a = NeighborhoodModel(state_names(3), (frozenset({0b011}), frozenset(),
+                                           frozenset({0b100, 0b010})))
+    b = NeighborhoodModel(state_names(3), (frozenset(), frozenset({0, 0b101}),
+                                           frozenset({0b111})))
+    c = NeighborhoodModel(state_names(3), (b.neighborhoods[0],
+                                           a.neighborhoods[1],
+                                           b.neighborhoods[2]))
+    for kind in (NEW, OLD):
+        frame_valid(a, f, kind)
+        frame_valid(b, f, kind)
+        runs = []
+        monkeypatch.setattr(semantics, "_first_zeros",
+                            lambda *args: runs.append(args) or [])
+        for frame in (a, b, c):
+            assert frame_valid(frame, f, kind) == \
+                oracle_frame_valid(frame, f, kind), (kind, frame)
+        assert not runs
+        monkeypatch.undo()
+
+
+def test_memo_is_keyed_by_semantics_and_tied_witness_is_lowest_state():
+    # one formula object under old and new on the same frame: Δp holds
+    # everywhere under old (the complement of ∅ is a neighborhood) but not
+    # under new
+    f = parse("D p")
+    frame = NeighborhoodModel(state_names(1), (frozenset({0b1}),))
+    for _ in range(2):
+        assert frame_valid(frame, f, OLD) == FrameCheck(True)
+        assert frame_valid(frame, f, NEW) == \
+            FrameCheck(False, {"p": 0}, "s0")
+    # both states fail first at valuation 0, from entries cached apart
+    g = parse("D q")
+    first = NeighborhoodModel(state_names(2), (frozenset({0b11}), frozenset()))
+    second = NeighborhoodModel(state_names(2), (frozenset(), frozenset({0b11})))
+    frame_valid(first, g, NEW)
+    frame_valid(second, g, NEW)
+    both = NeighborhoodModel(state_names(2), (frozenset(), frozenset()))
+    assert frame_valid(second, g, NEW) == FrameCheck(False, {"q": 0}, "s0")
+    assert frame_valid(both, g, NEW) == FrameCheck(False, {"q": 0}, "s0")
+
+
+def test_depth_two_formula_is_not_memoised():
+    # truth of ΔΔp at s0 reads s1's family, which differs between frames
+    # that give s0 the same family
+    f = parse("D D p")
+    left = NeighborhoodModel(state_names(2), (frozenset({0b10}), frozenset()))
+    right = NeighborhoodModel(state_names(2), (frozenset({0b10}),
+                                               frozenset({0, 0b01, 0b10, 0b11})))
+    for frame in (left, right, left, right):
+        assert frame_valid(frame, f, NEW) == oracle_frame_valid(frame, f, NEW)
+    assert semantics._memo[1] is None
+    k = parse("B (p -> B p)")
+    one = KripkeModel(state_names(2), (0b10, 0b00))
+    two = KripkeModel(state_names(2), (0b10, 0b01))
+    for frame in (one, two, one):
+        assert frame_valid(frame, k, KRIPKE) == \
+            oracle_frame_valid(frame, k, KRIPKE)
+
+
+def test_memo_is_dropped_on_formula_change_and_cleared_when_full(monkeypatch):
+    frame = _random_frame(NEW, 3, 1)
+    f, g = parse("D p -> p"), parse("D p -> p")
+    frame_valid(frame, f, NEW)
+    prog, memo = semantics._memo
+    assert len(memo) == 3
+    frame_valid(frame, g, NEW)  # an equal formula, but a new object
+    assert semantics._memo[0] is not prog
+    assert semantics._memo[1] is not memo and len(semantics._memo[1]) == 3
+    h = parse("~(D p -> p)")
+    assert frame_valid(frame, h, NEW) == oracle_frame_valid(frame, h, NEW)
+
+    monkeypatch.setattr(semantics, "_MEMO_LIMIT", 7)
+    rnd = random.Random(3)
+    f = parse("D(p & q) -> D p | q")
+    sizes = []
+    for frame in _pooled_frames(NEW, 3, rnd, 40) + _pooled_frames(NEW, 3, rnd, 40):
+        assert frame_valid(frame, f, NEW) == oracle_frame_valid(frame, f, NEW)
+        sizes.append(len(semantics._memo[1]))
+    assert max(sizes) <= 7 and min(sizes[1:]) < max(sizes)
+
+
+def test_only_frame_valid_decides_locality(monkeypatch):
+    def refuse(prog):
+        raise AssertionError("locality decided outside frame_valid")
+
+    monkeypatch.setattr(semantics, "_modal_depth", refuse)
+    m = random_model(GenSpec(3, seed=1, mode="random"), ["p"])
+    assert extension(m, parse("D p & p"), NEW) == \
+        oracle_extension(m, parse("D p & p"), NEW)
+    assert is_taut_instance(parse("D p -> D p"))

@@ -1,4 +1,6 @@
 import concurrent.futures
+import itertools
+import math
 import random
 import threading
 from functools import partial
@@ -11,7 +13,9 @@ from delta_lab.generators import (GenerationError, GenSpec, enum_frames,
                                   enum_kripke_frames, frame_at,
                                   random_formula, random_kripke, random_model,
                                   sweep)
-from delta_lab.model import BudgetError, FrameProperty, classify, has_property
+from delta_lab.model import (FRAME_CLASSES, MODEL_CLASSES, BudgetError,
+                             FrameProperty, classify, family_satisfies,
+                             has_property)
 from delta_lab.proofsys import AxiomSystem, audit_soundness
 from delta_lab.formula import metrics
 
@@ -76,6 +80,51 @@ def test_random_model_honours_filters():
             GenSpec(4, frozenset({FP.N, FP.I, FP.C, FP.WS}), seed=seed,
                     mode="random"), ["p"])
         assert "quasi-filter" in classify(m)
+    # above 4 states families are closed under (i) as they are drawn;
+    # without that, these seeds exhaust the retries
+    for seed in (5, 7):
+        m = random_model(GenSpec(5, MODEL_CLASSES["quasi-filter"], seed=seed,
+                                 mode="random"), ["p"])
+        assert "quasi-filter" in classify(m)
+
+
+def _per_state_codes(n, props, state, codes):
+    """The codes among ``codes`` whose family satisfies every property at
+    ``state``: the per-state computation the shared lists replace."""
+    full = (1 << n) - 1
+    return [code for code in codes
+            if all(family_satisfies(p, generators._family_of_code(code, 1 << n),
+                                    full, state) for p in props)]
+
+
+def test_admissible_lists_equal_the_per_state_computation():
+    rnd = random.Random(4)
+    classes = {frozenset(props) for props in FRAME_CLASSES.values()}
+    for n in (1, 2, 3, 4):
+        every = range(1 << (1 << n))
+        # at 4 states the full per-state computation takes ~15 s, so it is
+        # run on every listed code plus 1024 seeded others
+        sample = sorted(rnd.sample(every, 1024)) if n == 4 else every
+        for props in classes:
+            for local in (props, props | {FP.T}):
+                lists = [generators._admissible_codes(n, local, s)
+                         for s in range(n)]
+                for s, got in enumerate(lists):
+                    assert list(got) == sorted(got)
+                    assert _per_state_codes(n, local, s, got) == list(got)
+                    assert (_per_state_codes(n, local, s, sample)
+                            == sorted(set(got) & set(sample))), (n, local, s)
+                if FP.T not in local:
+                    assert all(codes is lists[0] for codes in lists)
+    # the sweep's frames are the product of the lists, codes ascending
+    for n in (1, 2, 3):
+        for props in classes:
+            per_state, _ = generators.admissible_space(n, props)
+            if math.prod(map(len, per_state)) > 50_000:
+                continue  # "all" at 3 states: 16.7M frames
+            want = [generators.frame_from_codes(n, codes)
+                    for codes in itertools.product(*per_state)]
+            assert list(generators._product_frames(n, props)) == want
 
 
 def test_random_model_large_states_closure_path():

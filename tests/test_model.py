@@ -153,10 +153,8 @@ def _closed_family_models():
     """Seeded models whose families are closed under (s), (c) or the
     quasi-filter conditions, plus quasi-filter variations of Kripke frames:
     the samples where (s), (ws), (b), (4) and (5) can go either way."""
-    # At 5 states the quasi-filter sampler gives up on some seeds; the
-    # variations of Kripke frames cover quasi-filters up to 5 states.
     draws = (({FP.S}, (3, 5)), ({FP.C}, (3, 5)), ({FP.C, FP.S}, (3, 5)),
-             (MODEL_CLASSES["quasi-filter"], (3,)))
+             (MODEL_CLASSES["quasi-filter"], (3, 5)))
     for props, sizes in draws:
         for n in sizes:
             for seed in range(12):
