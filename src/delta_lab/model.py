@@ -7,7 +7,17 @@ an empty valuation.  Both model types share one base class, ``Model``.
 Property checks are polynomial in the families' size: (s) asks X ∪ {i} ∈ N
 for each X ∈ N and i ∉ X; (ws) reads N's upward core, built largest first by
 the same one-step rule; (b), (4), (5) read which states hold each set as a
-neighborhood.  ``has_property`` computes each verdict once per model.
+neighborhood.  ``has_property`` computes each verdict once per model, and a
+local property's verdict on a family once per (size, family), with the state
+too for (t).
+
+Quasi-filter normal form: a family N has (n), (i), (c), (ws) iff N = Q_R =
+{X : R ⊆ X or X ∩ R = ∅} for R = {t : {t} ∉ N}.  (n), (c), (i) make N a
+Boolean subalgebra of 2^S; (ws) on each atom leaves at most one atom with two
+or more states, and R is that atom (∅ if there is none); every Q_R has all
+four properties.  So ``first_failing(m, "quasi-filter")`` tests each family
+against its Q_R in O(|N(s)|) and walks the properties only on a rejected
+model, to name the one that fails.
 """
 
 from __future__ import annotations
@@ -256,6 +266,32 @@ def family_satisfies(prop: FrameProperty, family: frozenset[int],
     raise ValueError(f"property ({prop.value}) is not per-family")
 
 
+def qf_relation(family: frozenset[int], full: int) -> int:
+    """R of a family: the states t whose singleton {t} is not a member.  On
+    a quasi-filter family it is the successor set of the Kripke reading."""
+    return sum(1 << t for t in bits(full) if 1 << t not in family)
+
+
+def qf_family(r: int, full: int) -> frozenset[int]:
+    """Q_R = {X : R ⊆ X or X ∩ R = ∅}: each subset of S∖R taken with and
+    without R.  Members go in ascending order, as a filter over all subsets
+    would add them, so the frozenset iterates in that filter's order."""
+    low = list(submasks(full & ~r))
+    low.reverse()
+    if r:
+        low = sorted(low + [y | r for y in low])
+    return frozenset(low)
+
+
+def is_qf_family(family: frozenset[int], full: int) -> bool:
+    """Whether ``family`` equals Q_R for R = ``qf_relation(family, full)``,
+    in O(|family|): every member meets R in ∅ or R, and the count is
+    |Q_R| = 2^(|S∖R| + 1), or 2^|S| when R = ∅."""
+    r = qf_relation(family, full)
+    size = 1 << (full.bit_count() - r.bit_count() + (r != 0))
+    return len(family) == size and all(x & r in (0, r) for x in family)
+
+
 def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     """Whether every state's neighborhood family satisfies ``prop``.
 
@@ -267,12 +303,32 @@ def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     return verdict
 
 
+# Verdicts of local properties across models: (property, full, state for
+# (t) and -1 otherwise, family) -> verdict.  Sweep frames share their family
+# objects, so a family's verdict is computed once per sweep rather than once
+# per frame.  A full memo is cleared.  The limit covers every 3-state family
+# (256, or 768 keys for (t)); the families that random larger models leave
+# in it stay alive, so it is kept small.
+_local_verdicts: dict[tuple[FrameProperty, int, int, frozenset[int]], bool] = {}
+_LOCAL_LIMIT = 1 << 10
+
+
 def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     full = m.full
     fams = m.neighborhoods
     if prop in LOCAL_PROPERTIES:
-        return all(family_satisfies(prop, fam, full, s)
-                   for s, fam in enumerate(fams))
+        at_state = prop is FrameProperty.T
+        for s, fam in enumerate(fams):
+            key = (prop, full, s if at_state else -1, fam)
+            verdict = _local_verdicts.get(key)
+            if verdict is None:
+                if len(_local_verdicts) >= _LOCAL_LIMIT:
+                    _local_verdicts.clear()
+                verdict = _local_verdicts[key] = family_satisfies(
+                    prop, fam, full, s)
+            if not verdict:
+                return False
+        return True
     # holders[x]: the states that have x as a neighborhood.
     holders = defaultdict(int)
     for u, fam in enumerate(fams):
@@ -299,9 +355,19 @@ def classify(m: NeighborhoodModel) -> set[str]:
 def first_failing(m: NeighborhoodModel, class_name: str
                   ) -> FrameProperty | None:
     """The first property of the composite class, in ``FrameProperty``
-    declaration order, that fails on ``m``; None if ``m`` is in the class."""
-    return next((p for p in _DECLARED_ORDER[class_name]
-                 if not has_property(m, p)), None)
+    declaration order, that fails on ``m``; None if ``m`` is in the class.
+
+    A quasi-filter model is first recognised by its normal form, which sets
+    all four verdicts at once; only a rejected model walks the properties,
+    to name the one that fails."""
+    props = _DECLARED_ORDER[class_name]
+    if class_name == "quasi-filter":
+        verdicts = m.__dict__.setdefault(_VERDICTS, {})
+        full = m.full
+        if (not verdicts.keys() >= MODEL_CLASSES[class_name]
+                and all(is_qf_family(fam, full) for fam in m.neighborhoods)):
+            verdicts.update(dict.fromkeys(props, True))
+    return next((p for p in props if not has_property(m, p)), None)
 
 
 def validate(m: Model) -> list[str]:

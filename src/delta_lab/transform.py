@@ -3,17 +3,23 @@
 ``c_variation`` closes every neighborhood family under complements so the new
 semantics on the output matches the old semantics on the input.
 ``qf_variation`` turns a Kripke model into the pointwise-equivalent
-quasi-filter model.  ``qf_to_kripke`` inverts that move for finite
-quasi-filter models.  All three keep state names, ordering and valuation.
+quasi-filter model: N(s) = Q_R(s) = {X : R(s) ⊆ X or X ∩ R(s) = ∅}.
+``qf_to_kripke`` inverts that move for finite quasi-filter models, reading
+R(s) back as the states t with {t} ∉ N(s).  Both go through the normal form
+in ``model`` (``qf_family``, ``qf_relation``), and ``qf_to_kripke`` is gated
+by the O(|N(s)|) per state recogniser in ``model.first_failing``.  All three
+keep state names, ordering and valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .model import BudgetError, KripkeModel, NeighborhoodModel, first_failing
+from .model import (BudgetError, KripkeModel, NeighborhoodModel, first_failing,
+                    qf_family, qf_relation)
 
-#: Largest state count for which per-state subset sweeps stay exact here.
+#: Largest state count for which ``qf_variation`` builds families: Q_R has
+#: up to 2^n members per state.
 MAX_SUBSET_STATES = 16
 
 
@@ -29,17 +35,16 @@ def qf_variation(k: KripkeModel) -> NeighborhoodModel:
     """Neighborhoods of s are the X with R(s) inside X or disjoint from X."""
     if k.n > MAX_SUBSET_STATES:
         raise BudgetError(
-            f"qf-variation sweeps 2^{k.n} subsets per state, limit is 2^{MAX_SUBSET_STATES}")
-    fams = []
-    for r in k.succ:
-        fams.append(frozenset(x for x in range(k.full + 1)
-                              if r & x == r or r & x == 0))
-    return NeighborhoodModel(k.states, tuple(fams), dict(k.valuation))
+            f"qf-variation builds up to 2^{k.n} neighborhoods per state, "
+            f"limit is 2^{MAX_SUBSET_STATES}")
+    fams = tuple(qf_family(r, k.full) for r in k.succ)
+    return NeighborhoodModel(k.states, fams, dict(k.valuation))
 
 
 def qf_to_kripke(m: NeighborhoodModel) -> KripkeModel:
     """Extract the pointwise-equivalent Kripke model of a finite quasi-filter
-    model: s sees t iff t lies in some neighborhood of s and {t} is not one.
+    model: s sees t iff {t} is not a neighborhood of s.  (n) puts S in N(s),
+    so every t lies in some neighborhood of s.
 
     Rejects models outside the quasi-filter class, naming the failing
     property; the construction is only correct under (n), (i), (c), (ws).
@@ -47,11 +52,5 @@ def qf_to_kripke(m: NeighborhoodModel) -> KripkeModel:
     prop = first_failing(m, "quasi-filter")
     if prop is not None:
         raise ValueError(f"not a quasi-filter model: property ({prop.value}) fails")
-    succ = []
-    for fam in m.neighborhoods:
-        reachable = 0
-        for x in fam:
-            reachable |= x
-        singled = sum(1 << t for t in range(m.n) if (1 << t) in fam)
-        succ.append(reachable & ~singled)
-    return KripkeModel(m.states, tuple(succ), dict(m.valuation))
+    succ = tuple(qf_relation(fam, m.full) for fam in m.neighborhoods)
+    return KripkeModel(m.states, succ, dict(m.valuation))

@@ -102,6 +102,17 @@ def test_transform_and_bisim_pipeline(tmp_path, nbh_path, kripke_path, capsys):
                  "--right", str(left), "--pairs", str(bad_pairs)]) == 1
     capsys.readouterr()
 
+    only_ws = tmp_path / "only_ws.json"
+    only_ws.write_text(json.dumps({
+        "type": "neighborhood", "states": ["a", "b", "c", "d"],
+        "N": dict.fromkeys("abcd", [[], ["a", "b"], ["c", "d"],
+                                    ["a", "b", "c", "d"]])}))
+    assert main(["bisim", "max", "--kind", "qf", "--left", str(left),
+                 "--right", str(only_ws)]) == 2
+    assert capsys.readouterr().err == (
+        "error: qf bisimulation requires property (ws); "
+        "it fails on the right model\n")
+
 
 def test_definability_command(capsys):
     assert main(["definability", "--builtin", "c", "--max-states", "2"]) == 0
@@ -203,9 +214,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
     stray = tmp_path / "stray.json"
     stray.write_text(json.dumps({"type": "neighborhood", "states": ["s"],
                                  "N": {"zz": [["s"]]}}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"type": "kripke",
+                                "states": [f"s{i}" for i in range(17)],
+                                "R": {"s0": ["s1"]}}))
     for argv in (
             ["eval", "--model", str(stray), "--state", "s", "--formula", "p",
              "--semantics", "new"],
+            ["transform", "qf-variation", "--model", str(wide)],
             ["enumerate", "--kind", "kripke", "--states", "2", "--class", "c"],
             ["enumerate", "--kind", "kripke", "--states", "2",
              "--mode", "random"],

@@ -4,11 +4,13 @@ import pickle
 
 import pytest
 
-from delta_lab.generators import (GenSpec, enum_frames, random_kripke,
-                                  random_model)
+from delta_lab import model
+from delta_lab.generators import (GenSpec, enum_frames, enum_kripke_frames,
+                                  random_kripke, random_model)
 from delta_lab.model import (_VERDICTS, MODEL_CLASSES, FrameProperty,
                              KripkeModel, NeighborhoodModel, classify,
-                             first_failing, has_property, validate)
+                             family_satisfies, first_failing, has_property,
+                             is_qf_family, qf_family, qf_relation, validate)
 from delta_lab.transform import c_variation, qf_variation
 
 FP = FrameProperty
@@ -178,6 +180,27 @@ def test_has_property_matches_literal_oracle_on_closed_families():
         assert seen[prop] == {False, True}, prop
 
 
+def _frame_stream():
+    """Frames that share family objects, then equal families rebuilt."""
+    yield from enum_frames(GenSpec(2))
+    yield from enum_frames(GenSpec(3, frozenset({FP.C})))
+    for frame in enum_frames(GenSpec(2)):
+        yield NeighborhoodModel(frame.states,
+                                tuple(map(frozenset, frame.neighborhoods)))
+
+
+@pytest.mark.parametrize("limit", [model._LOCAL_LIMIT, 5])
+def test_local_verdict_memo_matches_literal_verdicts(monkeypatch, limit):
+    monkeypatch.setattr(model, "_LOCAL_LIMIT", limit)
+    monkeypatch.setattr(model, "_local_verdicts", {})
+    for frame in _frame_stream():
+        for prop in model.LOCAL_PROPERTIES:
+            assert has_property(frame, prop) == all(
+                family_satisfies(prop, fam, frame.full, s)
+                for s, fam in enumerate(frame.neighborhoods)), (frame, prop)
+        assert len(model._local_verdicts) <= limit
+
+
 def test_first_failing_follows_declaration_order():
     m = nm(["a", "b"], {"a": [["a"]], "b": []})
     assert first_failing(m, "quasi-filter") is FP.N
@@ -205,6 +228,108 @@ def test_verdicts_are_kept_per_model_instance():
     copy = pickle.loads(pickle.dumps(m))
     assert copy == m and _VERDICTS not in vars(copy)
     assert classify(copy) == classify(fresh) == set()
+
+
+# --- the quasi-filter normal form ------------------------------------------
+
+QF_PROPS = (FP.N, FP.I, FP.C, FP.WS)
+
+
+def walk_says_qf(family, full):
+    """The per-property walk, the recogniser's oracle."""
+    return all(family_satisfies(p, family, full, 0) for p in QF_PROPS)
+
+
+def all_families(n):
+    subs = 1 << n
+    for code in range(1 << subs):
+        yield frozenset(x for x in range(subs) if code >> x & 1)
+
+
+def test_qf_recogniser_matches_walk_on_every_family():
+    for n in (1, 2, 3, 4):
+        full = (1 << n) - 1
+        accepted = 0
+        for family in all_families(n):
+            verdict = is_qf_family(family, full)
+            assert verdict == walk_says_qf(family, full), (n, family)
+            accepted += verdict
+        # one Q_R per R with |R| ≠ 1: Q_∅ and Q_{t} are both the powerset
+        assert accepted == 2 ** n - n
+
+
+def test_qf_relation_reads_missing_singletons():
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        for family in all_families(n):
+            assert qf_relation(family, full) == sum(
+                1 << t for t in range(n) if 1 << t not in family), family
+
+
+def test_qf_family_equals_subset_filter():
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for r in range(full + 1):
+            filtered = frozenset(x for x in range(full + 1)
+                                 if r & x == r or r & x == 0)
+            built = qf_family(r, full)
+            assert built == filtered, (n, r)
+            assert list(built) == list(filtered), (n, r)  # iteration order
+            assert is_qf_family(built, full)
+
+
+def _qf_variations():
+    for n in (1, 2, 3):
+        yield from map(qf_variation, enum_kripke_frames(GenSpec(n)))
+    for n in (5, 6):
+        for seed in range(40):
+            yield qf_variation(random_kripke(GenSpec(n, seed=seed), ["p"]))
+
+
+def test_qf_recogniser_accepts_qf_variations():
+    for m in _qf_variations():
+        for fam in m.neighborhoods:
+            assert is_qf_family(fam, m.full) and walk_says_qf(fam, m.full), m
+        assert first_failing(m, "quasi-filter") is None
+
+
+def test_qf_recogniser_near_misses():
+    only_i = nm(["a", "b", "c"], dict.fromkeys(
+        "abc", [[], ["a", "b", "c"], ["a"], ["b", "c"], ["b"], ["a", "c"]]))
+    only_ws = nm(["a", "b", "c", "d"], dict.fromkeys(
+        "abcd", [[], ["a", "b"], ["c", "d"], ["a", "b", "c", "d"]]))
+    for m, fails in ((only_i, FP.I), (only_ws, FP.WS)):
+        fam, full = m.neighborhoods[0], m.full
+        assert [p for p in QF_PROPS
+                if not family_satisfies(p, fam, full, 0)] == [fails]
+        assert not is_qf_family(fam, full)
+        assert first_failing(m, "quasi-filter") is fails
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for r in range(full + 1):
+            q = qf_family(r, full)
+            for x in range(full + 1):
+                near = q ^ {x}  # one member added or removed
+                assert is_qf_family(near, full) == walk_says_qf(near, full)
+            if r.bit_count() == 1:
+                # R = {t}: Q_R is the powerset; without {t} it is no Q_R
+                assert q == frozenset(range(full + 1))
+                assert not is_qf_family(q - {r}, full)
+                assert not walk_says_qf(q - {r}, full)
+
+
+def test_qf_gate_fills_the_verdict_memo(monkeypatch):
+    m = next(m for m in _qf_variations() if m.n == 3)
+    fresh = NeighborhoodModel(m.states, m.neighborhoods, m.valuation)
+
+    def walked(*args):
+        raise AssertionError("the walk ran on a quasi-filter model")
+
+    monkeypatch.setattr(model, "_holds", walked)
+    assert first_failing(fresh, "quasi-filter") is None
+    assert all(vars(fresh)[_VERDICTS][p] is True for p in QF_PROPS)
+    monkeypatch.setattr(model, "is_qf_family", walked)
+    assert first_failing(fresh, "quasi-filter") is None
 
 
 def test_quasi_filter_iff_component_properties():

@@ -95,6 +95,18 @@ def test_qf_to_kripke_rejects_non_quasi_filter():
     missing_n = NeighborhoodModel.from_names(["a"], {"a": []})
     with pytest.raises(ValueError, match=r"\(n\)"):
         qf_to_kripke(missing_n)
+    # (n), (c), (ws) hold but {a, c} ∩ {b, c} = {c} is missing
+    only_i = NeighborhoodModel.from_names(["a", "b", "c"], dict.fromkeys(
+        "abc", [[], ["a", "b", "c"], ["a"], ["b", "c"], ["b"], ["a", "c"]]))
+    with pytest.raises(ValueError) as err:
+        qf_to_kripke(only_i)
+    assert str(err.value) == "not a quasi-filter model: property (i) fails"
+    # a Boolean subalgebra with two atoms of two states each
+    only_ws = NeighborhoodModel.from_names(["a", "b", "c", "d"], dict.fromkeys(
+        "abcd", [[], ["a", "b"], ["c", "d"], ["a", "b", "c", "d"]]))
+    with pytest.raises(ValueError) as err:
+        qf_to_kripke(only_ws)
+    assert str(err.value) == "not a quasi-filter model: property (ws) fails"
 
 
 def test_qf_to_kripke_pointwise_equivalence():
