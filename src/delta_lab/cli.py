@@ -46,7 +46,13 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # Serialization.
 
-def _sorted_set(names: list[str], what: str) -> list[str]:
+def _is_strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _sorted_set(names: Any, what: str) -> list[str]:
+    if not _is_strings(names):
+        raise CliError(f"{what} must be an array of state names")
     if len(set(names)) != len(names):
         raise CliError(f"duplicate entries in {what}")
     return sorted(names)
@@ -71,19 +77,21 @@ def model_to_json(m: NeighborhoodModel | KripkeModel) -> dict[str, Any]:
 def model_from_json(data: dict[str, Any]) -> NeighborhoodModel | KripkeModel:
     try:
         kind = data["type"]
-        states = _sorted_set(list(data["states"]), "states")
-        valuation = {atom: _sorted_set(list(group), f"V[{atom}]")
+        states = _sorted_set(data["states"], "states")
+        valuation = {atom: _sorted_set(group, f"V[{atom}]")
                      for atom, group in data.get("V", {}).items()}
         if kind == "neighborhood":
             nbhd = {}
             for name, groups in data.get("N", {}).items():
-                seen = [tuple(_sorted_set(list(g), f"N[{name}]")) for g in groups]
+                if not isinstance(groups, list):
+                    raise CliError(f"N[{name}] must be an array of arrays")
+                seen = [tuple(_sorted_set(g, f"N[{name}]")) for g in groups]
                 if len(set(seen)) != len(seen):
                     raise CliError(f"duplicate neighborhoods at N[{name}]")
                 nbhd[name] = seen
             m = NeighborhoodModel.from_names(states, nbhd, valuation)
         elif kind == "kripke":
-            succ = {name: _sorted_set(list(group), f"R[{name}]")
+            succ = {name: _sorted_set(group, f"R[{name}]")
                     for name, group in data.get("R", {}).items()}
             m = KripkeModel.from_names(states, succ, valuation)
         else:
@@ -113,12 +121,16 @@ def load_pairs(path: str) -> bisim.PairRelation:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        pairs = [(a, b) for a, b in data["pairs"]]
+        pairs = data["pairs"]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed pair-relation file {path}: {exc}") from exc
-    return bisim.PairRelation.of(pairs)
+    if not isinstance(pairs, list) or not all(
+            _is_strings(pair) and len(pair) == 2 for pair in pairs):
+        raise CliError(f"malformed pair-relation file {path}: pairs must be "
+                       f"arrays of two state names")
+    return bisim.PairRelation.of(tuple(pair) for pair in pairs)
 
 
 def _witness_json(m, check) -> dict[str, Any]:
@@ -336,11 +348,7 @@ def _cmd_proof_check(args) -> int:
         raise CliError(f"malformed proof script: {exc}") from exc
     if not script:
         raise CliError("empty proof script")
-    try:
-        verdict = proofsys.check_proof(system, script)
-    except RecursionError:
-        # schema matching and premise comparison walk the formula trees
-        raise CliError("formula nested too deeply to compare") from None
+    verdict = proofsys.check_proof(system, script)
     if verdict.ok:
         _emit(args, {"ok": True, "lines": len(script)},
               f"ok ({len(script)} lines)")

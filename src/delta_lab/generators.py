@@ -203,15 +203,6 @@ def sweep(properties: Iterable[FrameProperty], max_states: int,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     properties = frozenset(properties)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        import pickle  # here, like multiprocessing below
-
-        try:
-            pickle.dumps(check)
-        except RecursionError:
-            # Nested too deeply to send to a worker (a pool would hang on
-            # it); the serial sweep gives the same result.
-            jobs = 1
     if jobs == 1:
         return _merge(first_hit(enum_frames(GenSpec(n, properties)), check)
                       for n in range(1, max_states + 1))

@@ -17,14 +17,14 @@ from enum import Enum
 from functools import partial
 from typing import Sequence
 
-from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
-                      Not, Or, Top, parse)
+from .formula import (And, Atom, Delta, Formula, Iff, Imp, Not, Or, Top,
+                      arity, parse, subformulas, walk)
 from .generators import sweep
 from .model import NeighborhoodModel, frame_class
 from .semantics import FrameCheck, SemanticsKind, frame_valid, taut_valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Meta(Formula):
     """Schema metavariable; only ever appears inside schema patterns."""
     name: str
@@ -71,36 +71,29 @@ class AxiomSystem(Enum):
 def match_schema(schema: Formula, f: Formula) -> dict[str, Formula] | None:
     """Substitution of metavariables making the schema equal ``f``, or None."""
     binding: dict[str, Formula] = {}
-
-    def walk(pat: Formula, got: Formula) -> bool:
-        if isinstance(pat, Meta):
-            seen = binding.get(pat.name)
-            if seen is None:
-                binding[pat.name] = got
-                return True
-            return seen == got
-        if type(pat) is not type(got):
-            return False
-        if isinstance(pat, Atom):
-            return pat.name == got.name
-        if isinstance(pat, (Top, Bot)):
-            return True
-        if isinstance(pat, (Not, Delta, Nabla, Box)):
-            return walk(pat.child, got.child)
-        return walk(pat.left, got.left) and walk(pat.right, got.right)
-
-    return binding if walk(schema, f) else None
+    # Both node sequences run parents before children; where the schema has
+    # a metavariable, ``f``'s sequence skips the subtree it binds.
+    got = subformulas(f)
+    for pat in subformulas(schema):
+        node = next(got)
+        if type(pat) is Meta:
+            if binding.setdefault(pat.name, node) != node:
+                return None
+            skip = arity(node)
+            while skip:
+                skip += arity(next(got)) - 1
+        elif type(pat) is not type(node) or not arity(pat) and pat != node:
+            return None
+    return binding
 
 
 def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:
-    if isinstance(schema, Meta):
-        return binding[schema.name]
-    if isinstance(schema, (Atom, Top, Bot)):
-        return schema
-    if isinstance(schema, (Not, Delta, Nabla, Box)):
-        return type(schema)(instantiate(schema.child, binding))
-    return type(schema)(instantiate(schema.left, binding),
-                        instantiate(schema.right, binding))
+    def visit(node: Formula, *parts: Formula) -> Formula:
+        if type(node) is Meta:
+            return binding[node.name]
+        return type(node)(*parts) if parts else node
+
+    return walk(schema, visit)
 
 
 _TAUT_ATOM_BUDGET = 20

@@ -8,10 +8,10 @@ One evaluator serves ``extension``, ``frame_valid`` and ``taut_valid``, the
 tautology check behind ``proofsys.is_taut_instance``.  ``compile_formula``
 turns a formula into a ``Program``: a flat, hash-consed list of ops
 (``atom``/``top``/``not``/``and``/``delta``/``box``) over integer slots,
-children before parents, with the sugar kinds expanded during the same
-iterative walk, so equal subformulas share one slot and no recursion depth
-limit applies.  ``taut_valid`` turns each maximal modal op into an atom and
-checks the resulting skeleton as validity on a one-state frame.
+children before parents, in one ``formula.to_core`` walk that applies the
+sugar rules of ``formula.SUGAR`` without building nodes; equal subformulas
+share one slot and there is no depth limit.  ``taut_valid`` turns each maximal
+modal op into an atom and checks the skeleton as validity on a one-state frame.
 
 The program runs over *bit planes* of width V.  A slot's value is one int of
 n·V bits laid out state by state: bits [s·V, (s+1)·V) are state s's plane,
@@ -53,8 +53,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
-from .formula import (And, Atom, Bot, Box, Delta, Formula, Iff, Imp, Nabla,
-                      Not, Or, Top)
+from .formula import And, Atom, Box, Delta, Formula, Not, Top, to_core
 from .model import BudgetError, KripkeModel, NeighborhoodModel, bits
 
 
@@ -102,69 +101,29 @@ class Program:
     root: int
 
 
-_UNARY = {Not: NOT, Delta: DELTA, Box: BOX, Nabla: NOT}
+_OPCODES = {Atom: ATOM, Top: TOP, Not: NOT, And: AND, Delta: DELTA, Box: BOX}
 
 
 def compile_formula(f: Formula) -> Program:
-    """Expand sugar, hash-cons and flatten ``f``; iterative, so any depth."""
+    """Expand sugar, hash-cons and flatten ``f``, in one ``to_core`` walk."""
     ops: list[tuple] = []
     index: dict[tuple, int] = {}
-    slot_of: dict[int, int] = {}  # id(node) -> slot; f keeps every node alive
 
-    def emit(op: int, a: int | str = 0, b: int = 0) -> int:
-        # an ATOM key holds the atom's name until the names are sorted
-        key = (op, a, b)
+    def emit(kind: type, a: int | str = 0, b: int = 0) -> int:
+        # an Atom's key holds its name until the names are sorted
+        key = (kind, a, b)
         slot = index.get(key)
         if slot is None:
             slot = index[key] = len(ops)
             ops.append(key)
         return slot
 
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in slot_of:
-            continue
-        cls = type(node)
-        if cls is Atom:
-            slot_of[id(node)] = emit(ATOM, node.name)
-            continue
-        if cls is Top:
-            slot_of[id(node)] = emit(TOP)
-            continue
-        if cls is Bot:
-            slot_of[id(node)] = emit(NOT, emit(TOP))
-            continue
-        if cls in _UNARY:
-            if not ready:
-                stack += ((node, True), (node.child, False))
-                continue
-            child = slot_of[id(node.child)]
-            if cls is Nabla:
-                child = emit(DELTA, child)
-            slot_of[id(node)] = emit(_UNARY[cls], child)
-            continue
-        if cls not in (And, Or, Imp, Iff):
-            raise TypeError(f"not a formula: {node!r}")
-        if not ready:
-            stack += ((node, True), (node.right, False), (node.left, False))
-            continue
-        left, right = slot_of[id(node.left)], slot_of[id(node.right)]
-        if cls is And:
-            slot = emit(AND, left, right)
-        elif cls is Or:
-            slot = emit(NOT, emit(AND, emit(NOT, left), emit(NOT, right)))
-        elif cls is Imp:
-            slot = emit(NOT, emit(AND, left, emit(NOT, right)))
-        else:
-            slot = emit(AND, emit(NOT, emit(AND, left, emit(NOT, right))),
-                        emit(NOT, emit(AND, right, emit(NOT, left))))
-        slot_of[id(node)] = slot
-    names = sorted({a for op, a, _ in ops if op == ATOM})
+    root = to_core(f, emit)
+    names = sorted({a for kind, a, _ in ops if kind is Atom})
     pos = {name: i for i, name in enumerate(names)}
-    flat = tuple((op, pos[a], 0) if op == ATOM else (op, a, b)
-                 for op, a, b in ops)
-    return Program(flat, tuple(names), slot_of[id(f)])
+    flat = tuple((ATOM, pos[a], 0) if kind is Atom else (_OPCODES[kind], a, b)
+                 for kind, a, b in ops)
+    return Program(flat, tuple(names), root)
 
 
 # The last formula compiled and its program.  Sweeps pass one formula object

@@ -1,10 +1,12 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delta_lab.formula import (And, Atom, Bot, Box, Delta, Iff, Imp, Nabla,
-                               Not, Or, ParseError, Top, expand_sugar, metrics,
-                               parse)
+from delta_lab.formula import (And, Atom, Bot, Box, Delta, Formula, Iff, Imp,
+                               Nabla, Not, Or, ParseError, Top, expand_sugar,
+                               metrics, parse)
 from delta_lab.generators import random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -100,3 +102,66 @@ def test_print_parse_print_fixed_point():
     for text in ("D p <-> D ~p", "((p))", "D ( p -> q )", "~ ~ p"):
         once = str(parse(text))
         assert str(parse(once)) == once
+
+
+# ---------------------------------------------------------------------------
+# Properties.
+
+_LEAVES = st.one_of(st.sampled_from(["p", "q", "r2"]).map(Atom),
+                    st.just(Top()), st.just(Bot()))
+_FORMULAS = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        *(st.builds(kind, sub) for kind in (Not, Delta, Nabla, Box)),
+        *(st.builds(kind, sub, sub) for kind in (And, Or, Imp, Iff))),
+    max_leaves=24)
+
+
+@st.composite
+def _deep_formulas(draw):
+    """A formula 10,000 deep: a drawn cycle of kinds wrapped around a leaf,
+    with each binary node's other side a leaf."""
+    kinds = draw(st.lists(st.sampled_from(
+        [Not, Delta, Nabla, Box, And, Or, Imp, Iff]), min_size=1, max_size=4))
+    sides = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    leaf = draw(_LEAVES)
+    f = draw(_LEAVES)
+    for i in range(10_000):
+        kind = kinds[i % len(kinds)]
+        if kind in (Not, Delta, Nabla, Box):
+            f = kind(f)
+        else:
+            f = kind(f, leaf) if sides[i % len(sides)] else kind(leaf, f)
+    return f
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="pqrDNBX ~&|()-<>@topbt\t", max_size=40))
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        f = parse(text)
+    except ParseError:
+        return
+    assert isinstance(f, Formula)
+
+
+def _round_trips(f, g):
+    assert parse(str(f)) == f
+    assert pickle.loads(pickle.dumps(f)) == f
+    if f == g:
+        assert hash(f) == hash(g)
+    copy = parse(str(f))
+    assert copy == f and hash(copy) == hash(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS, _FORMULAS)
+def test_print_pickle_and_hash_agree_with_equality(f, g):
+    _round_trips(f, g)
+    assert (f == g) == (str(f) == str(g))
+
+
+@settings(max_examples=8, deadline=None)
+@given(_deep_formulas(), _deep_formulas())
+def test_print_pickle_and_hash_agree_with_equality_when_deep(f, g):
+    _round_trips(f, g)

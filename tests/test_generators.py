@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import pickle
 import random
 import threading
 from functools import partial
@@ -309,13 +310,14 @@ def test_sweep_refuses_before_starting_a_pool(pool_sizes):
         GenSpec(0)
 
 
-def test_sweep_runs_too_deep_a_check_serially(pool_sizes):
-    # A formula nested beyond pickle's depth cannot reach a worker; the sweep
-    # runs it in-process, with the serial result, and starts no pool.
+def test_sweep_sends_a_deep_check_to_workers(pool_sizes):
+    # A formula of any depth pickles, so a deep check goes to the pool like
+    # any other and gives the serial result.
     from delta_lab.proofsys import _counterexample
 
     deep = parse(" & ".join(["p"] * 3000) + " -> D p")
-    check = partial(_counterexample, deep, 24)
+    check = pickle.loads(pickle.dumps(partial(_counterexample, deep, 24)))
+    assert check.args[0] == deep
     assert sweep(frozenset({FP.C}), 2, check, jobs=2) == \
         sweep(frozenset({FP.C}), 2, check, jobs=1)
-    assert pool_sizes == []
+    assert pool_sizes == [2]
