@@ -2,8 +2,8 @@
 
 Six notions are supported, all but one phrased through coherent pairs: a pair
 of subsets (U, U') is Z-coherent when every (x, y) in Z has x in U iff y in
-U'.  ``check_bisim`` takes the notions literally, streaming the coherent pairs
-by enumerating U and propagating the forced memberships into U' through Z.
+U'.  These are exactly the unions of blocks of Z's partition: its connected
+components, plus each state that Z leaves out as a block of its own.
 
 ``max_bisim`` and ``logical_equiv_partition`` share one refinement core over
 the disjoint union of the models: group states by atoms, then split blocks by
@@ -23,19 +23,20 @@ Each is a family of block sets over coordinates P (Kripke: {∅, Q} over Q),
 reduced to its essential coordinates, those whose toggle changes it, so equal
 signatures mean the same unions, across models too.  ``c-monotonic`` uses the
 ⊆-minimal block sets met by N(s), equal exactly when zig and zag hold.
+
+``check_bisim`` compares the same signatures over Z's partition, and
+``_least_difference`` finds both its witnesses and ``char_formula``'s unions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .formula import And, Atom, Bot, Delta, Formula, Not, Or, Top
-from .model import (BudgetError, KripkeModel, Model, bits, first_failing,
-                    submasks)
-from .semantics import SemanticsKind, delta_holds
+from .model import KripkeModel, Model, bits, first_failing
+from .semantics import SemanticsKind
 
 
 class BisimKind(Enum):
@@ -54,6 +55,13 @@ _KIND_CLASS = {
     BisimKind.C_MONOTONIC: "monotonic-c",
     BisimKind.QF: "quasi-filter",
 }
+
+StateRef = tuple[int, int]   # (model index, state index)
+Block = frozenset[StateRef]
+
+#: The semantics whose Δ clause each notion compares (``c-monotonic`` aside).
+_KIND_SEMANTICS = {BisimKind.REL_DELTA: SemanticsKind.KRIPKE,
+                   BisimKind.NBH_DELTA: SemanticsKind.OLD}
 
 
 @dataclass(frozen=True)
@@ -101,53 +109,6 @@ def is_coherent(z: PairRelation, left: Model, right: Model,
                for i, j in _index_pairs(z, left, right))
 
 
-def _coherent_pairs(pairs: Sequence[tuple[int, int]], n_left: int,
-                    n_right: int) -> Iterable[tuple[int, int]]:
-    """All Z-coherent (U, U'): enumerate U, push forced memberships through
-    Z, skip on conflict, and enumerate the unconstrained remainder of the
-    right domain."""
-    constrained = 0
-    for _, j in pairs:
-        constrained |= 1 << j
-    free = ((1 << n_right) - 1) & ~constrained
-    for u in range(1 << n_left):
-        forced_in = forced_out = 0
-        for i, j in pairs:
-            if u >> i & 1:
-                forced_in |= 1 << j
-            else:
-                forced_out |= 1 << j
-        if forced_in & forced_out:
-            continue
-        for extra in submasks(free):
-            yield u, forced_in | extra
-
-
-def _atoms_agree(left: Model, right: Model, i: int, j: int) -> bool:
-    for atom in left.valuation.keys() | right.valuation.keys():
-        if (left.atom_mask(atom) >> i & 1) != (right.atom_mask(atom) >> j & 1):
-            return False
-    return True
-
-
-def _clause(kind: BisimKind, left: Model, right: Model):
-    full_l, full_r = left.full, right.full
-    if kind is BisimKind.NBH_DELTA:
-        def clause(i, j, u, u2):
-            fam, fam2 = left.neighborhoods[i], right.neighborhoods[j]
-            return ((u in fam or (full_l & ~u) in fam)
-                    == (u2 in fam2 or (full_r & ~u2) in fam2))
-    elif kind is BisimKind.REL_DELTA:
-        def clause(i, j, u, u2):
-            r, r2 = left.succ[i], right.succ[j]
-            return ((r & u == r or r & u == 0)
-                    == (r2 & u2 == r2 or r2 & u2 == 0))
-    else:  # C, MONOTONIC_C, QF share the membership biconditional
-        def clause(i, j, u, u2):
-            return (u in left.neighborhoods[i]) == (u2 in right.neighborhoods[j])
-    return clause
-
-
 def _check_class(kind: BisimKind, left: Model, right: Model) -> None:
     needs_kripke = kind is BisimKind.REL_DELTA
     for side, m in (("left", left), ("right", right)):
@@ -160,10 +121,6 @@ def _check_class(kind: BisimKind, left: Model, right: Model) -> None:
         if prop is not None:
             raise ValueError(f"{kind.value} bisimulation requires property "
                              f"({prop.value}); it fails on the {side} model")
-
-
-#: Coherent pairs held at once by ``check_bisim``.
-_CHUNK = 1024
 
 
 def _zig(fam_a, fam_b, partner_of_b_in_a):
@@ -180,25 +137,43 @@ def _zig(fam_a, fam_b, partner_of_b_in_a):
     return None
 
 
-def _violation(clause, i: int, j: int, chunk: list[tuple[int, int]]
-               ) -> tuple[int, int] | None:
-    """The first coherent pair of ``chunk`` at which (i, j) breaks the clause."""
-    for u, u2 in chunk:
-        if not clause(i, j, u, u2):
-            return u, u2
-    return None
+def _coherence_blocks(pairs: Sequence[tuple[int, int]], n_left: int,
+                      n_right: int) -> tuple[list[list[StateRef]], int]:
+    """Z's partition, numbered so that ``W ^ prefer`` orders block sets as
+    coherent pairs by U ascending, then U''s Z-free part descending: the
+    free right states first, as ``prefer``, then by highest left state."""
+    # right state j is node j, left state i is node n_right + i
+    comp = [{t} for t in range(n_right + n_left)]
+    for i, j in pairs:
+        a, b = comp[n_right + i], comp[j]
+        if a is not b:
+            a |= b
+            for t in b:
+                comp[t] = a
+    ordered = sorted({id(c): c for c in comp}.values(), key=max)
+    blocks = [[(1, t) if t < n_right else (0, t - n_right) for t in c]
+              for c in ordered]
+    return blocks, (1 << sum(max(c) < n_right for c in ordered)) - 1
 
 
-def check_bisim(kind: BisimKind, z: PairRelation, left: Model, right: Model,
-                budget: int = 24) -> BisimVerdict:
-    """Whether ``z`` satisfies every clause of the given bisimulation notion."""
+def check_bisim(kind: BisimKind, z: PairRelation, left: Model,
+                right: Model) -> BisimVerdict:
+    """Whether ``z`` satisfies every clause of the given bisimulation notion.
+
+    A violation names the first failing pair of ``z`` in sorted order.  For
+    the Δ notions its witness is the least coherent pair (U, U') at which
+    the clause breaks: least U as a bitmask, then the greatest Z-free part
+    of U'.
+    """
     _check_class(kind, left, right)
     if not z.pairs:
         raise ValueError("a bisimulation is a nonempty relation")
     pairs = _index_pairs(z, left, right)
 
+    atoms = left.valuation.keys() | right.valuation.keys()
     for i, j in pairs:
-        if not _atoms_agree(left, right, i, j):
+        if any(left.atom_mask(p) >> i & 1 != right.atom_mask(p) >> j & 1
+               for p in atoms):
             return BisimVerdict(False, (left.states[i], right.states[j]),
                                 reason="states disagree on an atom")
 
@@ -221,28 +196,25 @@ def check_bisim(kind: BisimKind, z: PairRelation, left: Model, right: Model,
                                     reason="no matching left neighborhood (zag)")
         return BisimVerdict(True)
 
-    if left.n + right.n > budget:
-        raise BudgetError(f"coherent-pair enumeration over {left.n}+{right.n} "
-                          f"states exceeds the budget of {budget}")
-    clause = _clause(kind, left, right)
-    # Pair-major search over chunks of the streamed coherent pairs: it finds
-    # what a search over all of them would, the first failing pair of z at
-    # its first failing coherent pair, since once pair p has failed, later
-    # chunks only need the pairs before it.
-    coherent = _coherent_pairs(pairs, left.n, right.n)
-    first, witness = len(pairs), None
-    while first and (chunk := list(islice(coherent, _CHUNK))):
-        for p in range(first):
-            bad = _violation(clause, *pairs[p], chunk)
-            if bad:
-                first, witness = p, bad
-                break
-    if witness is None:
-        return BisimVerdict(True)
-    i, j = pairs[first]
-    return BisimVerdict(False, (left.states[i], right.states[j]),
-                        witness=(left.names(witness[0]), right.names(witness[1])),
-                        reason="coherent pair breaks the clause")
+    blocks, prefer = _coherence_blocks(pairs, left.n, right.n)
+    (block_of, block_of2), (pieces, pieces2) = _layout((left, right), blocks)
+    sem = _KIND_SEMANTICS.get(kind, SemanticsKind.NEW)
+    sigs, sigs2 = {}, {}
+    for i, j in pairs:
+        if i not in sigs:
+            sigs[i] = _delta_signature(left, sem, i, block_of, pieces)
+        if j not in sigs2:
+            sigs2[j] = _delta_signature(right, sem, j, block_of2, pieces2)
+        if sigs[i] != sigs2[j]:
+            w = _least_difference(sigs[i], sigs2[j], prefer)
+            u = u2 = 0
+            for b in bits(w):
+                u |= pieces[b]
+                u2 |= pieces2[b]
+            return BisimVerdict(False, (left.states[i], right.states[j]),
+                                witness=(left.names(u), right.names(u2)),
+                                reason="coherent pair breaks the clause")
+    return BisimVerdict(True)
 
 
 def max_bisim(kind: BisimKind, left: Model, right: Model) -> PairRelation:
@@ -257,8 +229,7 @@ def max_bisim(kind: BisimKind, left: Model, right: Model) -> PairRelation:
     every relation accepted by ``check_bisim`` is contained in the result.
     """
     _check_class(kind, left, right)
-    sem = {BisimKind.REL_DELTA: SemanticsKind.KRIPKE,
-           BisimKind.NBH_DELTA: SemanticsKind.OLD}.get(kind, SemanticsKind.NEW)
+    sem = _KIND_SEMANTICS.get(kind, SemanticsKind.NEW)
     signature = (_minimal_signature if kind is BisimKind.C_MONOTONIC
                  else _delta_signature)
     vocab = tuple(sorted(left.valuation.keys() | right.valuation.keys()))
@@ -268,13 +239,6 @@ def max_bisim(kind: BisimKind, left: Model, right: Model) -> PairRelation:
 
 # ---------------------------------------------------------------------------
 # Logical-equivalence partitions by depth refinement.
-
-StateRef = tuple[int, int]   # (model index, state index)
-Block = frozenset[StateRef]
-
-#: Most base blocks whose unions ``char_formula`` sweeps for a separator.
-SEPARATOR_BLOCKS = 20
-
 
 def _model_kind(m: Model, kind: SemanticsKind) -> SemanticsKind:
     if isinstance(m, KripkeModel):
@@ -321,19 +285,14 @@ class Partition:
                        for a in lefts for b in rights)
         return frozenset(out)
 
-    def _delta_on_union(self, ref: StateRef, depth: int, union: int) -> bool:
-        mi, s = ref
-        mask = 0
-        for b in bits(union):
-            mask |= sum(1 << t for mj, t in self.history[depth][b] if mj == mi)
-        return delta_holds(self.models[mi], s, mask, self.kinds[mi])
 
-
-def _met(mask: int, block_of: list[int]) -> int:
+def _met(mask: int, block_of: list[int], pieces: list[int]) -> int:
     """The blocks that the states of ``mask`` lie in."""
     out = 0
-    for t in bits(mask):
-        out |= 1 << block_of[t]
+    while mask:
+        b = block_of[(mask & -mask).bit_length() - 1]
+        out |= 1 << b
+        mask &= ~pieces[b]
     return out
 
 
@@ -341,10 +300,13 @@ def _canonical(coords: int, family: set[int]) -> tuple[int, frozenset[int]]:
     """The family of block sets over ``coords``, reduced to its essential
     coordinates: those whose toggle changes the family."""
     essential = 0
-    for b in bits(coords):
-        bit = 1 << b
-        if any(x ^ bit not in family for x in family):
-            essential |= bit
+    while coords:
+        bit = coords & -coords
+        coords ^= bit
+        for x in family:
+            if x ^ bit not in family:
+                essential |= bit
+                break
     return essential, frozenset(x & essential for x in family)
 
 
@@ -353,17 +315,19 @@ def _delta_signature(m: Model, kind: SemanticsKind, s: int,
                      ) -> tuple[int, frozenset[int]]:
     """Which unions of blocks make Δ hold at ``s``, in canonical form."""
     if kind is SemanticsKind.KRIPKE:
-        met = _met(m.succ[s], block_of)
+        met = _met(m.succ[s], block_of, pieces)
         return _canonical(met, {0, met})
-    present = _met(m.full, block_of)
+    present = _met(m.full, block_of, pieces)
     family = set()
     for x in m.neighborhoods[s]:
         blocks = 0
-        for t in bits(x):
-            b = block_of[t]
+        rest = x
+        while rest:
+            b = block_of[(rest & -rest).bit_length() - 1]
             if pieces[b] & ~x:
                 break   # x cuts block b, so no union of blocks is x
             blocks |= 1 << b
+            rest &= ~pieces[b]
         else:
             family.add(blocks)
             if kind is SemanticsKind.OLD:
@@ -375,9 +339,52 @@ def _minimal_signature(m: Model, kind: SemanticsKind, s: int,
                        block_of: list[int], pieces: list[int]
                        ) -> frozenset[int]:
     """The ⊆-minimal block sets met by the members of N(s)."""
-    met = {_met(x, block_of) for x in m.neighborhoods[s]}
+    met = {_met(x, block_of, pieces) for x in m.neighborhoods[s]}
     return frozenset(a for a in met
                      if not any(b != a and b & a == b for b in met))
+
+
+def _least_difference(sig: tuple[int, frozenset[int]],
+                      sig2: tuple[int, frozenset[int]],
+                      prefer: int = 0) -> int:
+    """The least block set W, by ``W ^ prefer``, on which two canonical
+    signatures disagree.  For each member x of one side's family, W is x on
+    that side's coordinates, its least value off both sides' coordinates,
+    and the least completion on the other side's own coordinates that falls
+    outside the other family: at most |F| + 1 tries, since the completions
+    that fail are distinct members of F."""
+    best = None
+    for (ess, fam), (ess2, fam2) in ((sig, sig2), (sig2, sig)):
+        only2 = ess2 & ~ess
+        flip = prefer & only2
+        rest = prefer & ~(ess | ess2)
+        for x in fam:
+            fixed = x & ess2
+            rank = 0   # the completion's rank over only2, least first
+            while fixed | (rank ^ flip) in fam2:
+                rank = ((rank | ~only2) + 1) & only2
+                if not rank:
+                    break   # every completion lies in the other family
+            else:
+                w = x | (rank ^ flip) | rest
+                if best is None or w ^ prefer < best ^ prefer:
+                    best = w
+    if best is None:
+        raise AssertionError("equal signatures have no difference")
+    return best
+
+
+def _layout(models: Sequence[Model], blocks: Sequence[Iterable[StateRef]]
+            ) -> tuple[list[list[int]], list[list[int]]]:
+    """``block_of[mi][s]``, the block of model mi's state s, and
+    ``pieces[mi][b]``, the mask of block b's states in model mi."""
+    block_of = [[0] * m.n for m in models]
+    pieces = [[0] * len(blocks) for _ in models]
+    for b, block in enumerate(blocks):
+        for mi, s in block:
+            block_of[mi][s] = b
+            pieces[mi][b] |= 1 << s
+    return block_of, pieces
 
 
 def _sorted_blocks(groups: Iterable[list[StateRef]]) -> list[Block]:
@@ -401,12 +408,7 @@ def _refine(models: Sequence[Model], kinds: Sequence[SemanticsKind],
     part.history.append(blocks)
 
     while True:
-        block_of = [[0] * m.n for m in models]
-        pieces = [[0] * len(blocks) for _ in models]
-        for b, block in enumerate(blocks):
-            for mi, s in block:
-                block_of[mi][s] = b
-                pieces[mi][b] |= 1 << s
+        block_of, pieces = _layout(models, blocks)
         grouped: dict[tuple[int, Hashable], list[StateRef]] = {}
         for b, block in enumerate(blocks):
             for mi, s in block:
@@ -528,17 +530,13 @@ def _separator(partition: Partition, block_id: int, other: int, depth: int,
             if mine != theirs:
                 return Atom(p) if mine else Not(Atom(p))
         raise AssertionError("depth-0 blocks must differ on some atom")
-    base = split_at - 1
-    k = len(partition.history[base])
-    if k > SEPARATOR_BLOCKS:
-        raise BudgetError(
-            f"char_formula sweeps the 2^{k} unions of the {k} depth-{base} "
-            f"blocks for a separator; the limit is {SEPARATOR_BLOCKS} blocks")
     # The numerically least separating union keeps the formulas stable.
-    for union in range(1 << k):
-        mine = partition._delta_on_union(ref, base, union)
-        theirs = partition._delta_on_union(ref2, base, union)
-        if mine != theirs:
-            body = _disj([_char(partition, b, base, memo) for b in bits(union)])
-            return Delta(body) if mine else Not(Delta(body))
-    raise AssertionError("blocks split at this depth must have a witness union")
+    base = split_at - 1
+    block_of, pieces = _layout(partition.models, partition.history[base])
+    sig, sig2 = (_delta_signature(partition.models[mi], partition.kinds[mi], s,
+                                  block_of[mi], pieces[mi])
+                 for mi, s in (ref, ref2))
+    union = _least_difference(sig, sig2)
+    body = _disj([_char(partition, b, base, memo) for b in bits(union)])
+    essential, family = sig
+    return Delta(body) if union & essential in family else Not(Delta(body))

@@ -9,8 +9,10 @@ Model files:
 Sets are sorted arrays and duplicates are a validation error.  Pair-relation
 files are {"pairs": [["s", "s'"], ...]}.  Exit codes: 0 the checked statement
 holds (or the command just produced output), 1 a counterexample or violation
-was found, 2 usage or validation error.  DELTA_LAB_BUDGET overrides the
-subset-enumeration budgets.
+was found, 2 usage or validation error.  ``--budget`` bounds valuation
+sweeps only, and DELTA_LAB_BUDGET sets its default; ``bisim check``, ``bisim
+max`` and ``equiv-partition`` run in time polynomial in the models and need
+no budget.
 
 ``--jobs N`` runs the frame sweeps of ``definability``, ``audit`` (with or
 without ``--negative``) and ``countermodel`` in up to N worker processes,
@@ -223,7 +225,7 @@ def _cmd_bisim(args) -> int:
             if not args.pairs:
                 raise CliError("bisim check needs --pairs")
             z = load_pairs(args.pairs)
-            verdict = bisim.check_bisim(kind, z, left, right, args.budget)
+            verdict = bisim.check_bisim(kind, z, left, right)
             payload = {"ok": verdict.ok}
             if not verdict.ok:
                 payload["pair"] = list(verdict.pair)
@@ -413,8 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("human", "json"), default="human")
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--budget", type=int, default=budget,
-                     help="subset-enumeration budget in bits (bisim check and "
-                          "valuation sweeps)")
+                     help="valuation-sweep budget in bits: a frame sweep "
+                          "over more than 2^N valuations is refused")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a formula at a state")

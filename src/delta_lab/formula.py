@@ -51,7 +51,23 @@ class Formula:
         return walk(self, _show)
 
     def __repr__(self) -> str:
-        return walk(self, _repr)
+        # Pre-order over nodes and literal pieces, joined once: linear in
+        # the text's length at any depth.
+        pieces = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            pieces.append(type(item).__qualname__ + "(")
+            todo = []
+            for name, value in vars(item).items():
+                todo.append((", " if todo else "") + name + "=")
+                todo.append(value if isinstance(value, Formula) else repr(value))
+            todo.append(")")
+            stack += reversed(todo)
+        return "".join(pieces)
 
     def __reduce__(self):
         # Unpickle through the constructors: a node whose fields are restored
@@ -232,14 +248,6 @@ def _show(f: Formula, *parts: str) -> str:
     if cls in _CONSTANTS:
         return _CONSTANTS[cls]
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _repr(f: Formula, *parts: str) -> str:
-    fields = vars(f)
-    values = parts or map(repr, fields.values())
-    return (type(f).__qualname__ + "("
-            + ", ".join(f"{name}={value}" for name, value in zip(fields, values))
-            + ")")
 
 
 # ---------------------------------------------------------------------------

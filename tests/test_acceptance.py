@@ -261,6 +261,46 @@ def test_criterion_7_transfer_lemmas():
                     f"acceptances transferred")
 
 
+def _one_atom_models(frames):
+    """Every frame of ``frames`` under every valuation of the atom p."""
+    return [frame.with_valuation({"p": mask}) for frame in frames
+            for mask in range(1 << frame.n)]
+
+
+def _all_relations(left, right):
+    pool = [(a, b) for a in left.states for b in right.states]
+    for k in range(1, len(pool) + 1):
+        for pairs in itertools.combinations(pool, k):
+            yield PairRelation.of(pairs)
+
+
+def test_notion_equivalences_exhaustive_up_to_two_states():
+    # Every pair of 1-2-state models with one atom, against every nonempty
+    # relation: c = nbh-delta on c-models, monotonic-c = c-monotonic on
+    # cs-models, and rel-delta on Kripke models = qf on their variations.
+    def same(props):
+        return [(m, m) for n in (1, 2)
+                for m in _one_atom_models(enum_frames(GenSpec(n, props)))]
+
+    kripke = [(k, qf_variation(k)) for n in (1, 2)
+              for k in _one_atom_models(enum_kripke_frames(GenSpec(n)))]
+    calls = accepted = 0
+    for kind, other, pool in (
+            (BisimKind.C, BisimKind.NBH_DELTA, same(C_PROPS)),
+            (BisimKind.MONOTONIC_C, BisimKind.C_MONOTONIC, same(CS_PROPS)),
+            (BisimKind.REL_DELTA, BisimKind.QF, kripke)):
+        for (left, left2), (right, right2) in itertools.product(pool,
+                                                                repeat=2):
+            for z in _all_relations(left, right):
+                a = check_bisim(kind, z, left, right).ok
+                assert a == check_bisim(other, z, left2, right2).ok, (
+                    kind, left, right, z)
+                calls += 2
+                accepted += a
+    assert calls == 260_448
+    assert accepted > 1000
+
+
 def _invariance_and_hm(kind, props, sizes, seed_base, formulas, atoms):
     for i in range(300):
         left = random_model(GenSpec(sizes[i % len(sizes)], props,

@@ -7,10 +7,10 @@ from delta_lab.bisim import (BisimKind, PairRelation, char_formula,
                              max_bisim)
 from delta_lab.generators import GenSpec, random_formula, random_kripke, \
     random_model
-from delta_lab.model import BudgetError, FrameProperty, KripkeModel, \
-    NeighborhoodModel
+from delta_lab.model import FrameProperty, KripkeModel, NeighborhoodModel
 from delta_lab.semantics import SemanticsKind, extension
 from delta_lab.transform import c_variation, qf_variation
+from test_bisim_oracle import coherent_pairs
 
 FP = FrameProperty
 NEW, OLD, KRIPKE = (SemanticsKind.NEW, SemanticsKind.OLD,
@@ -85,8 +85,8 @@ def test_check_bisim_class_preconditions():
 
 
 def test_check_bisim_streams_coherent_pairs():
-    # 10+10 states with z = {(s0, s0)} have 2^19 coherent pairs; they are
-    # checked as they are generated, never held in a list
+    # 10+10 states with z = {(s0, s0)} have 2^19 coherent pairs; none is
+    # held in a list, since the clause is read off Z's partition
     import tracemalloc
 
     big = nm([f"s{i}" for i in range(10)], {})
@@ -101,11 +101,19 @@ def test_check_bisim_streams_coherent_pairs():
     assert peak < 1 << 20, peak
 
 
-def test_check_bisim_budget():
-    big = nm([f"s{i}" for i in range(13)], {})
+@pytest.mark.parametrize("n", [13, 40])
+def test_check_bisim_has_no_size_cap(n):
+    # 2^(2n-1) coherent pairs, beyond any enumeration
+    names = [f"s{i}" for i in range(n)]
     z = PairRelation.of([("s0", "s0")])
-    with pytest.raises(BudgetError):
-        check_bisim(BisimKind.NBH_DELTA, z, big, big)
+    assert check_bisim(BisimKind.NBH_DELTA, z, nm(names, {}), nm(names, {})).ok
+    # Δ holds at the left s0 only on ∅ and the whole model, so the least
+    # coherent pair that breaks the clause keeps s0 out and every Z-free
+    # right state in
+    left = nm(names, {"s0": [[]]})
+    verdict = check_bisim(BisimKind.NBH_DELTA, z, left, nm(names, {}))
+    assert verdict.pair == ("s0", "s0")
+    assert verdict.witness == ((), tuple(sorted(names[1:])))
 
 
 def test_atoms_clause():
@@ -323,10 +331,10 @@ def test_large_rel_delta_pairs_refine():
     assert {(s, s) for s in left.states} <= same
 
 
-def test_char_formula_refuses_wide_separator_sweeps():
+def test_char_formula_separates_past_twenty_base_blocks():
     # 21 states with distinct valuations, plus a and b agreeing with s0:
-    # a sees two blocks, b none, so they split at depth 1 and separating
-    # them sweeps the unions of 21 depth-0 blocks
+    # a sees two blocks, b none, so they split at depth 1 over 21 depth-0
+    # blocks, whose 2^21 unions no separator search sweeps
     names = [f"s{i}" for i in range(21)]
     atoms = [f"p{k}" for k in range(5)]
     valuation = {p: [s for i, s in enumerate(names) if i >> k & 1]
@@ -337,9 +345,11 @@ def test_char_formula_refuses_wide_separator_sweeps():
     m = KripkeModel.from_names(names + ["a", "b"], succ, valuation)
     part = logical_equiv_partition([m], atoms, KRIPKE)
     assert part.depth == 1
+    assert len(part.blocks_at(0)) == 21
     block = part.block_index(1, (0, m.index("a")))
-    with pytest.raises(BudgetError, match="limit is 20 blocks"):
-        char_formula(part, block, 1)
+    f = char_formula(part, block, 1)
+    expected = sum(1 << s for _, s in part.blocks_at(1)[block])
+    assert extension(m, f, KRIPKE) == expected == 1 << m.index("a")
 
 
 def test_partition_trivial_cases():
@@ -490,8 +500,6 @@ def test_partition_mixed_kinds_matches_oracle():
 
 
 def test_coherent_enumeration_matches_naive_double_loop():
-    from delta_lab.bisim import _coherent_pairs
-
     rnd = random.Random(29)
     for seed in range(40):
         left = random_model(GenSpec(3, seed=seed, mode="random"), ["p"])
@@ -499,7 +507,7 @@ def test_coherent_enumeration_matches_naive_double_loop():
                              ["p"])
         z = random_relation(rnd, left, right)
         idx = [(left.index(a), right.index(b)) for a, b in sorted(z.pairs)]
-        fast = set(_coherent_pairs(idx, left.n, right.n))
+        fast = set(coherent_pairs(idx, left.n, right.n))
         naive = {(u, u2)
                  for u in range(1 << left.n) for u2 in range(1 << right.n)
                  if all((u >> i & 1) == (u2 >> j & 1) for i, j in idx)}

@@ -5,9 +5,11 @@ The oracles below are the earlier algorithms, kept here and nowhere else:
 ``oracle_history`` refines by sweeping all 2^k unions of the current k blocks
 each round, ``oracle_max_bisim`` is the removal fixpoint over the disjoint
 union (closed unions of the pair graph's components, or zig/zag for
-``c-monotonic``), and ``oracle_check_bisim`` materialises every coherent pair
-and searches pair-major.  The library must agree with them on whole partition
-histories, cross pairs and reported witnesses.
+``c-monotonic``), ``oracle_check_bisim`` enumerates every coherent pair
+(``coherent_pairs``) and tests the literal clause (``clause``) pair-major, and
+``oracle_char_formula`` picks each separator by sweeping all 2^k unions of
+the base blocks through ``delta_holds``.  The library must agree with them on
+whole partition histories, cross pairs, reported witnesses and formula text.
 """
 
 import random
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delta_lab import bisim
-from delta_lab.bisim import (BisimKind, PairRelation, _clause,
-                             _coherent_pairs, _index_pairs, check_bisim,
+from delta_lab.bisim import (BisimKind, PairRelation, _index_pairs,
+                             char_formula, check_bisim,
                              logical_equiv_partition, max_bisim)
+from delta_lab.formula import Atom, Delta, Not, Top
 from delta_lab.generators import GenSpec, random_kripke, random_model
 from delta_lab.model import (FrameProperty, KripkeModel, NeighborhoodModel,
-                             bits)
+                             bits, submasks)
 from delta_lab.semantics import SemanticsKind, delta_holds
 from delta_lab.transform import qf_variation
 
@@ -160,18 +163,135 @@ def oracle_max_bisim(kind, left, right):
                      for a, b in z if a < nl <= b)
 
 
+def coherent_pairs(pairs, n_left, n_right):
+    """All Z-coherent (U, U'): enumerate U, push forced memberships through
+    Z, skip on conflict, and enumerate the unconstrained remainder of the
+    right domain."""
+    constrained = 0
+    for _, j in pairs:
+        constrained |= 1 << j
+    free = ((1 << n_right) - 1) & ~constrained
+    for u in range(1 << n_left):
+        forced_in = forced_out = 0
+        for i, j in pairs:
+            if u >> i & 1:
+                forced_in |= 1 << j
+            else:
+                forced_out |= 1 << j
+        if forced_in & forced_out:
+            continue
+        for extra in submasks(free):
+            yield u, forced_in | extra
+
+
+def clause(kind, left, right):
+    """The notion's literal clause at (i, j) on the coherent pair (u, u2)."""
+    full_l, full_r = left.full, right.full
+    if kind is BisimKind.NBH_DELTA:
+        def holds(i, j, u, u2):
+            fam, fam2 = left.neighborhoods[i], right.neighborhoods[j]
+            return ((u in fam or (full_l & ~u) in fam)
+                    == (u2 in fam2 or (full_r & ~u2) in fam2))
+    elif kind is BisimKind.REL_DELTA:
+        def holds(i, j, u, u2):
+            r, r2 = left.succ[i], right.succ[j]
+            return ((r & u == r or r & u == 0)
+                    == (r2 & u2 == r2 or r2 & u2 == 0))
+    else:  # C, MONOTONIC_C, QF share the membership biconditional
+        def holds(i, j, u, u2):
+            return (u in left.neighborhoods[i]) == (u2 in right.neighborhoods[j])
+    return holds
+
+
 def oracle_check_bisim(kind, z, left, right):
-    """Pair-major search over the materialised coherent pairs: (pair,
-    witness) of the first failure, or None."""
+    """Atoms first, then a pair-major search over the enumerated coherent
+    pairs (zig and zag for ``c-monotonic``): (pair, witness) of the first
+    failure, or None."""
     pairs = _index_pairs(z, left, right)
-    clause = _clause(kind, left, right)
-    coherent = list(_coherent_pairs(pairs, left.n, right.n))
+    for i, j in pairs:
+        if any((left.atom_mask(p) >> i & 1) != (right.atom_mask(p) >> j & 1)
+               for p in left.valuation.keys() | right.valuation.keys()):
+            return (left.states[i], right.states[j]), None
+    if kind is BisimKind.C_MONOTONIC:
+        pred, succ = [0] * right.n, [0] * left.n
+        for i, j in pairs:
+            pred[j] |= 1 << i
+            succ[i] |= 1 << j
+        for i, j in pairs:
+            fam, fam2 = left.neighborhoods[i], right.neighborhoods[j]
+            x, x2 = _zig(fam, fam2, pred), _zig(fam2, fam, succ)
+            if x is not None or x2 is not None:
+                witness = ((left.names(x), ()) if x is not None
+                           else ((), right.names(x2)))
+                return (left.states[i], right.states[j]), witness
+        return None
+    holds = clause(kind, left, right)
+    coherent = list(coherent_pairs(pairs, left.n, right.n))
     for i, j in pairs:
         for u, u2 in coherent:
-            if not clause(i, j, u, u2):
+            if not holds(i, j, u, u2):
                 return ((left.states[i], right.states[j]),
                         (left.names(u), right.names(u2)))
     return None
+
+
+def oracle_separator(part, block_id, other, depth, char):
+    """The separator of ``block_id`` from ``other``: the numerically least
+    union of base blocks on which Δ differs at the two blocks' least states,
+    found by sweeping every union through ``delta_holds``."""
+    history = part.history
+
+    def ancestor(b, at):
+        ref = min(history[depth][b])
+        return next(i for i, blk in enumerate(history[at]) if ref in blk)
+
+    split_at = next(at for at in range(depth + 1)
+                    if ancestor(block_id, at) != ancestor(other, at))
+    ref, ref2 = min(history[depth][block_id]), min(history[depth][other])
+    if split_at == 0:
+        (mi, s), (mj, t) = ref, ref2
+        mine = {p for p in part.vocab if part.models[mi].atom_mask(p) >> s & 1}
+        theirs = {p for p in part.vocab
+                  if part.models[mj].atom_mask(p) >> t & 1}
+        p = min(mine ^ theirs, key=part.vocab.index)
+        return Atom(p) if p in mine else Not(Atom(p))
+    base = split_at - 1
+
+    def holds(r, union):
+        mi, s = r
+        mask = 0
+        for b in bits(union):
+            mask |= sum(1 << t for mj, t in history[base][b] if mj == mi)
+        return delta_holds(part.models[mi], s, mask, part.kinds[mi])
+
+    for union in range(1 << len(history[base])):
+        mine = holds(ref, union)
+        if mine != holds(ref2, union):
+            body = bisim._disj([char(b, base) for b in bits(union)])
+            return Delta(body) if mine else Not(Delta(body))
+    raise AssertionError("split blocks must have a separating union")
+
+
+def oracle_char_formula(part, block_id, depth):
+    """``char_formula`` with every separator found by the union sweep."""
+    memo = {}
+
+    def char(b, d):
+        if (b, d) not in memo:
+            if len(part.history[d]) == 1:
+                memo[b, d] = Top()
+            elif d == 0:
+                memo[b, d] = bisim._literal_conj(part, b, 0)
+            else:
+                conjuncts = {}
+                for other in range(len(part.history[d])):
+                    if other != b:
+                        sep = oracle_separator(part, b, other, d, char)
+                        conjuncts.setdefault(str(sep), sep)
+                memo[b, d] = bisim._conj(list(conjuncts.values()))
+        return memo[b, d]
+
+    return char(block_id, depth)
 
 
 # --- model sources ----------------------------------------------------------
@@ -278,20 +398,23 @@ def test_max_bisim_edge_cases_match_oracle():
             == {("x", "u"), ("y", "u")})
 
 
-# --- check_bisim streams the coherent pairs ---------------------------------
+# --- check_bisim reads signatures over Z's partition ------------------------
 
-@pytest.mark.parametrize("chunk", [1, 7, 1024])
-def test_check_bisim_matches_pair_major_oracle(chunk, monkeypatch):
-    # small chunks make the streamed search span many of them
-    monkeypatch.setattr(bisim, "_CHUNK", chunk)
-    rnd = random.Random(31)
+def atom_agreeing(left, right):
+    return [(a, b) for a in left.states for b in right.states
+            if all((left.atom_mask(p) >> left.index(a) & 1)
+                   == (right.atom_mask(p) >> right.index(b) & 1)
+                   for p in ATOMS)]
+
+
+@pytest.mark.parametrize("sample_seed", [1, 7, 1024])
+def test_check_bisim_matches_pair_major_oracle(sample_seed):
+    # each seed draws a different set of candidate relations Z
+    rnd = random.Random(sample_seed)
     for kind in (BisimKind.NBH_DELTA, BisimKind.C, BisimKind.QF,
                  BisimKind.REL_DELTA):
         for left, right, _ in seeded_pairs(kind, seeds_per_size=1):
-            pool = [(a, b) for a in left.states for b in right.states
-                    if all((left.atom_mask(p) >> left.index(a) & 1)
-                           == (right.atom_mask(p) >> right.index(b) & 1)
-                           for p in ATOMS)]
+            pool = atom_agreeing(left, right)
             if not pool:
                 continue
             candidates = [PairRelation.of(rnd.sample(
@@ -302,6 +425,25 @@ def test_check_bisim_matches_pair_major_oracle(chunk, monkeypatch):
                 expected = oracle_check_bisim(kind, z, left, right)
                 got = None if verdict.ok else (verdict.pair, verdict.witness)
                 assert got == expected, (kind, z)
+
+
+# --- char_formula reads its separators off the signatures -------------------
+
+def test_char_formula_matches_union_sweep_oracle():
+    compared = 0
+    for kind in BisimKind:
+        sem = kind_semantics(kind)
+        for left, right, atoms in seeded_pairs(kind, seeds_per_size=2):
+            part = logical_equiv_partition([left, right], atoms, sem)
+            if max(len(h) for h in part.history) > 12:
+                continue
+            for depth, blocks in enumerate(part.history):
+                for b in range(len(blocks)):
+                    assert (str(char_formula(part, b, depth))
+                            == str(oracle_char_formula(part, b, depth))), (
+                        kind, depth, b)
+                    compared += 1
+    assert compared > 500, compared
 
 
 # --- properties -------------------------------------------------------------
@@ -341,3 +483,22 @@ def test_max_bisim_equals_oracle_property(kind, nl, nr, n_atoms, seed):
     right = kind_model(kind, nr, atoms, seed + 1)
     assert (max_bisim(kind, left, right).pairs
             == oracle_max_bisim(kind, left, right))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(BisimKind)), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 2), st.integers(0, 10 ** 6), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_check_bisim_equals_oracle_property(kind, nl, nr, n_atoms, seed,
+                                            agreeing, rnd):
+    # relations drawn from all pairs mostly fail on atoms, so half the draws
+    # keep to atom-agreeing pairs
+    atoms = ATOMS[:n_atoms]
+    left = kind_model(kind, nl, atoms, seed)
+    right = kind_model(kind, nr, atoms, seed + 1)
+    pool = (atom_agreeing(left, right) if agreeing else None) or [
+        (a, b) for a in left.states for b in right.states]
+    z = PairRelation.of(rnd.sample(pool, rnd.randrange(1, len(pool) + 1)))
+    verdict = check_bisim(kind, z, left, right)
+    got = None if verdict.ok else (verdict.pair, verdict.witness)
+    assert got == oracle_check_bisim(kind, z, left, right), (kind, z)

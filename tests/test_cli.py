@@ -314,6 +314,21 @@ def test_bisim_max_reports_no_bisimilar_pairs(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "no bisimilar pairs"
 
 
+def test_bisim_check_has_no_size_cap(tmp_path, capsys):
+    # 13+13 states with z = {(s0, s0)} have 2^25 coherent pairs; the check
+    # reads Z's partition and needs no budget
+    names = [f"s{i}" for i in range(13)]
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"type": "neighborhood", "states": names,
+                                 "N": {}}))
+    pairs = tmp_path / "z.json"
+    pairs.write_text(json.dumps({"pairs": [["s0", "s0"]]}))
+    assert main(["--format", "json", "bisim", "check", "--kind", "nbh-delta",
+                 "--left", str(model), "--right", str(model),
+                 "--pairs", str(pairs)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True}
+
+
 def test_bisim_max_and_partition_on_32_blocks(tmp_path, capsys):
     # Four atoms pair l<i> with r<i> at depth 0 (16 blocks); r<i> sees two
     # blocks and l<i> none, so depth 1 has 32 blocks, whose unions no
