@@ -12,7 +12,10 @@ holds (or the command just produced output), 1 a counterexample or violation
 was found, 2 usage or validation error.  ``--budget`` bounds valuation
 sweeps only, and DELTA_LAB_BUDGET sets its default; ``bisim check``, ``bisim
 max`` and ``equiv-partition`` run in time polynomial in the models and need
-no budget.
+no budget.  It does not lift the enumeration limit: a frame sweep or
+``enumerate`` over more than ``generators.MAX_ENUMERATION`` frames (or
+family codes, or sampled family members) at one size is refused, with exit
+code 2.
 
 ``--jobs N`` runs the frame sweeps of ``definability``, ``audit`` (with or
 without ``--negative``) and ``countermodel`` in up to N worker processes,

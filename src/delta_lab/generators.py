@@ -7,10 +7,23 @@ the n-tuple of codes in ascending order, so frame #k is reproducible from
 set of local properties form one list that every state shares; only (t)
 reads the state, and it filters that list per state.  A sweep builds each
 admissible family once and takes the product over the families, so frames
-share their family objects.  Random generation is deterministic
-per seed; constrained sampling draws per-state families from the precomputed
-admissible lists at small sizes and falls back to closure-then-check above
-that.  Distribution shape is not a contract.
+share their family objects.
+
+One limit, ``MAX_ENUMERATION`` items at one size, decides how large an
+exhaustive enumeration may be, checked by ``_check_enumeration`` before any
+item is built.  It bounds the 2^(2^n) family codes that a size's admissible
+lists filter, the neighborhood frames of one size (the product of the
+per-state list lengths), and the 2^(n·n) Kripke frames of one size.  So
+admissible lists exist up to 4 states, Kripke frames are enumerated up to 4
+states, and neighborhood frames wherever their product fits: every class at
+3 states, and cs, csi, filter and quasi-filter frames at 4.  Counts above
+the limit are compared, never built, so a huge size is refused at once.
+
+Random generation is deterministic per seed; constrained sampling draws
+per-state families from the admissible lists wherever they may be built and
+falls back to closure-then-check above that.  A sampled size whose families
+could hold more than the limit in total (n·2^n members) is refused.
+Distribution shape is not a contract.
 """
 
 from __future__ import annotations
@@ -28,9 +41,7 @@ from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
 from .model import (LOCAL_PROPERTIES, BudgetError, FrameProperty, KripkeModel,
                     NeighborhoodModel, bits, family_satisfies, has_property)
 
-MAX_EXHAUSTIVE_NBH = 3
-MAX_EXHAUSTIVE_KRIPKE = 4
-_PRECOMPUTE_LIMIT = 4     # 2^(2^4) = 65536 family codes is still cheap
+MAX_ENUMERATION = 1 << 24
 _RETRY_LIMIT = 10_000
 
 T = TypeVar("T")
@@ -59,6 +70,28 @@ def state_names(n: int) -> tuple[str, ...]:
     return tuple(f"s{i}" for i in range(n))
 
 
+def _pow2(bits: int) -> int:
+    """2^bits, or 2^25 if bits is larger: enough to compare a count with
+    ``MAX_ENUMERATION`` without building a huge number."""
+    return 1 << min(bits, MAX_ENUMERATION.bit_length())
+
+
+def _check_enumeration(count: int, what: str) -> None:
+    """Refuse with ``BudgetError`` an enumeration of ``count`` items at one
+    size above ``MAX_ENUMERATION``; ``what`` names the items and their
+    count."""
+    if count > MAX_ENUMERATION:
+        raise BudgetError(
+            f"{what}, above the enumeration limit of "
+            f"{MAX_ENUMERATION:,} items at one size")
+
+
+def _code_count(n: int) -> int:
+    """The 2^(2^n) family codes an n-state admissible list filters: exact up
+    to 4 states, 2^25 above."""
+    return _pow2(_pow2(n))
+
+
 def _family_of_code(code: int, n_subsets: int) -> frozenset[int]:
     return frozenset(k for k in range(n_subsets) if code >> k & 1)
 
@@ -85,6 +118,8 @@ def frame_at(n: int, index: int) -> NeighborhoodModel:
 def _shared_codes(n: int, props: frozenset[FrameProperty]) -> tuple[int, ...]:
     """Family codes whose family satisfies every local property but (t),
     ascending; the same list for every state."""
+    _check_enumeration(_code_count(n), f"{n}-state admissible lists would "
+                                       f"filter 2^(2^{n}) family codes")
     n_subsets = 1 << n
     full = n_subsets - 1
     # declaration order puts the costly (ws) last, after the cheap tests
@@ -127,6 +162,16 @@ def admissible_space(n: int, properties: Iterable[FrameProperty]
     return [_admissible_codes(n, local, s) for s in range(n)], global_props
 
 
+def _frame_count(n: int, properties: Iterable[FrameProperty]) -> int:
+    """Frames in the product of the n-state admissible lists: what
+    ``_product_frames`` walks.  Refused above ``MAX_ENUMERATION``."""
+    per_state, _ = admissible_space(n, properties)
+    total = math.prod(map(len, per_state))
+    _check_enumeration(total, f"exhaustive enumeration at {n} states would "
+                              f"walk {total:,} frames")
+    return total
+
+
 def _product_frames(n: int, properties: Iterable[FrameProperty],
                     start: int = 0, stop: int | None = None
                     ) -> Iterator[NeighborhoodModel]:
@@ -147,22 +192,16 @@ def enum_frames(spec: GenSpec) -> Iterator[NeighborhoodModel]:
     """Stream of neighborhood frames matching the property filter.
 
     Exhaustive mode yields each matching frame exactly once, codes ascending;
-    random mode yields ``spec.count`` seed-deterministic samples.
+    random mode yields ``spec.count`` seed-deterministic samples.  Both
+    refuse, with ``BudgetError``, what ``MAX_ENUMERATION`` does not allow.
     """
     if spec.mode == "random":
         rnd = random.Random(spec.seed)
         for _ in range(spec.count):
             yield _random_frame(spec.n_states, spec.properties, rnd)
         return
-    _check_exhaustive(spec.n_states)
+    _frame_count(spec.n_states, spec.properties)
     yield from _product_frames(spec.n_states, spec.properties)
-
-
-def _check_exhaustive(n: int) -> None:
-    if n > MAX_EXHAUSTIVE_NBH:
-        raise BudgetError(
-            f"exhaustive neighborhood enumeration is limited to "
-            f"{MAX_EXHAUSTIVE_NBH} states, got {n}")
 
 
 def first_hit(frames: Iterable[NeighborhoodModel],
@@ -188,8 +227,11 @@ def sweep(properties: Iterable[FrameProperty], max_states: int,
 
     Returns the number of frames checked, up to and including the hit, and
     the first hit or None.  Both are the same for every ``jobs``.  Sizes
-    below 1 are refused with ``ValueError`` and sizes above
-    ``MAX_EXHAUSTIVE_NBH`` with ``BudgetError``, before any frame is built.
+    below 1 are refused with ``ValueError``.  Every size is planned before
+    any frame is built or any pool started, the largest first: a size whose
+    frames number more than ``MAX_ENUMERATION`` (or whose admissible lists
+    would filter more family codes than that) is refused with
+    ``BudgetError``.
 
     With ``jobs`` above 1 (clamped to the CPU count) each size's raw product
     index is split into contiguous ranges that worker processes sweep.
@@ -198,17 +240,18 @@ def sweep(properties: Iterable[FrameProperty], max_states: int,
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
-    _check_exhaustive(max_states)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     properties = frozenset(properties)
+    # the largest size first: a refused sweep is refused before any smaller
+    # size's lists are built, and a huge max_states at once
+    totals = [_frame_count(n, properties) for n in range(max_states, 0, -1)]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
         return _merge(first_hit(enum_frames(GenSpec(n, properties)), check)
                       for n in range(1, max_states + 1))
     ranges = []
-    for n in range(1, max_states + 1):
-        total = math.prod(map(len, admissible_space(n, properties)[0]))
+    for n, total in enumerate(reversed(totals), 1):
         chunk = max(1, -(-total // jobs))
         ranges.extend((n, lo, min(lo + chunk, total))
                       for lo in range(0, total, chunk))
@@ -242,13 +285,23 @@ def _merge(parts: Iterable[tuple[int, T | None]]) -> tuple[int, T | None]:
     return checked, None
 
 
+def _no_kripke_filter(spec: GenSpec) -> None:
+    if spec.properties:
+        raise ValueError("Kripke generation takes no property filter, got "
+                         f"{sorted(p.value for p in spec.properties)}")
+
+
 def enum_kripke_frames(spec: GenSpec) -> Iterator[KripkeModel]:
-    """Every Kripke frame at the given size, successor codes ascending."""
+    """Every Kripke frame at the given size, successor codes ascending.
+    Refused above ``MAX_ENUMERATION`` frames (2^(n·n)), so up to 4 states;
+    a property filter or random mode is a ``ValueError``."""
+    _no_kripke_filter(spec)
+    if spec.mode == "random":
+        raise ValueError("Kripke frames are enumerated exhaustively; "
+                         "use random_kripke to sample")
     n = spec.n_states
-    if n > MAX_EXHAUSTIVE_KRIPKE:
-        raise BudgetError(
-            f"exhaustive Kripke enumeration is limited to "
-            f"{MAX_EXHAUSTIVE_KRIPKE} states, got {n}")
+    _check_enumeration(_pow2(n * n), f"exhaustive Kripke enumeration at {n} "
+                                     f"states would walk 2^{n * n} frames")
     names = state_names(n)
     for succ in itertools.product(range(1 << n), repeat=n):
         yield KripkeModel(names, succ)
@@ -287,10 +340,12 @@ def _random_family(n: int, props: frozenset[FrameProperty],
 
 def _random_frame(n: int, props: frozenset[FrameProperty],
                   rnd: random.Random) -> NeighborhoodModel:
+    _check_enumeration(n * _pow2(n), f"random {n}-state families could hold "
+                                     f"{n}·2^{n} members")
     local, global_props = _split_props(props)
-    use_precomputed = n <= _PRECOMPUTE_LIMIT
+    use_lists = _code_count(n) <= MAX_ENUMERATION
     for _ in range(_RETRY_LIMIT):
-        if use_precomputed:
+        if use_lists:
             codes = []
             ok = True
             for s in range(n):
@@ -326,7 +381,9 @@ def random_model(spec: GenSpec, atoms: Sequence[str]) -> NeighborhoodModel:
 
 
 def random_kripke(spec: GenSpec, atoms: Sequence[str]) -> KripkeModel:
-    """Seed-deterministic random Kripke model."""
+    """Seed-deterministic random Kripke model; a property filter is a
+    ``ValueError``."""
+    _no_kripke_filter(spec)
     rnd = random.Random(spec.seed)
     n = spec.n_states
     succ = tuple(rnd.getrandbits(n) for _ in range(n))

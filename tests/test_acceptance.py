@@ -13,7 +13,7 @@ from delta_lab.definability import (DefinesResult, builtin_table,
 from delta_lab.formula import Not, parse
 from delta_lab.generators import (GenSpec, enum_frames, enum_kripke_frames,
                                   random_formula, random_kripke, random_model)
-from delta_lab.model import FrameProperty, classify, has_property
+from delta_lab.model import BudgetError, FrameProperty, classify, has_property
 from delta_lab.proofsys import (AxiomSystem, ProofLine, audit_soundness,
                                 check_proof, countermodel_search,
                                 filter_equ_witness, sample_scripts)
@@ -348,7 +348,9 @@ def test_criterion_9_definability_table():
                 assert check_frame(claim, frame) is None, (claim.prop, frame)
         assert sampled == 10_000
         r.detail = ("exhaustive to 2 states, the 8 c-background claims "
-                    "exhaustive to 3 states, 10000 sampled 3-state frames")
+                    "exhaustive to 3 states, 10000 sampled 3-state frames; "
+                    "no claim is exhaustive at 4 states, where c-frames "
+                    "number 2^32")
 
 
 def test_criterion_10_soundness_and_proofs():
@@ -362,9 +364,21 @@ def test_criterion_10_soundness_and_proofs():
             assert all(a.frames_checked > b.frames_checked
                        for a, b in zip(exact.axioms, rep.axioms))
 
+        # exact at 4 states wherever the frames fit the enumeration limit:
+        # 2 + 4 + 8 + 16 cs- and csi-frames, 1 + 4 + 125 + 20736
+        # quasi-filters; c-frames number 2^32 at 4 states
+        for system, frames in ((AxiomSystem.M, 30), (AxiomSystem.R, 30),
+                               (AxiomSystem.K, 20_866)):
+            rep = audit_soundness(system, max_states=4)
+            assert rep.ok, system
+            assert all(a.frames_checked == frames for a in rep.axioms), system
+        with pytest.raises(BudgetError):
+            audit_soundness(AxiomSystem.E, max_states=4)
+
         witness = filter_equ_witness(1)
         assert witness is not None
         assert witness[0].neighborhoods == (frozenset({0b1}),)
+        assert filter_equ_witness(4) == witness
 
         found = countermodel_search(parse("D p -> p"), "quasi-filter", 1)
         assert found is not None
@@ -408,6 +422,7 @@ def test_criterion_10_soundness_and_proofs():
         assert len(mutations) == 50
         for mutant in mutations:
             assert not check_proof(AxiomSystem.K, mutant).ok
-        r.detail = ("4 audits clean at 2 and 3 states, witnesses found, "
+        r.detail = ("4 audits clean at 2 and 3 states, M, R and K clean at "
+                    "4 states, witnesses found, "
                     "3 scripts accepted, "
                     "50 mutations rejected")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -260,11 +261,27 @@ def test_usage_error_exit_code(tmp_path, capsys):
             ["countermodel", "--formula", "D p", "--max-states", "0"],
             ["--jobs", "2", "audit", "--system", "E", "--max-states", "4"],
             ["--jobs", "2", "definability", "--builtin", "i",
-             "--max-states", "4"]):
+             "--max-states", "4"],
+            ["enumerate", "--kind", "kripke", "--states", "5"],
+            ["enumerate", "--states", "24", "--class", "cs",
+             "--mode", "random"]):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), argv
         assert err.count("\n") == 1, argv
+
+
+def test_huge_sizes_are_refused_at_once(capsys):
+    for argv in (["enumerate", "--states", "1000000000"],
+                 ["enumerate", "--kind", "kripke", "--states", "1000000000"],
+                 ["enumerate", "--states", "1000000000", "--mode", "random"],
+                 ["audit", "--system", "K", "--max-states", "1000000000"]):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 0.1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, argv
+        assert "16,777,216" in err, argv
 
 
 def test_parallel_sweeps_match_sequential(capsys):
@@ -279,7 +296,8 @@ def test_parallel_sweeps_match_sequential(capsys):
              "--max-states", "3"],
             ["countermodel", "--formula", "D p <-> D ~p", "--class", "c",
              "--max-states", "2"],
-            ["enumerate", "--states", "2", "--class", "c", "--count-only"]):
+            ["enumerate", "--states", "2", "--class", "c", "--count-only"],
+            ["audit", "--system", "K", "--max-states", "4"]):
         sequential = main(["--format", "json", "--jobs", "1", *argv])
         expected = capsys.readouterr().out
         assert main(["--format", "json", "--jobs", "2", *argv]) == sequential

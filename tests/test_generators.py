@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import itertools
 import math
 import pickle
@@ -26,6 +27,13 @@ FP = FrameProperty
 def test_exhaustive_counts_match_closed_forms():
     assert len(list(enum_frames(GenSpec(1)))) == 4
     assert len(list(enum_frames(GenSpec(2)))) == 256
+    # at 4 states, cs and csi: only the empty and the full family per state;
+    # filter: the 2^n principal filters; quasi-filter: the 2^n - n Q_R
+    for name, count in (("cs", 2 ** 4), ("csi", 2 ** 4),
+                        ("filter", (2 ** 4) ** 4),
+                        ("quasi-filter", (2 ** 4 - 4) ** 4)):
+        assert sum(1 for _ in enum_frames(
+            GenSpec(4, FRAME_CLASSES[name]))) == count, name
 
 
 def test_exhaustive_c_filter_one_state():
@@ -54,14 +62,44 @@ def test_exhaustive_order_is_canonical_and_indexable():
 
 
 def test_exhaustive_budget():
-    with pytest.raises(BudgetError):
-        next(enum_frames(GenSpec(4)))
-    with pytest.raises(BudgetError):
-        next(enum_kripke_frames(GenSpec(5)))
+    for stream, count in (
+            (enum_frames(GenSpec(4)), "18,446,744,073,709,551,616 frames"),
+            (enum_frames(GenSpec(4, FRAME_CLASSES["c"])),
+             "4,294,967,296 frames"),
+            (enum_frames(GenSpec(5, FRAME_CLASSES["cs"])),
+             "2^(2^5) family codes"),
+            (enum_kripke_frames(GenSpec(5)), "2^25 frames")):
+        with pytest.raises(BudgetError) as info:
+            next(stream)
+        message = str(info.value)
+        assert count in message and "16,777,216" in message, message
+        assert "\n" not in message
+    # the 3-state product over every family is exactly the limit
+    assert generators._frame_count(3, frozenset()) == 2 ** 24
+    assert next(enum_frames(GenSpec(3))) == frame_at(3, 0)
 
 
 def test_kripke_enumeration_count():
     assert len(list(enum_kripke_frames(GenSpec(2)))) == 16
+    assert sum(1 for _ in enum_kripke_frames(GenSpec(4))) == 2 ** 16
+
+
+def test_kripke_generators_refuse_what_they_cannot_honour():
+    with pytest.raises(ValueError):
+        next(enum_kripke_frames(GenSpec(2, frozenset({FP.C}))))
+    with pytest.raises(ValueError):
+        next(enum_kripke_frames(GenSpec(2, mode="random", count=3)))
+    with pytest.raises(ValueError):
+        random_kripke(GenSpec(3, frozenset({FP.C})), ["p"])
+
+
+def test_random_sampling_refuses_above_the_limit():
+    # 19·2^19 members fit in 2^24, 20·2^20 do not
+    with pytest.raises(BudgetError, match="20·2\\^20"):
+        random_model(GenSpec(20, frozenset({FP.C, FP.S}), seed=1), ["p"])
+    with pytest.raises(BudgetError):
+        next(enum_frames(GenSpec(24, frozenset({FP.C, FP.S}),
+                                 mode="random")))
 
 
 def test_random_model_deterministic():
@@ -87,6 +125,28 @@ def test_random_model_honours_filters():
         m = random_model(GenSpec(5, MODEL_CLASSES["quasi-filter"], seed=seed,
                                  mode="random"), ["p"])
         assert "quasi-filter" in classify(m)
+
+
+# sha256 prefixes of random_model's output for seeds 0-9 at 1-6 states, two
+# atoms; computed before the enumeration limit replaced the state caps
+RANDOM_MODEL_DIGESTS = {
+    "all": "9e043c1ef5c9b0a2", "c": "701b45142961a5c1",
+    "cs": "8295e5779ed47046", "csi": "8295e5779ed47046",
+    "filter": "fd125309d6c8f74d", "quasi-filter": "713b7bcb924b67bb"}
+
+
+def test_seeded_random_models_are_pinned():
+    assert RANDOM_MODEL_DIGESTS.keys() == FRAME_CLASSES.keys()
+    for name, props in FRAME_CLASSES.items():
+        rows = []
+        for n in range(1, 7):
+            for seed in range(10):
+                m = random_model(GenSpec(n, props, seed=seed), ["p", "q"])
+                rows.append((n, seed,
+                             tuple(tuple(sorted(f)) for f in m.neighborhoods),
+                             sorted(m.valuation.items())))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        assert digest == RANDOM_MODEL_DIGESTS[name], name
 
 
 def _per_state_codes(n, props, state, codes):
