@@ -9,10 +9,13 @@ Model files:
 Sets are sorted arrays and duplicates are a validation error.  Pair-relation
 files are {"pairs": [["s", "s'"], ...]}.  Exit codes: 0 the checked statement
 holds (or the command just produced output), 1 a counterexample or violation
-was found, 2 usage or validation error.  ``--budget`` bounds valuation
-sweeps only, and DELTA_LAB_BUDGET sets its default; ``bisim check``, ``bisim
-max`` and ``equiv-partition`` run in time polynomial in the models and need
-no budget.  It does not lift the enumeration limit: a frame sweep or
+was found, 2 usage or validation error.  Every refusal, argparse's own
+included, prints one ``error: ...`` line on stderr and nothing on stdout, and
+exits with code 2; ``main`` is the only place that maps an exception to it.
+``--budget`` bounds valuation sweeps only; without the flag it is read from
+DELTA_LAB_BUDGET (default 24) on every call.  ``bisim check``, ``bisim max``
+and ``equiv-partition`` run in time polynomial in the models and need no
+budget.  It does not lift the enumeration limit: a frame sweep or
 ``enumerate`` over more than ``generators.MAX_ENUMERATION`` frames (or
 family codes, or sampled family members) at one size is refused, with exit
 code 2.
@@ -26,6 +29,7 @@ same as with ``--jobs 1``.  ``enumerate`` always streams serially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,8 +48,9 @@ EXIT_USAGE = 2
 DEFAULT_BUDGET = 24
 
 
-class CliError(Exception):
-    """Invalid flags or input files; maps to exit code 2."""
+class CliError(argparse.ArgumentTypeError):
+    """Invalid flags or input files; maps to exit code 2.  Raised by a flag's
+    ``type``, argparse reports its text as that flag's error."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +122,8 @@ def load_model(path: str) -> NeighborhoodModel | KripkeModel:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSON or UTF-8 decoding
+        raise CliError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     return model_from_json(data)
 
 
@@ -151,59 +156,30 @@ def _emit(args, payload: dict[str, Any], human: str) -> None:
         print(human)
 
 
-def _parse_formula(text: str) -> Formula:
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise CliError(f"bad formula: {exc}") from exc
-
-
-def _semantics(name: str) -> SemanticsKind:
-    try:
-        return SemanticsKind(name)
-    except ValueError:
-        raise CliError(f"unknown semantics {name!r}") from None
-
-
-def _class_props(name: str):
-    try:
-        return frame_class(name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 def _cmd_eval(args) -> int:
     m = load_model(args.model)
-    f = _parse_formula(args.formula)
-    kind = _semantics(args.semantics)
-    try:
-        value = evaluate(m, args.state, f, kind)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    value = evaluate(m, args.state, args.formula, SemanticsKind(args.semantics))
     _emit(args, {"value": value}, str(value).lower())
     return EXIT_OK
 
 
 def _cmd_transform(args) -> int:
     m = load_model(args.model)
-    try:
-        if args.kind == "c-variation":
-            if not isinstance(m, NeighborhoodModel):
-                raise CliError("c-variation needs a neighborhood model")
-            out = transform.c_variation(m)
-        elif args.kind == "qf-variation":
-            if not isinstance(m, KripkeModel):
-                raise CliError("qf-variation needs a Kripke model")
-            out = transform.qf_variation(m)
-        else:
-            if not isinstance(m, NeighborhoodModel):
-                raise CliError("qf-to-kripke needs a neighborhood model")
-            out = transform.qf_to_kripke(m)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.kind == "c-variation":
+        if not isinstance(m, NeighborhoodModel):
+            raise CliError("c-variation needs a neighborhood model")
+        out = transform.c_variation(m)
+    elif args.kind == "qf-variation":
+        if not isinstance(m, KripkeModel):
+            raise CliError("qf-variation needs a Kripke model")
+        out = transform.qf_variation(m)
+    else:
+        if not isinstance(m, NeighborhoodModel):
+            raise CliError("qf-to-kripke needs a neighborhood model")
+        out = transform.qf_to_kripke(m)
     text = json.dumps(model_to_json(out), sort_keys=True, ensure_ascii=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -213,51 +189,37 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _bisim_kind(name: str) -> bisim.BisimKind:
-    try:
-        return bisim.BisimKind(name)
-    except ValueError:
-        raise CliError(f"unknown bisimulation kind {name!r}") from None
-
-
 def _cmd_bisim(args) -> int:
     left, right = load_model(args.left), load_model(args.right)
-    kind = _bisim_kind(args.kind)
-    try:
-        if args.action == "check":
-            if not args.pairs:
-                raise CliError("bisim check needs --pairs")
-            z = load_pairs(args.pairs)
-            verdict = bisim.check_bisim(kind, z, left, right)
-            payload = {"ok": verdict.ok}
-            if not verdict.ok:
-                payload["pair"] = list(verdict.pair)
-                payload["reason"] = verdict.reason
-                if verdict.witness:
-                    payload["witness"] = [list(w) for w in verdict.witness]
-                _emit(args, payload,
-                      f"violation at pair {verdict.pair}: {verdict.reason}")
-                return EXIT_FOUND
-            _emit(args, payload, "ok")
-            return EXIT_OK
-        z = bisim.max_bisim(kind, left, right)
-        payload = {"pairs": sorted(list(p) for p in z.pairs)}
-        human = ("no bisimilar pairs" if not z.pairs else
-                 " ".join(f"({a},{b})" for a, b in sorted(z.pairs)))
-        _emit(args, payload, human)
+    kind = bisim.BisimKind(args.kind)
+    if args.action == "check":
+        if not args.pairs:
+            raise CliError("bisim check needs --pairs")
+        verdict = bisim.check_bisim(kind, load_pairs(args.pairs), left, right)
+        payload = {"ok": verdict.ok}
+        if not verdict.ok:
+            payload["pair"] = list(verdict.pair)
+            payload["reason"] = verdict.reason
+            if verdict.witness:
+                payload["witness"] = [list(w) for w in verdict.witness]
+            _emit(args, payload,
+                  f"violation at pair {verdict.pair}: {verdict.reason}")
+            return EXIT_FOUND
+        _emit(args, payload, "ok")
         return EXIT_OK
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    z = bisim.max_bisim(kind, left, right)
+    payload = {"pairs": sorted(list(p) for p in z.pairs)}
+    human = ("no bisimilar pairs" if not z.pairs else
+             " ".join(f"({a},{b})" for a, b in sorted(z.pairs)))
+    _emit(args, payload, human)
+    return EXIT_OK
 
 
 def _cmd_equiv_partition(args) -> int:
     models = [load_model(path) for path in args.models]
     vocab = [v for v in args.vocab.split(",") if v]
-    kind = _semantics(args.semantics)
-    try:
-        part = bisim.logical_equiv_partition(models, vocab, kind)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    part = bisim.logical_equiv_partition(models, vocab,
+                                         SemanticsKind(args.semantics))
     blocks = [sorted(f"{mi}:{models[mi].states[s]}" for mi, s in block)
               for block in part.blocks_at(part.depth)]
     payload = {"depth": part.depth, "blocks": sorted(blocks)}
@@ -269,19 +231,13 @@ def _cmd_equiv_partition(args) -> int:
 
 def _cmd_definability(args) -> int:
     if args.builtin:
-        try:
-            claim = definability.builtin_claim(args.builtin)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    else:
-        if not args.property or not args.formula:
-            raise CliError("give either --builtin or both --property and --formula")
-        try:
-            prop = FrameProperty.from_letter(args.property)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        claim = definability.builtin_claim(args.builtin)
+    elif args.property and args.formula:
         claim = definability.DefinabilityClaim(
-            prop, _parse_formula(args.formula), args.background)
+            FrameProperty.from_letter(args.property), args.formula,
+            args.background)
+    else:
+        raise CliError("give either --builtin or both --property and --formula")
     result = definability.defines(claim, args.max_states,
                                   max_bits=args.budget, jobs=args.jobs)
     if result.confirmed:
@@ -301,13 +257,7 @@ def _cmd_definability(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        system = proofsys.AxiomSystem(args.system)
-    except ValueError:
-        raise CliError(f"unknown system {args.system!r}") from None
     if args.negative:
-        if args.negative != "filter-deltaequ":
-            raise CliError(f"unknown negative claim {args.negative!r}")
         witness = proofsys.filter_equ_witness(args.max_states, args.budget,
                                               args.jobs)
         if witness is None:
@@ -318,8 +268,8 @@ def _cmd_audit(args) -> int:
                      "witness": _witness_json(frame, check)},
               f"witness frame found; falsified at state {check.state}")
         return EXIT_FOUND
-    report = proofsys.audit_soundness(system, args.max_states, args.budget,
-                                      args.jobs)
+    report = proofsys.audit_soundness(proofsys.AxiomSystem(args.system),
+                                      args.max_states, args.budget, args.jobs)
     lines = []
     payload_axioms = []
     for audit in report.axioms:
@@ -333,27 +283,19 @@ def _cmd_audit(args) -> int:
             entry["frame"] = model_to_json(frame)
             entry["witness"] = _witness_json(frame, check)
         payload_axioms.append(entry)
-    _emit(args, {"system": system.value, "ok": report.ok,
+    _emit(args, {"system": args.system, "ok": report.ok,
                  "axioms": payload_axioms}, "\n".join(lines))
     return EXIT_OK if report.ok else EXIT_FOUND
 
 
 def _cmd_proof_check(args) -> int:
     try:
-        system = proofsys.AxiomSystem(args.system)
-    except ValueError:
-        raise CliError(f"unknown system {args.system!r}") from None
-    try:
         script = proofsys.load_script(args.script)
     except OSError as exc:
         raise CliError(f"cannot read {args.script}: {exc}") from exc
-    except ParseError as exc:
-        raise CliError(f"bad formula: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"malformed proof script: {exc}") from exc
-    if not script:
-        raise CliError("empty proof script")
-    verdict = proofsys.check_proof(system, script)
+    verdict = proofsys.check_proof(proofsys.AxiomSystem(args.system), script)
     if verdict.ok:
         _emit(args, {"ok": True, "lines": len(script)},
               f"ok ({len(script)} lines)")
@@ -364,10 +306,9 @@ def _cmd_proof_check(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    f = _parse_formula(args.formula)
-    _class_props(args.klass)
-    found = proofsys.countermodel_search(f, args.klass, args.max_states,
-                                         args.budget, args.jobs)
+    found = proofsys.countermodel_search(args.formula, args.klass,
+                                         args.max_states, args.budget,
+                                         args.jobs)
     if found is None:
         _emit(args, {"found": False, "max_states": args.max_states},
               f"none up to {args.max_states} states")
@@ -382,52 +323,83 @@ def _cmd_enumerate(args) -> int:
     if args.kind == "kripke" and (args.klass or args.mode == "random"):
         raise CliError("--class and --mode random apply to neighborhood "
                        "frames; --kind kripke enumerates every Kripke frame")
-    props = _class_props(args.klass) if args.klass else frozenset()
+    props = frame_class(args.klass) if args.klass else frozenset()
     spec = generators.GenSpec(n_states=args.states, properties=props,
                               seed=args.seed, mode=args.mode, count=args.count)
-    try:
-        if args.kind == "kripke":
-            stream = generators.enum_kripke_frames(spec)
-        else:
-            stream = generators.enum_frames(spec)
-        total = 0
-        for frame in stream:
-            total += 1
-            if not args.count_only:
-                print(json.dumps(model_to_json(frame), sort_keys=True,
-                                 ensure_ascii=False))
-            if args.limit and total >= args.limit:
-                break
-        if args.count_only:
-            _emit(args, {"count": total}, str(total))
-        return EXIT_OK
-    except (BudgetError, generators.GenerationError) as exc:
-        raise CliError(str(exc)) from exc
+    if args.kind == "kripke":
+        stream = generators.enum_kripke_frames(spec)
+    else:
+        stream = generators.enum_frames(spec)
+    total = 0
+    for frame in stream:
+        total += 1
+        if not args.count_only:
+            print(json.dumps(model_to_json(frame), sort_keys=True,
+                             ensure_ascii=False))
+        if args.limit and total >= args.limit:
+            break
+    if args.count_only:
+        _emit(args, {"count": total}, str(total))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse error raises CliError, so it too prints as one line."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
+def _at_least(least: int):
+    """``type`` of an integer flag.  Below its least value a sweep would cover
+    no frames (and report a vacuous verdict) or run with no workers."""
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise CliError(f"not an integer: {text!r}") from None
+        if value < least:
+            raise CliError(f"must be at least {least}, got {value}")
+        return value
+    return check
+
+
+_budget = _at_least(0)
+
+
+def _formula(text: str) -> Formula:
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise CliError(f"bad formula: {exc}") from exc
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # A string default goes through ``type`` like a command-line value, so a
-    # malformed DELTA_LAB_BUDGET is a usage error, not a traceback.
-    budget = os.environ.get("DELTA_LAB_BUDGET", str(DEFAULT_BUDGET))
-    top = argparse.ArgumentParser(
+    """The argument tree, built on the first call to ``main``.  It keeps no
+    per-call state: ``--budget`` defaults to None, and ``main`` reads
+    DELTA_LAB_BUDGET for each call."""
+    semantics = tuple(k.value for k in SemanticsKind)
+    systems = tuple(s.value for s in proofsys.AxiomSystem)
+    top = _Parser(
         prog="delta-lab",
         description="finite-model workbench for non-contingency logic")
     top.add_argument("--format", choices=("human", "json"), default="human")
-    top.add_argument("--jobs", type=int, default=1)
-    top.add_argument("--budget", type=int, default=budget,
+    top.add_argument("--jobs", type=_at_least(1), default=1)
+    top.add_argument("--budget", type=_budget,
                      help="valuation-sweep budget in bits: a frame sweep "
-                          "over more than 2^N valuations is refused")
+                          "over more than 2^N valuations is refused "
+                          f"(default: DELTA_LAB_BUDGET, else {DEFAULT_BUDGET})")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a formula at a state")
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--semantics", required=True,
-                   choices=("old", "new", "kripke"))
+    p.add_argument("--formula", required=True, type=_formula)
+    p.add_argument("--semantics", required=True, choices=semantics)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("transform", help="convert a model between presentations")
@@ -450,76 +422,67 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="logical-equivalence blocks of model states")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--vocab", required=True, help="comma-separated atoms")
-    p.add_argument("--semantics", default="new",
-                   choices=("old", "new", "kripke"))
+    p.add_argument("--semantics", default="new", choices=semantics)
     p.set_defaults(func=_cmd_equiv_partition)
 
     p = sub.add_parser("definability", help="verify a definability claim")
     p.add_argument("--builtin", help="property letter from the builtin table")
     p.add_argument("--property")
-    p.add_argument("--formula")
+    p.add_argument("--formula", type=_formula)
     p.add_argument("--background", default="all", choices=("all", "c"))
-    p.add_argument("--max-states", type=int, default=2)
+    p.add_argument("--max-states", type=_at_least(1), default=2)
     p.set_defaults(func=_cmd_definability)
 
     p = sub.add_parser("audit", help="axiom soundness sweep")
-    p.add_argument("--system", required=True)
-    p.add_argument("--max-states", type=int, default=2)
-    p.add_argument("--negative", help="named negative claim (filter-deltaequ)")
+    p.add_argument("--system", required=True, choices=systems)
+    p.add_argument("--max-states", type=_at_least(1), default=2)
+    p.add_argument("--negative", choices=("filter-deltaequ",),
+                   help="named negative claim")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("proof-check", help="check a Hilbert-style proof script")
-    p.add_argument("--system", required=True)
+    p.add_argument("--system", required=True, choices=systems)
     p.add_argument("--script", required=True)
     p.set_defaults(func=_cmd_proof_check)
 
     p = sub.add_parser("countermodel", help="bounded countermodel search")
-    p.add_argument("--formula", required=True)
+    p.add_argument("--formula", required=True, type=_formula)
     p.add_argument("--class", dest="klass", default="all")
-    p.add_argument("--max-states", type=int, default=2)
+    p.add_argument("--max-states", type=_at_least(1), default=2)
     p.set_defaults(func=_cmd_countermodel)
 
     p = sub.add_parser("enumerate", help="stream frames matching a filter")
     p.add_argument("--kind", choices=("frames", "kripke"), default="frames")
-    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--states", type=_at_least(1), required=True)
     p.add_argument("--class", dest="klass", default="")
     p.add_argument("--mode", choices=("exhaustive", "random"),
                    default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--count", type=_at_least(0), default=10)
+    p.add_argument("--limit", type=_at_least(0), default=0)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
     return top
 
 
-# Least accepted value of each integer flag.  Below it a sweep would cover no
-# frames (and report a vacuous verdict) or run with no workers.
-_MINIMUMS = {"jobs": 1, "budget": 0, "max_states": 1, "states": 1,
-             "count": 0, "limit": 0}
-
-
-def _check_minimums(args) -> None:
-    for name, least in _MINIMUMS.items():
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            flag = "--" + name.replace("_", "-")
-            raise CliError(f"{flag} must be at least {least}, got {value}")
+def _env_budget() -> int:
+    text = os.environ.get("DELTA_LAB_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        return _budget(text)
+    except CliError as exc:
+        raise CliError(f"DELTA_LAB_BUDGET: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        _check_minimums(args)
+        args = _build_parser().parse_args(argv)
+        if args.budget is None:
+            args.budget = _env_budget()
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetError as exc:
+    except SystemExit as exc:  # --help; argparse errors raise CliError
+        return exc.code
+    except (CliError, BudgetError, generators.GenerationError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from delta_lab.cli import main, model_from_json, model_to_json
+from delta_lab.cli import _build_parser, main, model_from_json, model_to_json
 from delta_lab.model import KripkeModel, NeighborhoodModel
 
 NBH = {"type": "neighborhood", "states": ["s", "t"],
@@ -204,16 +208,65 @@ def test_json_reports_are_byte_identical(capsys):
 
 
 def test_budget_env_override(tmp_path, nbh_path, monkeypatch, capsys):
+    # the variable is read on every call, so the same argv in the same
+    # process is refused, then runs, then is refused as malformed
+    argv = ["countermodel", "--formula", "D p & D q & D r -> p",
+            "--class", "c", "--max-states", "2"]
     monkeypatch.setenv("DELTA_LAB_BUDGET", "1")
-    assert main(["countermodel", "--formula", "D p & D q & D r -> p",
-                 "--class", "c", "--max-states", "2"]) == 2
+    assert main(argv) == 2
     capsys.readouterr()
     monkeypatch.delenv("DELTA_LAB_BUDGET")
-
-
-def test_usage_error_exit_code(tmp_path, capsys):
-    assert main(["no-such-command"]) == 2
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "falsified at state s0\n"
+    for malformed in ("x", "-1"):
+        monkeypatch.setenv("DELTA_LAB_BUDGET", malformed)
+        assert main(argv) == 2, malformed
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, malformed
+        assert err.startswith("error: DELTA_LAB_BUDGET: "), malformed
+    # the flag wins over the variable
+    assert main(["--budget", "24", *argv]) == 1
     capsys.readouterr()
+
+
+def test_parser_is_reused_without_state(capsys):
+    # alternating subcommands in one process: each call gets its own
+    # defaults (--max-states 2, --class all), whatever the call before set
+    for _ in range(2):
+        assert main(["--format", "json", "countermodel", "--formula",
+                     "D p <-> D ~p", "--class", "c", "--max-states", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"found": False,
+                                                       "max_states": 3}
+        assert main(["enumerate", "--states", "1", "--class", "c",
+                     "--count-only"]) == 0
+        assert capsys.readouterr().out == "2\n"
+        assert main(["--format", "json", "countermodel", "--formula",
+                     "D p <-> D ~p"]) == 1
+        assert json.loads(capsys.readouterr().out)["found"] is True
+        assert main(["--format", "json", "countermodel",
+                     "--formula", "top"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"found": False,
+                                                       "max_states": 2}
+        assert main(["enumerate", "--states", "1", "--count-only"]) == 0
+        assert capsys.readouterr().out == "4\n"
+    assert _build_parser.cache_info().misses <= 1
+
+
+def test_import_builds_no_parser():
+    code = ("import delta_lab.cli as cli; "
+            "print(cli._build_parser.cache_info().misses)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_usage_error_exit_code(tmp_path, nbh_path, capsys):
+    assert main(["--help"]) == 0
+    assert "usage: delta-lab" in capsys.readouterr().out
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
     stray = tmp_path / "stray.json"
     stray.write_text(json.dumps({"type": "neighborhood", "states": ["s"],
                                  "N": {"zz": [["s"]]}}))
@@ -233,6 +286,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
                                 "states": [f"s{i}" for i in range(17)],
                                 "R": {"s0": ["s1"]}}))
     for argv in (
+            ["no-such-command"],
+            ["eval", "--model", nbh_path, "--state", "s", "--formula", "p",
+             "--semantics", "bogus"],
+            ["--jobs", "x", "enumerate", "--states", "1"],
+            ["eval", "--state", "s", "--formula", "p", "--semantics", "new"],
+            ["audit", "--system", "Q"],
+            ["audit", "--system", "E", "--negative", "zz"],
+            ["eval", "--model", str(not_utf8), "--state", "s",
+             "--formula", "p", "--semantics", "new"],
+            ["transform", "c-variation", "--model", nbh_path,
+             "--out", str(tmp_path / "no" / "such" / "x.json")],
             ["eval", "--model", str(stray), "--state", "s", "--formula", "p",
              "--semantics", "new"],
             *(["eval", "--model", str(strung[name]), "--state", "s",
