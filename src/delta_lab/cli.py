@@ -328,6 +328,10 @@ def _cmd_enumerate(args) -> int:
                               seed=args.seed, mode=args.mode, count=args.count)
     if args.kind == "kripke":
         stream = generators.enum_kripke_frames(spec)
+    elif args.count_only:
+        total = generators.count_frames(spec, args.limit)
+        _emit(args, {"count": total}, str(total))
+        return EXIT_OK
     else:
         stream = generators.enum_frames(spec)
     total = 0

@@ -28,18 +28,24 @@ Distribution shape is not a contract.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
+                    TypeVar)
 
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
-from .model import (LOCAL_PROPERTIES, BudgetError, FrameProperty, KripkeModel,
-                    NeighborhoodModel, bits, family_satisfies, has_property)
+from .model import (_RUN, LOCAL_PROPERTIES, BudgetError, FrameProperty,
+                    KripkeModel, NeighborhoodModel, bits, family_satisfies,
+                    has_property)
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 MAX_ENUMERATION = 1 << 24
 _RETRY_LIMIT = 10_000
@@ -172,19 +178,41 @@ def _frame_count(n: int, properties: Iterable[FrameProperty]) -> int:
     return total
 
 
+class _Run:
+    """One run of a product: the frames that differ only in the last state's
+    family, which takes each of ``families`` in turn.  ``semantics``
+    fills ``firsts``, each frame's first-zeros list, for one program and
+    semantics when it checks the first frame of the run."""
+
+    __slots__ = ("families", "program", "kind", "firsts")
+
+    def __init__(self, families: tuple[frozenset[int], ...]):
+        self.families = families
+        self.program = self.kind = self.firsts = None
+
+
 def _product_frames(n: int, properties: Iterable[FrameProperty],
                     start: int = 0, stop: int | None = None
                     ) -> Iterator[NeighborhoodModel]:
     """Frames #start..stop-1 of the product of per-state admissible lists
     that also have the global properties.  Each admissible family is built
-    once per call and shared by every frame that has it."""
+    once per call and shared by every frame that has it.  Each frame is
+    tagged with its run and its index in that run, read off its raw product
+    index, so a range that starts mid-run tags the same way."""
     per_state, global_props = admissible_space(n, properties)
     names = state_names(n)
     choices = [[_family_of_code(code, 1 << n) for code in codes]
                for codes in per_state]
-    for fams in itertools.islice(itertools.product(*choices), start, stop):
+    last = tuple(choices[-1])
+    run = _Run(last)  # a range may start mid-run
+    indexed = zip(itertools.product(*choices),
+                  itertools.cycle(range(len(last))))
+    for fams, index in itertools.islice(indexed, start, stop):
+        if not index:
+            run = _Run(last)
         frame = NeighborhoodModel(names, fams)
         if all(has_property(frame, p) for p in global_props):
+            frame.__dict__[_RUN] = (run, index)
             yield frame
 
 
@@ -204,6 +232,17 @@ def enum_frames(spec: GenSpec) -> Iterator[NeighborhoodModel]:
     yield from _product_frames(spec.n_states, spec.properties)
 
 
+def count_frames(spec: GenSpec, limit: int = 0) -> int:
+    """How many frames ``enum_frames(spec)`` yields, at most ``limit`` if
+    it is positive.  An exhaustive filter of local properties only is
+    counted without building a frame; any other is counted by streaming."""
+    if spec.mode == "exhaustive" and spec.properties <= LOCAL_PROPERTIES:
+        total = _frame_count(spec.n_states, spec.properties)
+        return min(total, limit) if limit > 0 else total
+    frames = enum_frames(spec)
+    return sum(1 for _ in itertools.islice(frames, limit or None))
+
+
 def first_hit(frames: Iterable[NeighborhoodModel],
               check: Callable[[NeighborhoodModel], T | None]
               ) -> tuple[int, T | None]:
@@ -218,43 +257,34 @@ def _sweep_range(check: Callable[[NeighborhoodModel], T | None],
     return first_hit(_product_frames(n, properties, start, stop), check)
 
 
-def sweep(properties: Iterable[FrameProperty], max_states: int,
-          check: Callable[[NeighborhoodModel], T | None], jobs: int = 1
-          ) -> tuple[int, T | None]:
-    """Check every frame with the properties and 1 to ``max_states`` states,
-    in the canonical order of ``enum_frames``, until ``check`` returns
-    something other than None.
-
-    Returns the number of frames checked, up to and including the hit, and
-    the first hit or None.  Both are the same for every ``jobs``.  Sizes
-    below 1 are refused with ``ValueError``.  Every size is planned before
-    any frame is built or any pool started, the largest first: a size whose
-    frames number more than ``MAX_ENUMERATION`` (or whose admissible lists
-    would filter more family codes than that) is refused with
-    ``BudgetError``.
-
-    With ``jobs`` above 1 (clamped to the CPU count) each size's raw product
-    index is split into contiguous ranges that worker processes sweep.
-    ``check`` must then be picklable, for example a ``functools.partial`` of
-    a module-level function.
-    """
+def plan(properties: Iterable[FrameProperty], max_states: int) -> list[int]:
+    """The number of frames with the properties at each size from 1 to
+    ``max_states``, checked the largest first: a size whose frames number
+    more than ``MAX_ENUMERATION`` (or whose admissible lists would filter
+    more family codes than that) is refused with ``BudgetError`` before any
+    smaller size's lists are built, and a huge ``max_states`` at once.
+    Sizes below 1 are refused with ``ValueError``."""
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
+    properties = frozenset(properties)
+    totals = [_frame_count(n, properties) for n in range(max_states, 0, -1)]
+    return totals[::-1]
+
+
+def _workers(jobs: int) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    properties = frozenset(properties)
-    # the largest size first: a refused sweep is refused before any smaller
-    # size's lists are built, and a huge max_states at once
-    totals = [_frame_count(n, properties) for n in range(max_states, 0, -1)]
-    jobs = min(jobs, os.cpu_count() or 1)
+    return min(jobs, os.cpu_count() or 1)
+
+
+@contextlib.contextmanager
+def worker_pool(jobs: int) -> Iterator[Executor | None]:
+    """A process pool that several ``sweep`` calls with the same ``jobs``
+    can share, or None if ``jobs`` (clamped to the CPU count) is 1."""
+    jobs = _workers(jobs)
     if jobs == 1:
-        return _merge(first_hit(enum_frames(GenSpec(n, properties)), check)
-                      for n in range(1, max_states + 1))
-    ranges = []
-    for n, total in enumerate(reversed(totals), 1):
-        chunk = max(1, -(-total // jobs))
-        ranges.extend((n, lo, min(lo + chunk, total))
-                      for lo in range(0, total, chunk))
+        yield None
+        return
     # Imported here so that serial sweeps never load multiprocessing.
     import concurrent.futures
     import multiprocessing
@@ -267,12 +297,49 @@ def sweep(properties: Iterable[FrameProperty], max_states: int,
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=multiprocessing.get_context(method)) as pool:
+        yield pool
+
+
+def sweep(properties: Iterable[FrameProperty], max_states: int,
+          check: Callable[[NeighborhoodModel], T | None], jobs: int = 1,
+          pool: Executor | None = None) -> tuple[int, T | None]:
+    """Check every frame with the properties and 1 to ``max_states`` states,
+    in the canonical order of ``enum_frames``, until ``check`` returns
+    something other than None.
+
+    Returns the number of frames checked, up to and including the hit, and
+    the first hit or None.  Both are the same for every ``jobs``.  Every
+    size is planned by ``plan`` before any frame is built or any pool
+    started.
+
+    With ``jobs`` above 1 (clamped to the CPU count) each size's raw product
+    index is split into contiguous ranges that worker processes sweep, in
+    ``pool`` (from ``worker_pool(jobs)``) if given, else in a pool of its
+    own.  ``check`` must then be picklable, for example a
+    ``functools.partial`` of a module-level function.
+    """
+    jobs = _workers(jobs)
+    properties = frozenset(properties)
+    totals = plan(properties, max_states)
+    if jobs == 1:
+        return _merge(first_hit(enum_frames(GenSpec(n, properties)), check)
+                      for n in range(1, max_states + 1))
+    ranges = []
+    for n, total in enumerate(totals, 1):
+        chunk = max(1, -(-total // jobs))
+        ranges.extend((n, lo, min(lo + chunk, total))
+                      for lo in range(0, total, chunk))
+    shared = (worker_pool(jobs) if pool is None
+              else contextlib.nullcontext(pool))
+    with shared as pool:
         futures = [pool.submit(_sweep_range, check, n, properties, lo, hi)
                    for n, lo, hi in ranges]
         try:
             return _merge(future.result() for future in futures)
         finally:
-            pool.shutdown(cancel_futures=True)
+            # ranges after a hit are not run; a shared pool stays open
+            for future in futures:
+                future.cancel()
 
 
 def _merge(parts: Iterable[tuple[int, T | None]]) -> tuple[int, T | None]:

@@ -22,7 +22,6 @@ model, to name the one that fails.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
@@ -32,6 +31,8 @@ _M = TypeVar("_M", bound="Model")
 
 #: Instance ``__dict__`` key of a model's memoised property verdicts.
 _VERDICTS = "_verdicts"
+#: Instance ``__dict__`` key of a swept frame's (run, index) handle.
+_RUN = "_run"
 
 
 class BudgetError(RuntimeError):
@@ -124,6 +125,11 @@ class Model:
     """What both model types share: states in a fixed order, one relation
     entry per state, and a valuation from atoms to bitmasks.  Property
     verdicts live in the instance ``__dict__``, outside ``==`` and pickling.
+    So does the ``_run`` handle that ``generators`` gives each frame of a
+    product sweep: the frame's run (the frames that differ only in the last
+    state's family) and its index there, which ``semantics.frame_valid``
+    reads to check the whole run in one pass.  ``replace`` and
+    ``with_valuation`` build untagged models.
     """
 
     states: tuple[str, ...]
@@ -161,6 +167,7 @@ class Model:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop(_VERDICTS, None)
+        state.pop(_RUN, None)
         return state
 
     @classmethod
@@ -330,18 +337,21 @@ def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
                 return False
         return True
     # holders[x]: the states that have x as a neighborhood.
-    holders = defaultdict(int)
+    holders = [0] * (full + 1)
     for u, fam in enumerate(fams):
+        bit = 1 << u
         for x in fam:
-            holders[x] |= 1 << u
+            holders[x] |= bit
     if prop is FrameProperty.B:
-        return all((full & ~holders[full & ~x]) in fam
-                   for s, fam in enumerate(fams)
-                   for x in range(full + 1) if x >> s & 1)
+        for s, fam in enumerate(fams):
+            for x in range(full + 1):
+                if x >> s & 1 and (full ^ holders[full ^ x]) not in fam:
+                    return False
+        return True
     if prop is FrameProperty.FOUR:
         return all(holders[x] in fam for fam in fams for x in fam)
     if prop is FrameProperty.FIVE:
-        return all((full & ~holders[x]) in fam
+        return all((full ^ holders[x]) in fam
                    for fam in fams for x in range(full + 1) if x not in fam)
     raise ValueError(f"unknown frame property {prop!r}")
 

@@ -15,13 +15,16 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .formula import (And, Atom, Delta, Formula, Iff, Imp, Not, Or, Top,
                       arity, parse, subformulas, walk)
-from .generators import sweep
+from .generators import plan, sweep, worker_pool
 from .model import NeighborhoodModel, frame_class
 from .semantics import FrameCheck, SemanticsKind, frame_valid, taut_valid
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -255,27 +258,33 @@ def audit_soundness(system: AxiomSystem, max_states: int = 2,
     standing negative result: the smallest filter frame (monotone, closed
     under intersections, containing the unit, but not under complements)
     falsifying the ΔEqu instance, showing the equivalence axiom is unsound on
-    filters.  ``jobs`` is passed to ``generators.sweep``; the report is the
-    same for every value."""
+    filters.  ``jobs`` is passed to ``generators.sweep``, and every sweep
+    shares one pool; the report is the same for every value."""
     props = frame_class(system.frame_class)
+    # both classes are planned before the pool starts
+    plan(props, max_states)
+    plan(frame_class("filter"), max_states)
     audits = []
-    for name in system.schema_names:
-        instance = schema_instance(name)
-        checked, counter = sweep(
-            props, max_states, partial(_counterexample, instance, max_bits),
-            jobs)
-        audits.append(AxiomAudit(name, instance, counter is None, checked,
-                                 counter))
-    negative = filter_equ_witness(max_states, max_bits, jobs)
+    with worker_pool(jobs) as pool:
+        for name in system.schema_names:
+            instance = schema_instance(name)
+            checked, counter = sweep(
+                props, max_states,
+                partial(_counterexample, instance, max_bits), jobs, pool)
+            audits.append(AxiomAudit(name, instance, counter is None, checked,
+                                     counter))
+        negative = filter_equ_witness(max_states, max_bits, jobs, pool)
     return AuditReport(system, max_states, tuple(audits), negative)
 
 
 def filter_equ_witness(max_states: int = 1, max_bits: int = 24, jobs: int = 1,
+                       pool: Executor | None = None,
                        ) -> tuple[NeighborhoodModel, FrameCheck] | None:
     """First filter frame with at most ``max_states`` states falsifying the
-    ΔEqu instance, if any.  ``jobs`` is passed to ``generators.sweep``."""
+    ΔEqu instance, if any.  ``jobs`` and ``pool`` are passed to
+    ``generators.sweep``."""
     check = partial(_counterexample, schema_instance("ΔEqu"), max_bits)
-    return sweep(frame_class("filter"), max_states, check, jobs)[1]
+    return sweep(frame_class("filter"), max_states, check, jobs, pool)[1]
 
 
 def countermodel_search(f: Formula, class_name: str, max_states: int = 2,

@@ -41,7 +41,19 @@ exactly that for the current program.  A frame whose every state is in the
 memo gets its witness with no evaluation: the least of the states' entries,
 at the lowest state that has it.  On a miss the frame is evaluated once,
 with passes continuing until each state has its first zero, and every
-state's entry is stored.  Deeper programs take the whole-frame path above.
+state's entry is stored.  Deeper programs take the whole-frame path above,
+except on a frame tagged by ``generators``' product sweep.  Such a frame
+belongs to a *run*: the L frames that differ only in the last state's
+family, which takes each family of the run's list in turn.  If L > 1 and
+L·V fits in 2^``_CHUNK_BITS`` bits per state (V = 2^(n·k) valuations, so
+the program also runs in one pass), the first frame of the run that is
+checked evaluates all L frames in one pass at width L·V: bits [s·L·V +
+j·V, s·L·V + (j+1)·V) are frame j's plane at state s.  States 0..n−2 OR
+their shared family's minterms as above; the last state ORs M_X & sel_X
+over every X, where sel_X has the planes of the frames whose last family
+holds X (for ``old`` Δ, X or S∖X).  Every frame's first falsifying
+valuations are kept on the run for that program and semantics, and each
+frame of the run, the first included, gets its witness from its own.
 Only ``frame_valid`` decides locality; ``extension`` and ``taut_valid``
 never do.
 """
@@ -54,7 +66,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .formula import And, Atom, Box, Delta, Formula, Not, Top, to_core
-from .model import BudgetError, KripkeModel, NeighborhoodModel, bits
+from .model import _RUN, BudgetError, KripkeModel, NeighborhoodModel, bits
 
 
 class SemanticsKind(Enum):
@@ -144,10 +156,17 @@ def _program(f: Formula) -> Program:
 # ---------------------------------------------------------------------------
 # Evaluation.
 
+# A run's last-state selectors: for Δ (index 0) and □ (index 1), each
+# (X, sel_X) with sel_X nonzero, where sel_X has the V-bit plane of frame j
+# of the run set iff frame j's last family holds X (for ``old`` Δ, X or S∖X).
+_Selectors = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
 def _run(prog: Program, m: Model, kind: SemanticsKind, width: int,
-         atoms: Sequence[int]) -> int:
+         atoms: Sequence[int], last: _Selectors | None = None) -> int:
     """Value of ``prog`` on ``m`` at plane width ``width``, given each atom's
-    n·width-bit value in ``names`` order."""
+    n·width-bit value in ``names`` order.  With ``last``, the last state's
+    family is read from those selectors instead of from ``m``."""
     n = len(m.states)
     full = (1 << n * width) - 1
     vals: list[int] = []
@@ -161,13 +180,14 @@ def _run(prog: Program, m: Model, kind: SemanticsKind, width: int,
         elif op == TOP:
             vals.append(full)
         else:
-            vals.append(_modal(m, kind, op == BOX, vals[a], n, width))
+            vals.append(_modal(m, kind, op == BOX, vals[a], n, width, last))
     return vals[prog.root]
 
 
 def _modal(m: Model, kind: SemanticsKind, box: bool, x: int, n: int,
-           width: int) -> int:
-    """Δ (or □ if ``box``) applied to the child value ``x``, state by state."""
+           width: int, last: _Selectors | None = None) -> int:
+    """Δ (or □ if ``box``) applied to the child value ``x``, state by state;
+    ``last`` as for ``_run``."""
     out = 0
     if width == 1:
         # One valuation: the minterm OR below reduces to a membership test,
@@ -202,13 +222,19 @@ def _modal(m: Model, kind: SemanticsKind, box: bool, x: int, n: int,
         minterms = _Minterms(pos, neg, plane)
     both = kind is SemanticsKind.OLD and not box
     full = (1 << n) - 1
-    for s, fam in enumerate(m.neighborhoods):
+    fams = m.neighborhoods if last is None else m.neighborhoods[:-1]
+    for s, fam in enumerate(fams):
         got = 0
         for mask in fam:
             got |= minterms[mask]
             if both:
                 got |= minterms[full ^ mask]
         out |= got << s * width
+    if last is not None:
+        got = 0
+        for mask, sel in last[box]:
+            got |= minterms[mask] & sel
+        out |= got << (n - 1) * width
     return out
 
 
@@ -381,10 +407,17 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     if seen is not prog:
         memo = {} if _modal_depth(prog) <= 1 else None
         _memo = (prog, memo)
+    n, k = len(frame.states), len(prog.names)
+    _check_bits(n, k, max_bits)
     if memo is None:
-        return _program_valid(frame, prog, kind, max_bits)
-    n = len(frame.states)
-    _check_bits(n, len(prog.names), max_bits)
+        handle = frame.__dict__.get(_RUN)
+        if handle is not None:
+            run, index = handle
+            count = len(run.families)
+            if count > 1 and count << n * k <= 1 << _CHUNK_BITS:
+                first = _run_firsts(frame, prog, kind, run)[index]
+                return _witness(frame, prog.names, first)
+        return _witness(frame, prog.names, _first_zeros(frame, prog, kind, 1))
     rel = frame.succ if kind is SemanticsKind.KRIPKE else frame.neighborhoods
     tag = kind.value
     keys = [(tag, n, s, entry) for s, entry in enumerate(rel)]
@@ -396,6 +429,65 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
             memo.clear()
         memo.update(zip(keys, first))
     return _witness(frame, prog.names, first)
+
+
+@lru_cache(maxsize=64)
+def _selectors(families: tuple[frozenset[int], ...], n: int, v: int,
+               old: bool) -> _Selectors:
+    full = (1 << n) - 1
+    plane = (1 << v) - 1
+    delta = [0] * (full + 1)
+    box = [0] * (full + 1)
+    for j, fam in enumerate(families):
+        bit = plane << j * v
+        for mask in fam:
+            box[mask] |= bit
+            delta[mask] |= bit
+            if old:
+                delta[full ^ mask] |= bit
+    return tuple(tuple((mask, sel) for mask, sel in enumerate(sels) if sel)
+                 for sels in (delta, box))
+
+
+@lru_cache(maxsize=64)
+def _run_layout(n: int, k: int, count: int) -> tuple[int, ...]:
+    """Each atom's value over ``count`` frames at once: its one-pass value
+    from ``_layout``, each state's plane repeated ``count`` times."""
+    _, atoms, _ = _layout(n, k)
+    v = 1 << n * k
+    width = count * v
+    plane = (1 << v) - 1
+    repeat = ((1 << width) - 1) // plane
+    return tuple(sum((a >> s * v & plane) * repeat << s * width
+                     for s in range(n))
+                 for a in atoms)
+
+
+def _run_firsts(frame: NeighborhoodModel, prog: Program, kind: SemanticsKind,
+                run) -> list[list[int]]:
+    """The first-zeros list of every frame of ``frame``'s run, filled in one
+    pass of width L·V the first time the run is asked for ``prog`` under
+    ``kind``.  States 0..n−2 read ``frame``'s families, which the run
+    shares; the last state reads the run's selectors."""
+    if run.program is prog and run.kind is kind:
+        return run.firsts
+    n, k = len(frame.states), len(prog.names)
+    count = len(run.families)
+    v = 1 << n * k
+    width = count * v
+    sels = _selectors(run.families, n, v, kind is SemanticsKind.OLD)
+    value = _run(prog, frame, kind, width, _run_layout(n, k, count), sels)
+    zeros = ((1 << n * width) - 1) ^ value
+    plane = (1 << v) - 1
+    firsts = []
+    for j in range(count):
+        first = []
+        for s in range(n):
+            low = zeros >> s * width + j * v & plane
+            first.append((low & -low).bit_length() - 1 if low else v)
+        firsts.append(first)
+    run.program, run.kind, run.firsts = prog, kind, firsts
+    return firsts
 
 
 # Truth-table rows are the valuations of a one-state frame.

@@ -179,6 +179,9 @@ def test_enumerate_command(capsys):
     assert main(["enumerate", "--states", "2", "--class", "quasi-filter",
                  "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "4"
+    assert main(["--format", "json", "enumerate", "--states", "3", "--class",
+                 "c", "--count-only", "--limit", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 5}
     assert main(["enumerate", "--states", "1", "--limit", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 and json.loads(lines[0])["type"] == "neighborhood"
@@ -358,6 +361,7 @@ def test_parallel_sweeps_match_sequential(capsys):
              "--max-states", "2"],
             ["countermodel", "--formula", "D p -> D D p", "--class", "c",
              "--max-states", "3"],
+            ["definability", "--builtin", "5", "--max-states", "3"],
             ["countermodel", "--formula", "D p <-> D ~p", "--class", "c",
              "--max-states", "2"],
             ["enumerate", "--states", "2", "--class", "c", "--count-only"],

@@ -3,6 +3,7 @@ recursive evaluator and per-valuation frame sweep it replaced, which live
 here as the oracle and nowhere in the package."""
 
 import itertools
+import pickle
 import random
 
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from delta_lab.formula import And, Atom, Box, Delta, Formula, Not, Top, \
     expand_sugar, metrics, parse
-from delta_lab.generators import (GenSpec, random_formula, random_kripke,
-                                  random_model, state_names)
-from delta_lab.model import KripkeModel, NeighborhoodModel, bits
+from delta_lab.definability import builtin_claim, defines
+from delta_lab.generators import (GenSpec, _product_frames, random_formula,
+                                  random_kripke, random_model, state_names)
+from delta_lab.model import (_RUN, FRAME_CLASSES, KripkeModel,
+                             NeighborhoodModel, bits)
 from delta_lab.proofsys import is_taut_instance
 from delta_lab import semantics
 from delta_lab.semantics import (_CHUNK_BITS, AND, ATOM, TOP, FrameCheck,
@@ -382,3 +385,115 @@ def test_only_frame_valid_decides_locality(monkeypatch):
     assert extension(m, parse("D p & p"), NEW) == \
         oracle_extension(m, parse("D p & p"), NEW)
     assert is_taut_instance(parse("D p -> D p"))
+
+
+# ---------------------------------------------------------------------------
+# The run path of ``frame_valid`` (one pass per product run, for programs of
+# modal depth 2 or more) against untagged copies and the oracle.
+
+def _untagged(frame):
+    return NeighborhoodModel(frame.states, frame.neighborhoods)
+
+
+def _deep_formula(rnd: random.Random, atoms: list[str]) -> Formula:
+    f = Top()
+    while metrics(f).modal_depth < 2:
+        f = random_formula(rnd.choice((2, 3)), atoms, rnd.randrange(10**6),
+                           include_box=True, size=rnd.randrange(4, 14))
+    return f
+
+
+def _class_frames(name: str, n: int) -> list:
+    """The tagged frames of a class at n states.  The 16.7M frames of
+    ``all`` at 3 states give three runs of 256 from a start mid-run."""
+    if name == "all" and n == 3:
+        return list(_product_frames(3, frozenset(), 300, 300 + 3 * 256))
+    return list(_product_frames(n, FRAME_CLASSES[name]))
+
+
+def _takes_run_path(frame, f: Formula) -> bool:
+    run, _ = vars(frame)[_RUN]
+    count = len(run.families)
+    return count > 1 and count << frame.n * len(metrics(f).vars) <= \
+        1 << _CHUNK_BITS
+
+
+def test_run_path_matches_untagged_copies_and_oracle():
+    rnd = random.Random(23)
+    taken = 0
+    for name in FRAME_CLASSES:
+        for n in (1, 2, 3):
+            frames = _class_frames(name, n)
+            for kind in (NEW, OLD) * 3:
+                atoms = ["p", "q", "r"][:rnd.randrange(1, 4)]
+                f = _deep_formula(rnd, atoms)
+                for i, frame in enumerate(frames):
+                    got = frame_valid(frame, f, kind)
+                    assert got == frame_valid(_untagged(frame), f, kind), \
+                        (name, n, kind, str(f), frame)
+                    if i % 13 == 0:
+                        assert got == oracle_frame_valid(frame, f, kind), \
+                            (name, n, kind, str(f), frame)
+                if frames and _takes_run_path(frames[0], f):
+                    taken += 1
+                    run, _ = vars(frames[-1])[_RUN]
+                    assert run.firsts is not None, (name, n, kind, str(f))
+    assert taken >= 50
+
+
+def test_run_is_evaluated_once(monkeypatch):
+    calls = []
+    evaluate = semantics._run
+
+    def counting(*args):
+        calls.append(args[3])
+        return evaluate(*args)
+
+    monkeypatch.setattr(semantics, "_run", counting)
+    f = parse("D p -> D D p")
+    frames = list(_product_frames(3, FRAME_CLASSES["c"]))
+    for kind in (NEW, OLD):
+        calls.clear()
+        for frame in frames:
+            frame_valid(frame, f, kind)
+        # 256 runs of 16 frames, each evaluated at width 16 * 2^3
+        assert calls == [16 * 8] * 256, kind
+
+
+def test_range_starting_mid_run_matches_the_whole_stream():
+    # the second of two quasi-filter ranges at 3 states starts at frame 63,
+    # which is frame 3 of a run of 5
+    f = parse("N p -> D(q | N p)")
+    stream = list(_product_frames(3, FRAME_CLASSES["quasi-filter"]))
+    part = list(_product_frames(3, FRAME_CLASSES["quasi-filter"], 63, 125))
+    assert part == stream[63:]
+    assert [vars(fr)[_RUN][1] for fr in part[:4]] == [3, 4, 0, 1]
+    for kind in (NEW, OLD):
+        for a, b in zip(part, stream[63:]):
+            assert frame_valid(a, f, kind) == frame_valid(b, f, kind) == \
+                frame_valid(_untagged(a), f, kind), (kind, a)
+
+
+def test_pickle_round_trip_drops_the_run():
+    f = parse("p -> D N p")
+    frame = list(_product_frames(2, FRAME_CLASSES["c"]))[6]
+    copy = pickle.loads(pickle.dumps(frame))
+    assert copy == frame and repr(copy) == repr(frame)
+    assert _RUN in vars(frame) and _RUN not in vars(copy)
+    assert _RUN not in vars(frame.with_valuation({"p": 1}))
+    assert _RUN not in vars(frame.frame())
+    for kind in (NEW, OLD):
+        assert frame_valid(copy, f, kind) == frame_valid(frame, f, kind) == \
+            oracle_frame_valid(frame, f, kind)
+
+
+def test_explicit_frame_stream_takes_the_whole_frame_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an untagged frame took the run path")
+
+    claim = builtin_claim("4")
+    swept = defines(claim, 3)
+    copies = [_untagged(frame) for n in (1, 2, 3)
+              for frame in _product_frames(n, FRAME_CLASSES["c"])]
+    monkeypatch.setattr(semantics, "_run_firsts", refuse)
+    assert defines(claim, frames=copies) == swept

@@ -11,8 +11,8 @@ import pytest
 
 from delta_lab import generators
 from delta_lab.formula import parse
-from delta_lab.generators import (GenerationError, GenSpec, enum_frames,
-                                  enum_kripke_frames, frame_at,
+from delta_lab.generators import (GenerationError, GenSpec, count_frames,
+                                  enum_frames, enum_kripke_frames, frame_at,
                                   random_formula, random_kripke, random_model,
                                   sweep)
 from delta_lab.model import (FRAME_CLASSES, MODEL_CLASSES, BudgetError,
@@ -20,6 +20,7 @@ from delta_lab.model import (FRAME_CLASSES, MODEL_CLASSES, BudgetError,
                              has_property)
 from delta_lab.proofsys import AxiomSystem, audit_soundness
 from delta_lab.formula import metrics
+from delta_lab.semantics import SemanticsKind, frame_valid
 
 FP = FrameProperty
 
@@ -77,6 +78,40 @@ def test_exhaustive_budget():
     # the 3-state product over every family is exactly the limit
     assert generators._frame_count(3, frozenset()) == 2 ** 24
     assert next(enum_frames(GenSpec(3))) == frame_at(3, 0)
+
+
+def test_count_frames_equals_the_streamed_count():
+    # closed-form counts stream nothing; the 16.7M frames of ``all`` at 3
+    # states are compared with their closed form, (2^(2^3))^3, instead
+    for name, props in FRAME_CLASSES.items():
+        for n in (1, 2, 3, 4):
+            spec = GenSpec(n, props)
+            try:
+                total = count_frames(spec)
+            except BudgetError:
+                with pytest.raises(BudgetError):
+                    next(enum_frames(spec))
+                continue
+            limits = (1, 7, total, total + 1)
+            if name == "all" and n == 3:
+                assert total == (2 ** 2 ** 3) ** 3
+                limits = (1, 7, 1000)
+            else:
+                assert total == sum(1 for _ in enum_frames(spec)), (name, n)
+            for limit in limits:
+                assert count_frames(spec, limit) == sum(
+                    1 for _ in itertools.islice(enum_frames(spec), limit)), \
+                    (name, n, limit)
+    # a global property still streams and counts its frames
+    for props in ({FP.B}, {FP.C, FP.FOUR}):
+        spec = GenSpec(2, frozenset(props))
+        streamed = sum(1 for _ in enum_frames(spec))
+        assert 0 < streamed < 256
+        assert count_frames(spec) == streamed
+        assert count_frames(spec, 3) == 3
+    random_spec = GenSpec(2, FRAME_CLASSES["c"], seed=4, mode="random",
+                          count=9)
+    assert count_frames(random_spec) == 9 and count_frames(random_spec, 2) == 2
 
 
 def test_kripke_enumeration_count():
@@ -380,4 +415,26 @@ def test_sweep_sends_a_deep_check_to_workers(pool_sizes):
     assert check.args[0] == deep
     assert sweep(frozenset({FP.C}), 2, check, jobs=2) == \
         sweep(frozenset({FP.C}), 2, check, jobs=1)
+    assert pool_sizes == [2]
+
+
+def test_audit_shares_one_pool(pool_sizes):
+    assert audit_soundness(AxiomSystem.K, 2, jobs=2) == \
+        audit_soundness(AxiomSystem.K, 2, jobs=1)
+    assert pool_sizes == [2]
+
+
+def _verdicts(f, log, frame):
+    log.append((frame, frame_valid(frame, f, SemanticsKind.OLD)))
+
+
+def test_pooled_ranges_that_start_mid_run_match_serial(pool_sizes):
+    # two ranges of the 125 quasi-filter frames at 3 states: the second
+    # starts at frame 63, inside a run of 5
+    f = parse("D p -> D D p")
+    serial, pooled = [], []
+    props = FRAME_CLASSES["quasi-filter"]
+    assert sweep(props, 3, partial(_verdicts, f, serial)) == (130, None)
+    assert sweep(props, 3, partial(_verdicts, f, pooled), jobs=2) == (130, None)
+    assert pooled == serial
     assert pool_sizes == [2]

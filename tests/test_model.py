@@ -144,6 +144,14 @@ def test_has_property_matches_literal_oracle_exhaustively():
                     frame, prop)
 
 
+def test_relational_properties_match_literal_oracle_on_3_state_c_frames():
+    # every frame of the definability sweeps of (b), (4) and (5) at 3 states
+    for frame in enum_frames(GenSpec(3, frozenset({FP.C}))):
+        for prop in (FP.B, FP.FOUR, FP.FIVE):
+            assert has_property(frame, prop) == oracle(frame, prop), (
+                frame, prop)
+
+
 def test_has_property_matches_literal_oracle_sampled_3_states():
     for seed in range(60):
         m = random_model(GenSpec(3, seed=seed, mode="random"), ["p"])
