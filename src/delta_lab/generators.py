@@ -17,7 +17,9 @@ per-state list lengths), and the 2^(n·n) Kripke frames of one size.  So
 admissible lists exist up to 4 states, Kripke frames are enumerated up to 4
 states, and neighborhood frames wherever their product fits: every class at
 3 states, and cs, csi, filter and quasi-filter frames at 4.  Counts above
-the limit are compared, never built, so a huge size is refused at once.
+the limit are compared, never built, so a huge size is refused at once.  A
+shipped class's per-state list length has a closed form (``_list_length``),
+so its frames are counted, planned or refused without filtering a code.
 
 Random generation is deterministic per seed; constrained sampling draws
 per-state families from the admissible lists wherever they may be built and
@@ -40,9 +42,9 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
 
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
-from .model import (_RUN, LOCAL_PROPERTIES, BudgetError, FrameProperty,
-                    KripkeModel, NeighborhoodModel, bits, family_satisfies,
-                    has_property)
+from .model import (_RUN, FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
+                    FrameProperty, KripkeModel, NeighborhoodModel, bits,
+                    family_satisfies, has_property)
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -168,11 +170,33 @@ def admissible_space(n: int, properties: Iterable[FrameProperty]
     return [_admissible_codes(n, local, s) for s in range(n)], global_props
 
 
+def _list_length(n: int, local: frozenset[FrameProperty]) -> int | None:
+    """The length of each state's n-state admissible list for the local
+    properties of a shipped frame class, in closed form; None for any other
+    property set, and above 4 states, where no list is filtered.  ``all``:
+    every family, 2^(2^n); ``c``: unions of complementary pairs {X, S∖X},
+    2^(2^(n-1)); ``cs`` and ``csi``: only ∅ and 2^S; ``filter``: the
+    principal filters, 2^n; ``quasi-filter``: the Q_R, 2^n - n."""
+    if _code_count(n) > MAX_ENUMERATION:
+        return None
+    forms = {"all": 2 ** 2 ** n, "c": 2 ** 2 ** (n - 1), "cs": 2, "csi": 2,
+             "filter": 2 ** n, "quasi-filter": 2 ** n - n}
+    return next((length for name, length in forms.items()
+                 if FRAME_CLASSES[name] == local), None)
+
+
 def _frame_count(n: int, properties: Iterable[FrameProperty]) -> int:
     """Frames in the product of the n-state admissible lists: what
-    ``_product_frames`` walks.  Refused above ``MAX_ENUMERATION``."""
-    per_state, _ = admissible_space(n, properties)
-    total = math.prod(map(len, per_state))
+    ``_product_frames`` walks.  Refused above ``MAX_ENUMERATION``.  A
+    shipped class's count comes from its closed-form list length, so no
+    list is built to count or to refuse it."""
+    local, _ = _split_props(properties)
+    length = _list_length(n, local)
+    if length is None:
+        per_state, _ = admissible_space(n, properties)
+        total = math.prod(map(len, per_state))
+    else:
+        total = length ** n
     _check_enumeration(total, f"exhaustive enumeration at {n} states would "
                               f"walk {total:,} frames")
     return total
@@ -196,24 +220,32 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
                     ) -> Iterator[NeighborhoodModel]:
     """Frames #start..stop-1 of the product of per-state admissible lists
     that also have the global properties.  Each admissible family is built
-    once per call and shared by every frame that has it.  Each frame is
-    tagged with its run and its index in that run, read off its raw product
-    index, so a range that starts mid-run tags the same way."""
+    once per call and shared by every frame that has it.  The product is
+    walked run by run; each frame is tagged with its run and its index in
+    that run, read off its raw product index, so a range that starts
+    mid-run tags the same way."""
     per_state, global_props = admissible_space(n, properties)
     names = state_names(n)
     choices = [[_family_of_code(code, 1 << n) for code in codes]
                for codes in per_state]
     last = tuple(choices[-1])
-    run = _Run(last)  # a range may start mid-run
-    indexed = zip(itertools.product(*choices),
-                  itertools.cycle(range(len(last))))
-    for fams, index in itertools.islice(indexed, start, stop):
-        if not index:
-            run = _Run(last)
-        frame = NeighborhoodModel(names, fams)
-        if all(has_property(frame, p) for p in global_props):
+    total = math.prod(map(len, choices))
+    stop = total if stop is None else min(stop, total)
+    if start >= stop:
+        return
+    width = len(last)
+    first, offset = divmod(start, width)
+    heads = itertools.islice(itertools.product(*choices[:-1]), first, None)
+    for base, head in zip(range(first * width, stop, width), heads):
+        run = _Run(last)
+        for index in range(offset, min(width, stop - base)):
+            frame = NeighborhoodModel(names, head + (last[index],))
+            if global_props and not all(has_property(frame, p)
+                                        for p in global_props):
+                continue
             frame.__dict__[_RUN] = (run, index)
             yield frame
+        offset = 0
 
 
 def enum_frames(spec: GenSpec) -> Iterator[NeighborhoodModel]:
@@ -248,7 +280,13 @@ def first_hit(frames: Iterable[NeighborhoodModel],
               ) -> tuple[int, T | None]:
     """Run ``check`` on each frame until it returns something other than
     None: the number of frames checked, and that result or None."""
-    return _merge((1, check(frame)) for frame in frames)
+    checked = 0
+    for frame in frames:
+        checked += 1
+        hit = check(frame)
+        if hit is not None:
+            return checked, hit
+    return checked, None
 
 
 def _sweep_range(check: Callable[[NeighborhoodModel], T | None],

@@ -7,9 +7,11 @@ an empty valuation.  Both model types share one base class, ``Model``.
 Property checks are polynomial in the families' size: (s) asks X ∪ {i} ∈ N
 for each X ∈ N and i ∉ X; (ws) reads N's upward core, built largest first by
 the same one-step rule; (b), (4), (5) read which states hold each set as a
-neighborhood.  ``has_property`` computes each verdict once per model, and a
-local property's verdict on a family once per (size, family), with the state
-too for (t).
+neighborhood.  ``has_property`` computes each verdict once per model, and
+``first_failing`` its answer once per (model, class).  A local property's
+verdict on a family is computed once and kept in a table per (property,
+size), or per (property, size, state) for (t), keyed by the family object
+itself, which sweep frames share.
 
 Quasi-filter normal form: a family N has (n), (i), (c), (ws) iff N = Q_R =
 {X : R ⊆ X or X ∩ R = ∅} for R = {t : {t} ∉ N}.  (n), (c), (i) make N a
@@ -29,8 +31,10 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 _M = TypeVar("_M", bound="Model")
 
-#: Instance ``__dict__`` key of a model's memoised property verdicts.
+#: Instance ``__dict__`` key of a model's memoised verdicts: property ->
+#: bool, and composite class name -> ``first_failing``'s answer.
 _VERDICTS = "_verdicts"
+_UNKNOWN = object()
 #: Instance ``__dict__`` key of a swept frame's (run, index) handle.
 _RUN = "_run"
 
@@ -71,6 +75,10 @@ class FrameProperty(Enum):
     FOUR = "4"
     FIVE = "5"
     WS = "ws"    # closed under supersets or co-supersets
+
+    # Identity hashing, in C: members are singletons, and ``Enum``'s own
+    # ``__hash__`` hashes the name in Python on every verdict lookup.
+    __hash__ = object.__hash__
 
     @classmethod
     def from_letter(cls, letter: str) -> "FrameProperty":
@@ -299,11 +307,18 @@ def is_qf_family(family: frozenset[int], full: int) -> bool:
     return len(family) == size and all(x & r in (0, r) for x in family)
 
 
+def _verdicts_of(m: Model) -> dict:
+    verdicts = m.__dict__.get(_VERDICTS)
+    if verdicts is None:
+        verdicts = m.__dict__[_VERDICTS] = {}
+    return verdicts
+
+
 def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     """Whether every state's neighborhood family satisfies ``prop``.
 
     Each verdict is computed once per model instance and kept on it."""
-    verdicts = m.__dict__.setdefault(_VERDICTS, {})
+    verdicts = _verdicts_of(m)
     verdict = verdicts.get(prop)
     if verdict is None:
         verdict = verdicts[prop] = _holds(m, prop)
@@ -311,13 +326,39 @@ def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
 
 
 # Verdicts of local properties across models: (property, full, state for
-# (t) and -1 otherwise, family) -> verdict.  Sweep frames share their family
-# objects, so a family's verdict is computed once per sweep rather than once
-# per frame.  A full memo is cleared.  The limit covers every 3-state family
-# (256, or 768 keys for (t)); the families that random larger models leave
-# in it stay alive, so it is kept small.
-_local_verdicts: dict[tuple[FrameProperty, int, int, frozenset[int]], bool] = {}
+# (t) and -1 otherwise) -> {family: verdict}.  Sweep frames share their
+# family objects, so a family's verdict is computed once per sweep rather
+# than once per frame, and found by the family object's cached hash.  The
+# tables are emptied when they hold ``_LOCAL_LIMIT`` entries in all, which
+# covers every 3-state family (256, or 768 for (t)); the families that
+# random larger models leave in them stay alive, so the limit is small.
+_local_verdicts: dict[tuple[FrameProperty, int, int],
+                      dict[frozenset[int], bool]] = {}
+_local_size = 0
 _LOCAL_LIMIT = 1 << 10
+
+
+def _local_table(prop: FrameProperty, full: int, state: int
+                 ) -> dict[frozenset[int], bool]:
+    key = (prop, full, state)
+    table = _local_verdicts.get(key)
+    if table is None:
+        table = _local_verdicts[key] = {}
+    return table
+
+
+def _local_verdict(table: dict[frozenset[int], bool], prop: FrameProperty,
+                   family: frozenset[int], full: int, state: int) -> bool:
+    """``family_satisfies``, kept in ``table`` (a table of
+    ``_local_verdicts``)."""
+    global _local_size
+    if _local_size >= _LOCAL_LIMIT:
+        for other in _local_verdicts.values():
+            other.clear()
+        _local_size = 0
+    verdict = table[family] = family_satisfies(prop, family, full, state)
+    _local_size += 1
+    return verdict
 
 
 def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
@@ -325,14 +366,13 @@ def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     fams = m.neighborhoods
     if prop in LOCAL_PROPERTIES:
         at_state = prop is FrameProperty.T
+        table = None if at_state else _local_table(prop, full, -1)
         for s, fam in enumerate(fams):
-            key = (prop, full, s if at_state else -1, fam)
-            verdict = _local_verdicts.get(key)
+            if at_state:
+                table = _local_table(prop, full, s)
+            verdict = table.get(fam)
             if verdict is None:
-                if len(_local_verdicts) >= _LOCAL_LIMIT:
-                    _local_verdicts.clear()
-                verdict = _local_verdicts[key] = family_satisfies(
-                    prop, fam, full, s)
+                verdict = _local_verdict(table, prop, fam, full, s)
             if not verdict:
                 return False
         return True
@@ -366,18 +406,21 @@ def first_failing(m: NeighborhoodModel, class_name: str
                   ) -> FrameProperty | None:
     """The first property of the composite class, in ``FrameProperty``
     declaration order, that fails on ``m``; None if ``m`` is in the class.
+    The answer is kept with ``m``'s verdicts, under the class name.
 
     A quasi-filter model is first recognised by its normal form, which sets
     all four verdicts at once; only a rejected model walks the properties,
     to name the one that fails."""
-    props = _DECLARED_ORDER[class_name]
-    if class_name == "quasi-filter":
-        verdicts = m.__dict__.setdefault(_VERDICTS, {})
-        full = m.full
-        if (not verdicts.keys() >= MODEL_CLASSES[class_name]
-                and all(is_qf_family(fam, full) for fam in m.neighborhoods)):
+    verdicts = _verdicts_of(m)
+    failing = verdicts.get(class_name, _UNKNOWN)
+    if failing is _UNKNOWN:
+        props = _DECLARED_ORDER[class_name]
+        if class_name == "quasi-filter" and all(
+                is_qf_family(fam, m.full) for fam in m.neighborhoods):
             verdicts.update(dict.fromkeys(props, True))
-    return next((p for p in props if not has_property(m, p)), None)
+        failing = verdicts[class_name] = next(
+            (p for p in props if not has_property(m, p)), None)
+    return failing
 
 
 def validate(m: Model) -> list[str]:

@@ -36,12 +36,19 @@ ascending order, stopping at the first failing pass.
 
 A program of modal depth at most 1 is *state-local*: its truth at state s
 under valuation v reads only N(s) (or R(s)) and v, so the state's lowest
-falsifying v is fixed by (semantics, n, s, N(s)).  ``frame_valid`` memoises
-exactly that for the current program.  A frame whose every state is in the
-memo gets its witness with no evaluation: the least of the states' entries,
-at the lowest state that has it.  On a miss the frame is evaluated once,
-with passes continuing until each state has its first zero, and every
-state's entry is stored.  Deeper programs take the whole-frame path above,
+falsifying v is fixed by (semantics, n, s, N(s)).  ``frame_valid`` keeps one
+memo, for the last (program, semantics, state names) it was given: the
+program and semantics are checked with ``is``, the names with ``is`` and
+then ``==``, and anything else starts a new memo.  For a state-local program
+it holds one table per state, keyed by that state's family (or successor
+mask) object, which sweep frames share.  A frame whose every state is in
+its table gets its witness with no evaluation: the least of the states'
+entries, at the lowest state that has it.  On a miss the frame is evaluated
+once, with passes continuing until each state has its first zero, and every
+state's entry is stored.  On every path, a memo builds the falsifying
+``FrameCheck`` once per (lowest index, its lowest state) and shares it with
+every frame that has that witness; its valuation is a plain dict, so it
+pickles.  Deeper programs take the whole-frame path above,
 except on a frame tagged by ``generators``' product sweep.  Such a frame
 belongs to a *run*: the L frames that differ only in the last state's
 family, which takes each family of the run's list in turn.  If L > 1 and
@@ -383,13 +390,68 @@ def _modal_depth(prog: Program) -> int:
     return depth[prog.root]
 
 
-# The program whose per-state verdicts are memoised, and the memo: (kind, n,
-# state, that state's family or successor mask) -> the state's lowest
-# falsifying valuation index, or 2^(n·k) if none; None for a program of modal
-# depth 2 or more.  A new program drops the memo, and a full memo is cleared,
-# so it holds at most ``_MEMO_LIMIT`` entries.
-_memo: tuple[Program | None, dict | None] = (None, None)
+class _Memo:
+    """What ``frame_valid`` keeps for one (program, semantics, state names):
+    ``tables[s]`` maps state s's family (or successor mask) to the state's
+    lowest falsifying valuation index, or 2^(n·k) if none, and is None for
+    a program of modal depth 2 or more; ``witnesses`` holds one falsifying
+    ``FrameCheck`` per (valuation index, state), shared by every frame that
+    has it.  Both are cleared when they pass ``_MEMO_LIMIT`` entries."""
+
+    __slots__ = ("program", "kind", "states", "bits", "tables", "size",
+                 "witnesses")
+
+    def __init__(self, program: Program | None, kind: SemanticsKind | None,
+                 states: tuple[str, ...], local: bool):
+        self.program, self.kind, self.states = program, kind, states
+        self.bits = len(states) * len(program.names) if program else 0
+        self.tables = [{} for _ in states] if local else None
+        self.size = 0
+        self.witnesses: dict[int, FrameCheck] = {}
+
+    def store(self, entries: Sequence, first: list[int]) -> None:
+        """Keep each state's first-zeros entry under its family."""
+        if self.size + len(first) > _MEMO_LIMIT:
+            for table in self.tables:
+                table.clear()
+            self.size = 0
+        for table, entry, index in zip(self.tables, entries, first):
+            table[entry] = index
+        self.size = sum(map(len, self.tables))
+
+    def witness(self, frame: Model, first: list[int]) -> FrameCheck:
+        """``_witness`` of ``frame``, which has these state names: built
+        once per (lowest index, lowest state falsified under it), then
+        shared."""
+        index = min(first)
+        if index >> self.bits:
+            return _VALID
+        key = index * len(first) + first.index(index)
+        got = self.witnesses.get(key)
+        if got is None:
+            if len(self.witnesses) >= _MEMO_LIMIT:
+                self.witnesses.clear()
+            got = self.witnesses[key] = _witness(frame, self.program.names,
+                                                 first)
+        return got
+
+
+# The memo of the last (program, semantics, state names) that
+# ``frame_valid`` was given.  A new program or semantics, or other state
+# names, start a new one, so no memo outlives its program.
+_memo = _Memo(None, None, (), False)
 _MEMO_LIMIT = 1 << 16
+
+
+def _renew(prog: Program, kind: SemanticsKind, states: tuple[str, ...]
+           ) -> _Memo:
+    global _memo
+    memo = _memo
+    if memo.program is prog and memo.kind is kind and memo.states == states:
+        memo.states = states  # equal names: later frames pass the ``is`` test
+    else:
+        memo = _memo = _Memo(prog, kind, states, _modal_depth(prog) <= 1)
+    return memo
 
 
 def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
@@ -400,35 +462,32 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     2^(|S| * |vars|) valuations; sweeps beyond ``max_bits`` exponent bits are
     refused.  Returns the first falsifying valuation and state otherwise.
     """
-    global _memo
     _check_kind(frame, kind)
     prog = _program(f)
-    seen, memo = _memo
-    if seen is not prog:
-        memo = {} if _modal_depth(prog) <= 1 else None
-        _memo = (prog, memo)
-    n, k = len(frame.states), len(prog.names)
-    _check_bits(n, k, max_bits)
-    if memo is None:
+    states = frame.states
+    memo = _memo
+    if (memo.states is not states or memo.program is not prog
+            or memo.kind is not kind):
+        memo = _renew(prog, kind, states)
+    if memo.bits > max_bits:
+        _check_bits(len(states), len(prog.names), max_bits)
+    tables = memo.tables
+    if tables is None:
         handle = frame.__dict__.get(_RUN)
         if handle is not None:
             run, index = handle
             count = len(run.families)
-            if count > 1 and count << n * k <= 1 << _CHUNK_BITS:
-                first = _run_firsts(frame, prog, kind, run)[index]
-                return _witness(frame, prog.names, first)
-        return _witness(frame, prog.names, _first_zeros(frame, prog, kind, 1))
+            if count > 1 and count << memo.bits <= 1 << _CHUNK_BITS:
+                return memo.witness(
+                    frame, _run_firsts(frame, prog, kind, run)[index])
+        return memo.witness(frame, _first_zeros(frame, prog, kind, 1))
     rel = frame.succ if kind is SemanticsKind.KRIPKE else frame.neighborhoods
-    tag = kind.value
-    keys = [(tag, n, s, entry) for s, entry in enumerate(rel)]
     try:
-        first = [memo[key] for key in keys]
+        first = [table[entry] for table, entry in zip(tables, rel)]
     except KeyError:
-        first = _first_zeros(frame, prog, kind, n)
-        if len(memo) + n > _MEMO_LIMIT:
-            memo.clear()
-        memo.update(zip(keys, first))
-    return _witness(frame, prog.names, first)
+        first = _first_zeros(frame, prog, kind, len(states))
+        memo.store(rel, first)
+    return memo.witness(frame, first)
 
 
 @lru_cache(maxsize=64)

@@ -351,6 +351,26 @@ def test_huge_sizes_are_refused_at_once(capsys):
         assert "16,777,216" in err, argv
 
 
+def test_four_state_refusals_build_no_list(capsys, monkeypatch):
+    # a shipped class's frame count has a closed form, so refusing 2^32
+    # c-frames at 4 states filters none of the 2^16 family codes
+    from delta_lab import generators
+
+    def refuse(*args):
+        raise AssertionError("an admissible list was built")
+
+    monkeypatch.setattr(generators, "admissible_space", refuse)
+    for argv in (["audit", "--system", "E", "--max-states", "4"],
+                 ["enumerate", "--states", "4", "--class", "c",
+                  "--count-only"]):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 0.1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "4,294,967,296 frames" in err, argv
+        assert err.count("\n") == 1, argv
+
+
 def test_parallel_sweeps_match_sequential(capsys):
     for argv in (
             ["definability", "--builtin", "c", "--max-states", "2"],

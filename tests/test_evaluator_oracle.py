@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from delta_lab.formula import And, Atom, Box, Delta, Formula, Not, Top, \
     expand_sugar, metrics, parse
-from delta_lab.definability import builtin_claim, defines
+from delta_lab import definability, proofsys
+from delta_lab.definability import builtin_claim, builtin_table, defines
 from delta_lab.generators import (GenSpec, _product_frames, random_formula,
                                   random_kripke, random_model, state_names)
 from delta_lab.model import (_RUN, FRAME_CLASSES, KripkeModel,
                              NeighborhoodModel, bits)
-from delta_lab.proofsys import is_taut_instance
+from delta_lab.proofsys import AxiomSystem, audit_soundness, is_taut_instance
 from delta_lab import semantics
 from delta_lab.semantics import (_CHUNK_BITS, AND, ATOM, TOP, FrameCheck,
                                  SemanticsKind, _program_valid,
@@ -27,8 +28,16 @@ NEW, OLD, KRIPKE = SemanticsKind.NEW, SemanticsKind.OLD, SemanticsKind.KRIPKE
 
 
 def oracle_extension(m, f: Formula, kind: SemanticsKind) -> int:
+    return _oracle_core_extension(m, expand_sugar(f), kind)
+
+
+def _oracle_core_extension(m, core: Formula, kind: SemanticsKind) -> int:
+    """The extension of a sugar-free formula, by recursion on its nodes.
+    Each node object is evaluated once: the memo is keyed by identity, so
+    it never hashes or compares formulas, and ``core`` keeps every node
+    alive, so no identity is reused during the call."""
     full = m.full
-    memo: dict[Formula, int] = {}
+    memo: dict[int, int] = {}
 
     def holds(s: int, child: int, box: bool) -> bool:
         if not box:
@@ -38,7 +47,7 @@ def oracle_extension(m, f: Formula, kind: SemanticsKind) -> int:
         return child in m.neighborhoods[s]
 
     def ext(g: Formula) -> int:
-        got = memo.get(g)
+        got = memo.get(id(g))
         if got is not None:
             return got
         cls = type(g)
@@ -56,18 +65,20 @@ def oracle_extension(m, f: Formula, kind: SemanticsKind) -> int:
             for s in range(len(m.states)):
                 if holds(s, child, cls is Box):
                     out |= 1 << s
-        memo[g] = out
+        memo[id(g)] = out
         return out
 
-    return ext(expand_sugar(f))
+    return ext(core)
 
 
 def oracle_frame_valid(frame, f: Formula, kind: SemanticsKind) -> FrameCheck:
     names = sorted(metrics(f).vars)
+    core = expand_sugar(f)
     full = frame.full
     for masks in itertools.product(range(full + 1), repeat=len(names)):
         valuation = dict(zip(names, masks))
-        got = oracle_extension(frame.with_valuation(valuation), f, kind)
+        got = _oracle_core_extension(frame.with_valuation(valuation), core,
+                                     kind)
         if got != full:
             state = next(bits(full & ~got))
             return FrameCheck(False, valuation, frame.states[state])
@@ -267,7 +278,7 @@ def test_memo_path_matches_whole_frame_path_and_oracle():
             got = frame_valid(frame, f, kind)
             assert got == _whole_frame(frame, f, kind), (case, kind, str(f))
             assert got == oracle_frame_valid(frame, f, kind), (case, str(f))
-        assert (semantics._memo[1] is not None) == (depth <= 1)
+        assert (semantics._memo.tables is not None) == (depth <= 1)
 
 
 def test_memo_path_above_the_chunk_width():
@@ -345,7 +356,7 @@ def test_depth_two_formula_is_not_memoised():
                                                frozenset({0, 0b01, 0b10, 0b11})))
     for frame in (left, right, left, right):
         assert frame_valid(frame, f, NEW) == oracle_frame_valid(frame, f, NEW)
-    assert semantics._memo[1] is None
+    assert semantics._memo.tables is None
     k = parse("B (p -> B p)")
     one = KripkeModel(state_names(2), (0b10, 0b00))
     two = KripkeModel(state_names(2), (0b10, 0b01))
@@ -358,11 +369,20 @@ def test_memo_is_dropped_on_formula_change_and_cleared_when_full(monkeypatch):
     frame = _random_frame(NEW, 3, 1)
     f, g = parse("D p -> p"), parse("D p -> p")
     frame_valid(frame, f, NEW)
-    prog, memo = semantics._memo
-    assert len(memo) == 3
+    memo = semantics._memo
+    # one table per state, each keyed by that state's own family object
+    assert [list(table) for table in memo.tables] == \
+        [[fam] for fam in frame.neighborhoods]
+    renamed = NeighborhoodModel(tuple(list(frame.states)), frame.neighborhoods)
+    assert renamed.states is not frame.states
+    frame_valid(renamed, f, NEW)  # equal state names keep the memo
+    assert semantics._memo is memo and memo.size == 3
     frame_valid(frame, g, NEW)  # an equal formula, but a new object
-    assert semantics._memo[0] is not prog
-    assert semantics._memo[1] is not memo and len(semantics._memo[1]) == 3
+    assert semantics._memo is not memo and semantics._memo.program is not \
+        memo.program
+    assert semantics._memo.size == 3
+    frame_valid(frame, g, OLD)  # another semantics starts its own memo
+    assert semantics._memo.kind is OLD and semantics._memo.size == 3
     h = parse("~(D p -> p)")
     assert frame_valid(frame, h, NEW) == oracle_frame_valid(frame, h, NEW)
 
@@ -372,8 +392,40 @@ def test_memo_is_dropped_on_formula_change_and_cleared_when_full(monkeypatch):
     sizes = []
     for frame in _pooled_frames(NEW, 3, rnd, 40) + _pooled_frames(NEW, 3, rnd, 40):
         assert frame_valid(frame, f, NEW) == oracle_frame_valid(frame, f, NEW)
-        sizes.append(len(semantics._memo[1]))
+        memo = semantics._memo
+        assert memo.size == sum(map(len, memo.tables))
+        assert len(memo.witnesses) <= 7
+        sizes.append(memo.size)
     assert max(sizes) <= 7 and min(sizes[1:]) < max(sizes)
+
+
+def test_witnesses_are_shared_and_name_each_frames_own_states():
+    f = parse("D p -> p")
+    fams = (frozenset({0b01}), frozenset({0b01}))
+    one = NeighborhoodModel(("a", "b"), fams)
+    two = NeighborhoodModel(("a", "b"), fams)
+    other = NeighborhoodModel(("x", "y"), fams)
+    for kind in (NEW, OLD):
+        got = frame_valid(one, f, kind)
+        assert not got and frame_valid(two, f, kind) is got
+        assert got == oracle_frame_valid(one, f, kind)
+        # same families and formula, other names: the witness names "y"
+        renamed = frame_valid(other, f, kind)
+        assert renamed == oracle_frame_valid(other, f, kind)
+        assert renamed.state in other.states
+        assert frame_valid(one, f, kind) == got
+
+
+def test_shared_witnesses_survive_a_pickle_round_trip():
+    claim = builtin_claim("s")
+    checks = []
+    for frame in _product_frames(3, FRAME_CLASSES["c"]):
+        checks.append(frame_valid(frame, claim.formula, claim.semantics))
+    failing = [check for check in checks if not check]
+    assert len({id(check) for check in failing}) < len(failing)
+    copies = pickle.loads(pickle.dumps(checks))
+    assert copies == checks
+    assert all(type(copy.valuation) is dict for copy in copies if not copy)
 
 
 def test_only_frame_valid_decides_locality(monkeypatch):
@@ -497,3 +549,49 @@ def test_explicit_frame_stream_takes_the_whole_frame_path(monkeypatch):
               for frame in _product_frames(n, FRAME_CLASSES["c"])]
     monkeypatch.setattr(semantics, "_run_firsts", refuse)
     assert defines(claim, frames=copies) == swept
+
+
+# ---------------------------------------------------------------------------
+# Every check a shipped sweep makes, against a fresh whole-frame witness.
+
+def _fresh_check(frame, f: Formula, kind: SemanticsKind) -> FrameCheck:
+    """``frame_valid``'s answer rebuilt from scratch: no memo, no run, no
+    shared witness."""
+    copy = _untagged(frame)
+    prog = compile_formula(f)
+    return semantics._witness(copy, prog.names,
+                              semantics._first_zeros(copy, prog, kind, 1))
+
+
+def test_swept_checks_match_fresh_witnesses_and_oracle(monkeypatch):
+    # every builtin claim at 1-3 states (1-2 for (c) and (ws), whose
+    # background is all 2^24 frames at 3 states), then the E/M/R/K audits
+    seen = []
+    real = semantics.frame_valid
+
+    def recording(frame, f, kind, *args):
+        got = real(frame, f, kind, *args)
+        seen.append((frame, f, kind, got))
+        return got
+
+    monkeypatch.setattr(definability, "frame_valid", recording)
+    monkeypatch.setattr(proofsys, "frame_valid", recording)
+    swept = 0
+    for claim in builtin_table():
+        result = defines(claim, 3 if claim.background == "c" else 2)
+        assert result, claim
+        swept += result.frames_checked
+    for system in AxiomSystem:
+        report = audit_soundness(system, 3)
+        assert report.ok, system
+        swept += sum(audit.frames_checked for audit in report.axioms)
+    # one check per swept frame; the audits' negative sweeps add the rest
+    assert swept < len(seen) <= swept + 4 * (1 + 4 + 64)
+    failing = 0
+    for i, (frame, f, kind, got) in enumerate(seen):
+        assert vars(frame).get(_RUN) is not None
+        assert got == _fresh_check(frame, f, kind), (str(f), kind, frame)
+        if i % 97 == 0:
+            assert got == oracle_frame_valid(frame, f, kind), (str(f), frame)
+        failing += not got
+    assert failing > 10_000

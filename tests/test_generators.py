@@ -223,6 +223,27 @@ def test_admissible_lists_equal_the_per_state_computation():
             assert list(generators._product_frames(n, props)) == want
 
 
+def test_closed_form_list_lengths_equal_the_filtered_lists():
+    for n in (1, 2, 3, 4):
+        for name, props in FRAME_CLASSES.items():
+            length = generators._list_length(n, props)
+            assert length == len(generators._shared_codes(n, props)), (name, n)
+            for s in range(n):
+                assert length == len(generators._admissible_codes(n, props, s))
+            if length ** n <= generators.MAX_ENUMERATION:
+                assert generators._frame_count(n, props) == length ** n
+            else:
+                with pytest.raises(BudgetError, match=f"{length ** n:,} frames"):
+                    generators._frame_count(n, props)
+        # any other property set is filtered, not counted in closed form
+        for props in ({FP.T}, {FP.N}, {FP.C, FP.T}, {FP.S, FP.I}):
+            assert generators._list_length(n, frozenset(props)) is None
+    # above 4 states no list is filtered, so there is no closed form either
+    assert generators._list_length(5, FRAME_CLASSES["cs"]) is None
+    with pytest.raises(BudgetError, match="2\\^\\(2\\^5\\) family codes"):
+        generators._frame_count(5, FRAME_CLASSES["cs"])
+
+
 def test_random_model_large_states_closure_path():
     m = random_model(GenSpec(6, frozenset({FP.C, FP.N}), seed=3,
                              mode="random"), ["p"])

@@ -201,12 +201,24 @@ def _frame_stream():
 def test_local_verdict_memo_matches_literal_verdicts(monkeypatch, limit):
     monkeypatch.setattr(model, "_LOCAL_LIMIT", limit)
     monkeypatch.setattr(model, "_local_verdicts", {})
+    monkeypatch.setattr(model, "_local_size", 0)
+    sizes = []
     for frame in _frame_stream():
         for prop in model.LOCAL_PROPERTIES:
             assert has_property(frame, prop) == all(
                 family_satisfies(prop, fam, frame.full, s)
                 for s, fam in enumerate(frame.neighborhoods)), (frame, prop)
-        assert len(model._local_verdicts) <= limit
+        size = sum(map(len, model._local_verdicts.values()))
+        assert size == model._local_size <= limit
+        sizes.append(size)
+    # one table per (property, size, state for (t) or -1), each keyed by
+    # the family objects themselves
+    for (prop, full, state), table in model._local_verdicts.items():
+        assert state == -1 or prop is FP.T
+        for fam, verdict in table.items():
+            assert verdict == family_satisfies(prop, fam, full, state)
+    emptied = any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert emptied == (limit == 5), limit
 
 
 def test_first_failing_follows_declaration_order():
