@@ -8,10 +8,10 @@ implication (right associative), ``<->`` biconditional, ``D`` non-contingency,
 
 Nothing here recurses, so there is no depth limit.  ``parse`` keeps pending
 operators on an explicit stack.  Everything else reads one traversal,
-``postorder``, most of it folded by ``walk``; ``==``, ``hash`` and pickling
-use its flat key.  The sugar kinds are defined over the core kinds once, in
-``SUGAR``, which ``to_core`` applies for ``expand_sugar`` and for
-``semantics.compile_formula``.
+``postorder``, most of it folded by ``walk``; ``hash`` and pickling use
+its flat key, and ``==`` walks both trees in step.  The sugar kinds are
+defined over the core kinds once, in ``SUGAR``, which ``to_core`` applies
+for ``expand_sugar`` and for ``semantics.compile_formula``.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ class ParseError(ValueError):
 
 
 class Formula:
-    """Base class for all formula nodes: equal, hashed and pickled by their
-    flat key."""
+    """Base class for all formula nodes: hashed and pickled by their flat
+    key, equal when their trees are."""
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        return self is other or _key(self) == _key(other)
+        return _same(self, other)
 
     def __hash__(self) -> int:
         return hash(_key(self))
@@ -199,6 +199,31 @@ def _key(f: Formula) -> tuple:
         cls = type(node)
         key.append(cls if cls in _INNER else (cls, *vars(node).values()))
     return tuple(key)
+
+
+def _same(a: Formula, b: Formula) -> bool:
+    """Whether ``a`` and ``b`` have equal flat keys, by one paired walk that
+    skips shared subtrees and stops at the first difference: down the left
+    children, with the right pairs kept on a stack."""
+    stack = []
+    while True:
+        if a is not b:
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            if cls in _BINARY:
+                stack += (a.right, b.right)
+                a, b = a.left, b.left
+                continue
+            if cls in _UNARY:
+                a, b = a.child, b.child
+                continue
+            if vars(a) != vars(b):
+                return False
+        if not stack:
+            return True
+        b = stack.pop()
+        a = stack.pop()
 
 
 def _build(key: tuple) -> Formula:

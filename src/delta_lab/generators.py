@@ -5,21 +5,23 @@ over 2^(2^n) (bit k set iff subset-mask k belongs to the family) and walks
 the n-tuple of codes in ascending order, so frame #k is reproducible from
 (n, k) and filtered counts are stable.  The admissible codes of a size and a
 set of local properties form one list that every state shares; only (t)
-reads the state, and it filters that list per state.  A sweep builds each
-admissible family once and takes the product over the families, so frames
-share their family objects.
+reads the state, and it filters that list per state.  The shipped classes'
+lists are built in closed form (``_CLOSED_FORMS``), any other property set's
+by filtering all 2^(2^n) codes.  A sweep builds each admissible family once
+and takes the product over the families, so frames share their family
+objects.
 
 One limit, ``MAX_ENUMERATION`` items at one size, decides how large an
 exhaustive enumeration may be, checked by ``_check_enumeration`` before any
 item is built.  It bounds the 2^(2^n) family codes that a size's admissible
-lists filter, the neighborhood frames of one size (the product of the
-per-state list lengths), and the 2^(n·n) Kripke frames of one size.  So
+lists are drawn from, the neighborhood frames of one size (the product of
+the per-state list lengths), and the 2^(n·n) Kripke frames of one size.  So
 admissible lists exist up to 4 states, Kripke frames are enumerated up to 4
 states, and neighborhood frames wherever their product fits: every class at
 3 states, and cs, csi, filter and quasi-filter frames at 4.  Counts above
-the limit are compared, never built, so a huge size is refused at once.  A
-shipped class's per-state list length has a closed form (``_list_length``),
-so its frames are counted, planned or refused without filtering a code.
+the limit are compared, never built, so a huge size is refused at once, and
+a shipped class's frames are counted, planned or refused without filtering
+a code.
 
 Random generation is deterministic per seed; constrained sampling draws
 per-state families from the admissible lists wherever they may be built and
@@ -43,8 +45,8 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
 from .model import (_RUN, FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
-                    FrameProperty, KripkeModel, NeighborhoodModel, bits,
-                    family_satisfies, has_property)
+                    FrameProperty, KripkeModel, NeighborhoodModel, _swept_frame,
+                    bits, family_satisfies, has_property, qf_family, submasks)
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -95,8 +97,8 @@ def _check_enumeration(count: int, what: str) -> None:
 
 
 def _code_count(n: int) -> int:
-    """The 2^(2^n) family codes an n-state admissible list filters: exact up
-    to 4 states, 2^25 above."""
+    """The 2^(2^n) family codes an n-state admissible list is drawn from:
+    exact up to 4 states, 2^25 above."""
     return _pow2(_pow2(n))
 
 
@@ -122,16 +124,70 @@ def frame_at(n: int, index: int) -> NeighborhoodModel:
     return frame_from_codes(n, tuple(reversed(codes)))
 
 
+def _code_of(family: Iterable[int]) -> int:
+    return sum(1 << x for x in family)
+
+
+def _c_codes(n: int) -> tuple[int, ...]:
+    """Unions of complementary pairs {X, S∖X}: the subset sums of the
+    2^(n-1) pair codes, one pair for each X without the last state."""
+    full = (1 << n) - 1
+    codes = [0]
+    for x in range(1 << (n - 1)):
+        pair = 1 << x | 1 << (full ^ x)
+        codes += [code | pair for code in codes]
+    return tuple(sorted(codes))
+
+
+def _filter_codes(n: int) -> tuple[int, ...]:
+    """The principal filters ↑A, one for each A ⊆ S."""
+    full = (1 << n) - 1
+    return tuple(sorted(_code_of(a | y for y in submasks(full ^ a))
+                        for a in range(full + 1)))
+
+
+def _empty_and_full(n: int) -> tuple[int, int]:
+    """∅ and 2^S, the only (c) and (s) families: with any member they hold
+    its complement, so ∅, and so every superset of ∅."""
+    return 0, (1 << (1 << n)) - 1
+
+
+def _qf_codes(n: int) -> tuple[int, ...]:
+    """The Q_R of ``model.qf_family``, one for each R ⊆ S; R = ∅ and the
+    n singletons all give 2^S."""
+    full = (1 << n) - 1
+    return tuple(sorted({_code_of(qf_family(r, full))
+                         for r in range(full + 1)}))
+
+
+#: Each shipped frame class's admissible list, in closed form and ascending,
+#: keyed by the class's local properties.
+_CLOSED_FORMS: dict[frozenset[FrameProperty],
+                    Callable[[int], Sequence[int]]] = {
+    FRAME_CLASSES["all"]: lambda n: range(1 << (1 << n)),
+    FRAME_CLASSES["c"]: _c_codes,
+    FRAME_CLASSES["cs"]: _empty_and_full,
+    FRAME_CLASSES["csi"]: _empty_and_full,
+    FRAME_CLASSES["filter"]: _filter_codes,
+    FRAME_CLASSES["quasi-filter"]: _qf_codes,
+}
+
+
 @lru_cache(maxsize=None)
-def _shared_codes(n: int, props: frozenset[FrameProperty]) -> tuple[int, ...]:
-    """Family codes whose family satisfies every local property but (t),
-    ascending; the same list for every state."""
+def _shared_codes(n: int, props: frozenset[FrameProperty]) -> Sequence[int]:
+    """Family codes whose family satisfies every property of ``props``, a
+    set of local properties without (t), ascending; the same list for every
+    state.  A shipped class's list is built from its closed form, any other
+    by filtering every code."""
     _check_enumeration(_code_count(n), f"{n}-state admissible lists would "
                                        f"filter 2^(2^{n}) family codes")
+    form = _CLOSED_FORMS.get(props)
+    if form is not None:
+        return form(n)
     n_subsets = 1 << n
     full = n_subsets - 1
     # declaration order puts the costly (ws) last, after the cheap tests
-    props = [p for p in FrameProperty if p in props and p is not FrameProperty.T]
+    props = [p for p in FrameProperty if p in props]
     out = []
     for code in range(1 << n_subsets):
         fam = _family_of_code(code, n_subsets)
@@ -142,11 +198,11 @@ def _shared_codes(n: int, props: frozenset[FrameProperty]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _admissible_codes(n: int, props: frozenset[FrameProperty],
-                      state: int) -> tuple[int, ...]:
+                      state: int) -> Sequence[int]:
     """Family codes whose family satisfies every local property at
     ``state``, ascending.  Only (t) reads the state, so without it every
     state shares one list."""
-    codes = _shared_codes(n, props)
+    codes = _shared_codes(n, props - {FrameProperty.T})
     if FrameProperty.T not in props:
         return codes
     # (t): no member leaves out the state, i.e. no code bit at such a mask
@@ -162,7 +218,7 @@ def _split_props(props: Iterable[FrameProperty]
 
 
 def admissible_space(n: int, properties: Iterable[FrameProperty]
-                     ) -> tuple[list[tuple[int, ...]], frozenset[FrameProperty]]:
+                     ) -> tuple[list[Sequence[int]], frozenset[FrameProperty]]:
     """Per-state admissible family codes for the local properties, plus the
     global properties a consumer still has to check per frame.  The product
     of the lists is index-addressable, so sweeps partition cleanly."""
@@ -170,33 +226,13 @@ def admissible_space(n: int, properties: Iterable[FrameProperty]
     return [_admissible_codes(n, local, s) for s in range(n)], global_props
 
 
-def _list_length(n: int, local: frozenset[FrameProperty]) -> int | None:
-    """The length of each state's n-state admissible list for the local
-    properties of a shipped frame class, in closed form; None for any other
-    property set, and above 4 states, where no list is filtered.  ``all``:
-    every family, 2^(2^n); ``c``: unions of complementary pairs {X, S∖X},
-    2^(2^(n-1)); ``cs`` and ``csi``: only ∅ and 2^S; ``filter``: the
-    principal filters, 2^n; ``quasi-filter``: the Q_R, 2^n - n."""
-    if _code_count(n) > MAX_ENUMERATION:
-        return None
-    forms = {"all": 2 ** 2 ** n, "c": 2 ** 2 ** (n - 1), "cs": 2, "csi": 2,
-             "filter": 2 ** n, "quasi-filter": 2 ** n - n}
-    return next((length for name, length in forms.items()
-                 if FRAME_CLASSES[name] == local), None)
-
-
 def _frame_count(n: int, properties: Iterable[FrameProperty]) -> int:
     """Frames in the product of the n-state admissible lists: what
     ``_product_frames`` walks.  Refused above ``MAX_ENUMERATION``.  A
-    shipped class's count comes from its closed-form list length, so no
-    list is built to count or to refuse it."""
+    shipped class's lists come from their closed forms, so no code is
+    filtered to count or to refuse it."""
     local, _ = _split_props(properties)
-    length = _list_length(n, local)
-    if length is None:
-        per_state, _ = admissible_space(n, properties)
-        total = math.prod(map(len, per_state))
-    else:
-        total = length ** n
+    total = math.prod(len(_admissible_codes(n, local, s)) for s in range(n))
     _check_enumeration(total, f"exhaustive enumeration at {n} states would "
                               f"walk {total:,} frames")
     return total
@@ -239,7 +275,7 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     for base, head in zip(range(first * width, stop, width), heads):
         run = _Run(last)
         for index in range(offset, min(width, stop - base)):
-            frame = NeighborhoodModel(names, head + (last[index],))
+            frame = _swept_frame(names, head + (last[index],))
             if global_props and not all(has_property(frame, p)
                                         for p in global_props):
                 continue

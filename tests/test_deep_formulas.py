@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from delta_lab.cli import main
-from delta_lab.formula import (Delta, Iff, Not, expand_sugar, metrics, parse,
-                               subformulas)
+from delta_lab.formula import (And, Delta, Iff, Not, _key, expand_sugar,
+                               metrics, parse, subformulas)
 from delta_lab.generators import frame_at
 from delta_lab.model import NeighborhoodModel
 from delta_lab.proofsys import (SCHEMAS, AxiomSystem, ProofLine, check_proof,
@@ -60,6 +60,19 @@ def test_syntax(shape):
     got = metrics(f)
     assert got.vars == {"p"}
     assert got.modal_depth == (DEPTH // 2 if "D" in text else 0)
+
+
+def test_equality_agrees_with_the_flat_key(shape):
+    f, text, _, _ = shape
+    last = text.rindex("p")
+    variants = (text, text[:last] + "q" + text[last + 1:],
+                text.replace("p", "q", 1), text + " & p")
+    for other in map(parse, variants):
+        want = _key(f) == _key(other)
+        assert (f == other) is want and (other == f) is want
+    assert f == parse(variants[0])
+    # a shared subtree is skipped, and the rest still compared
+    assert And(f, f) == And(f, parse(text)) != And(f, Not(f))
 
 
 def test_schema_matching(shape):

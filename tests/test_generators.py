@@ -184,6 +184,37 @@ def test_seeded_random_models_are_pinned():
         assert digest == RANDOM_MODEL_DIGESTS[name], name
 
 
+# sha256 prefixes of random_model's output for seeds 0-39, one atom, at 1-6
+# states and, with (t) added, at 1-4; computed before the shipped classes'
+# admissible lists were built in closed form
+RANDOM_MODEL_DIGESTS_WITH_T = {
+    "all": "cc15a447b4d83c2a", "c": "3bd9758846072adf",
+    "cs": "d599efce5d89b79d", "csi": "d599efce5d89b79d",
+    "filter": "6a8a3568e1f33c9e", "quasi-filter": "7d2048214b688ace"}
+
+
+def test_seeded_random_models_with_and_without_t_are_pinned():
+    assert RANDOM_MODEL_DIGESTS_WITH_T.keys() == FRAME_CLASSES.keys()
+    for name, props in FRAME_CLASSES.items():
+        rows = []
+        for local, sizes in ((props, range(1, 7)),
+                             (props | {FP.T}, range(1, 5))):
+            for n in sizes:
+                for seed in range(40):
+                    try:
+                        m = random_model(GenSpec(n, local, seed=seed), ["p"])
+                    except GenerationError as error:
+                        # e.g. no 1-state quasi-filter family has (t)
+                        rows.append((n, seed, str(error)))
+                        continue
+                    rows.append((n, seed,
+                                 tuple(tuple(sorted(f))
+                                       for f in m.neighborhoods),
+                                 sorted(m.valuation.items())))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        assert digest == RANDOM_MODEL_DIGESTS_WITH_T[name], name
+
+
 def _per_state_codes(n, props, state, codes):
     """The codes among ``codes`` whose family satisfies every property at
     ``state``: the per-state computation the shared lists replace."""
@@ -223,25 +254,48 @@ def test_admissible_lists_equal_the_per_state_computation():
             assert list(generators._product_frames(n, props)) == want
 
 
+def _filtered_codes(n, props):
+    """Every family code whose family satisfies ``props`` (no (t)), by the
+    literal filter: the oracle of the closed-form lists."""
+    return _per_state_codes(n, [p for p in FP if p in props], 0,
+                            range(1 << (1 << n)))
+
+
 def test_closed_form_list_lengths_equal_the_filtered_lists():
     for n in (1, 2, 3, 4):
         for name, props in FRAME_CLASSES.items():
-            length = generators._list_length(n, props)
-            assert length == len(generators._shared_codes(n, props)), (name, n)
+            want = _filtered_codes(n, props)
+            assert list(generators._shared_codes(n, props)) == want, (name, n)
             for s in range(n):
-                assert length == len(generators._admissible_codes(n, props, s))
-            if length ** n <= generators.MAX_ENUMERATION:
-                assert generators._frame_count(n, props) == length ** n
+                assert list(generators._admissible_codes(n, props, s)) == want
+                assert (list(generators._admissible_codes(n, props | {FP.T}, s))
+                        == _per_state_codes(n, {FP.T}, s, want)), (name, n, s)
+            if len(want) ** n <= generators.MAX_ENUMERATION:
+                assert generators._frame_count(n, props) == len(want) ** n
             else:
-                with pytest.raises(BudgetError, match=f"{length ** n:,} frames"):
+                with pytest.raises(BudgetError,
+                                   match=f"{len(want) ** n:,} frames"):
                     generators._frame_count(n, props)
-        # any other property set is filtered, not counted in closed form
-        for props in ({FP.T}, {FP.N}, {FP.C, FP.T}, {FP.S, FP.I}):
-            assert generators._list_length(n, frozenset(props)) is None
-    # above 4 states no list is filtered, so there is no closed form either
-    assert generators._list_length(5, FRAME_CLASSES["cs"]) is None
+    # above 4 states no list is built, closed form or not
     with pytest.raises(BudgetError, match="2\\^\\(2\\^5\\) family codes"):
         generators._frame_count(5, FRAME_CLASSES["cs"])
+
+
+def test_shipped_lists_filter_no_code(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a family code was filtered")
+
+    generators._shared_codes.cache_clear()
+    generators._admissible_codes.cache_clear()
+    monkeypatch.setattr(generators, "family_satisfies", refuse)
+    for n in (1, 2, 3, 4):
+        for props in FRAME_CLASSES.values():
+            for local in (props, props | {FP.T}):
+                per_state, _ = generators.admissible_space(n, local)
+                assert all(list(codes) == sorted(set(codes))
+                           for codes in per_state)
+    with pytest.raises(AssertionError):
+        generators.admissible_space(2, {FP.N})
 
 
 def test_random_model_large_states_closure_path():

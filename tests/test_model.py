@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from delta_lab import model
+from delta_lab import generators, model
 from delta_lab.generators import (GenSpec, enum_frames, enum_kripke_frames,
                                   random_kripke, random_model)
 from delta_lab.model import (_VERDICTS, MODEL_CLASSES, FrameProperty,
@@ -248,6 +248,28 @@ def test_verdicts_are_kept_per_model_instance():
     copy = pickle.loads(pickle.dumps(m))
     assert copy == m and _VERDICTS not in vars(copy)
     assert classify(copy) == classify(fresh) == set()
+
+
+def test_swept_frames_match_constructed_frames():
+    swept = (list(generators._product_frames(2, frozenset()))
+             + list(generators._product_frames(3, MODEL_CLASSES["c-model"])))
+    for frame in swept:
+        built = NeighborhoodModel(frame.states, frame.neighborhoods)
+        assert type(frame) is NeighborhoodModel
+        assert frame == built and built == frame
+        assert (hash((frame.states, frame.neighborhoods))
+                == hash((built.states, built.neighborhoods)))
+        assert repr(frame) == repr(built)
+        assert [k for k in vars(frame) if k != model._RUN] == list(vars(built))
+        assert pickle.dumps(frame) == pickle.dumps(built)
+        copy = pickle.loads(pickle.dumps(frame))
+        assert copy == built and model._RUN not in vars(copy)
+        assert frame.valuation == {} and frame.valuation is not built.valuation
+        valued = frame.with_valuation({"p": 1})
+        assert valued == built.with_valuation({"p": 1})
+        assert frame.valuation == {} and model._RUN not in vars(valued)
+    # each frame has a valuation dict of its own
+    assert len({id(frame.valuation) for frame in swept}) == len(swept)
 
 
 # --- the quasi-filter normal form ------------------------------------------

@@ -14,7 +14,7 @@ import re
 import pytest
 
 from delta_lab.formula import (And, Atom, Bot, Box, Delta, Iff, Imp, Nabla,
-                               Not, Or, ParseError, Top, parse)
+                               Not, Or, ParseError, Top, _key, parse)
 from delta_lab.generators import random_formula
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,25 @@ def test_parse_errors_match_the_oracle_on_mutated_texts():
             assert outcome(parse, text) == want, text
             errors += want[0] == "ParseError"
     assert errors > 4500  # most mutants are malformed
+
+
+def test_equality_agrees_with_the_flat_key():
+    # ``==`` walks both trees; the flat key it replaced is its oracle, on
+    # equal copies, on seeded neighbours and on parsable token mutants
+    rnd = random.Random(3)
+    formulas = list(_seeded_formulas(2000))
+    unequal = 0
+    for f, neighbour in zip(formulas, formulas[1:] + formulas[:1]):
+        others = [parse(str(f)), neighbour]
+        for text in _mutants(str(f), rnd):
+            if outcome(parse, text)[0] != "ParseError":
+                others.append(parse(text))
+        for g in others:
+            want = _key(f) == _key(g)
+            assert (f == g) is want and (g == f) is want, (str(f), str(g))
+            assert (f != g) is not want
+            unequal += not want
+    assert unequal > 2000
 
 
 @pytest.mark.parametrize("text", [
