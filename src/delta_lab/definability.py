@@ -14,8 +14,9 @@ from typing import Iterable
 
 from .formula import Formula, parse
 from .generators import first_hit, sweep
-from .model import FRAME_CLASSES, FrameProperty, NeighborhoodModel, has_property
-from .semantics import FrameCheck, SemanticsKind, frame_valid
+from .model import (_RUN, FRAME_CLASSES, FrameProperty, NeighborhoodModel,
+                    has_property, run_property)
+from .semantics import FrameCheck, SemanticsKind, frame_valid, run_valid
 
 _TABLE = (
     ("n", "D top", "c"),
@@ -73,7 +74,15 @@ def builtin_claim(letter: str) -> DefinabilityClaim:
 
 def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
                 max_bits: int = 24) -> Counterexample | None:
-    """The per-frame biconditional: property holds iff the formula is valid."""
+    """The per-frame biconditional: property holds iff the formula is valid.
+    A frame of a product sweep reads its bit of its run's masks, and only a
+    frame whose bits differ, a counterexample, is checked on its own."""
+    handle = frame.__dict__.get(_RUN)
+    if handle is not None:
+        valid = run_valid(frame, claim.formula, claim.semantics, max_bits)
+        if valid is not None and not (
+                valid ^ run_property(frame, claim.prop)) >> handle[1] & 1:
+            return None
     holds = has_property(frame, claim.prop)
     check = frame_valid(frame, claim.formula, claim.semantics, max_bits)
     if holds and not check.valid:

@@ -45,8 +45,9 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
 from .model import (_RUN, FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
-                    FrameProperty, KripkeModel, NeighborhoodModel, _swept_frame,
-                    bits, family_satisfies, has_property, qf_family, submasks)
+                    FrameProperty, KripkeModel, NeighborhoodModel, _run_props,
+                    _swept_frame, bits, family_satisfies, has_property,
+                    qf_family, submasks)
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -239,16 +240,27 @@ def _frame_count(n: int, properties: Iterable[FrameProperty]) -> int:
 
 
 class _Run:
-    """One run of a product: the frames that differ only in the last state's
-    family, which takes each of ``families`` in turn.  ``semantics``
-    fills ``firsts``, each frame's first-zeros list, for one program and
-    semantics when it checks the first frame of the run."""
+    """One run of a product: the frames that differ only in the last
+    state's family.  ``head`` holds the families of states 0..n−2 and
+    ``families`` the last state's list, which frame j of the run takes
+    entry j of.  The run is the unit of decision: ``model.run_property``
+    and ``semantics.run_valid`` answer for all its frames at once with a
+    mask whose bit j is frame j's verdict, kept on the run (``props`` by
+    property; ``valid`` and, at modal depth 2 or more, the zero planes
+    ``zeros`` for one ``program`` and ``kind``).  ``shared`` is one dict
+    for every run of a ``_product_frames`` call: what those functions
+    build once per list, such as the last state's verdicts and the
+    selectors of each subset."""
 
-    __slots__ = ("families", "program", "kind", "firsts")
+    __slots__ = ("head", "families", "shared", "props", "program", "kind",
+                 "valid", "zeros")
 
-    def __init__(self, families: tuple[frozenset[int], ...]):
-        self.families = families
-        self.program = self.kind = self.firsts = None
+    def __init__(self, head: tuple[frozenset[int], ...],
+                 families: tuple[frozenset[int], ...], shared: dict):
+        self.head, self.families, self.shared = head, families, shared
+        self.props: dict[FrameProperty, int] = {}
+        # ``semantics`` sets ``kind``, ``valid`` and ``zeros`` with it
+        self.program = None
 
 
 def _product_frames(n: int, properties: Iterable[FrameProperty],
@@ -259,7 +271,8 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     once per call and shared by every frame that has it.  The product is
     walked run by run; each frame is tagged with its run and its index in
     that run, read off its raw product index, so a range that starts
-    mid-run tags the same way."""
+    mid-run tags the same way.  Global properties are read from the run's
+    masks."""
     per_state, global_props = admissible_space(n, properties)
     names = state_names(n)
     choices = [[_family_of_code(code, 1 << n) for code in codes]
@@ -272,13 +285,17 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     width = len(last)
     first, offset = divmod(start, width)
     heads = itertools.islice(itertools.product(*choices[:-1]), first, None)
+    shared: dict = {}
     for base, head in zip(range(first * width, stop, width), heads):
-        run = _Run(last)
-        for index in range(offset, min(width, stop - base)):
+        run = _Run(head, last, shared)
+        indices = range(offset, min(width, stop - base))
+        if global_props:
+            keep = -1
+            for p in global_props:
+                keep &= _run_props(run, p)
+            indices = [index for index in indices if keep >> index & 1]
+        for index in indices:
             frame = _swept_frame(names, head + (last[index],))
-            if global_props and not all(has_property(frame, p)
-                                        for p in global_props):
-                continue
             frame.__dict__[_RUN] = (run, index)
             yield frame
         offset = 0

@@ -13,6 +13,18 @@ verdict on a family is computed once and kept in a table per (property,
 size), or per (property, size, state) for (t), keyed by the family object
 itself, which sweep frames share.
 
+A frame of ``generators``' product sweep belongs to a *run*, the frames that
+differ only in the last state's family F_j.  ``run_property`` answers for
+the whole run with a mask whose bit j is frame j's verdict, computed once
+per (run, property) and kept on the run.  A local property ANDs the head
+states' verdicts with a mask of the last state's verdicts over the list,
+kept for every run of the sweep.  (b), (4) and (5) are written once, as a
+bit-parallel loop over their clauses (s, x): sel[y] has bit j set iff
+y ∈ F_j, each clause reads holders[z] (the states that have z as a
+neighborhood), and its two candidate holder sets, with or without the last
+state, pick the frames of sel[z] and the rest, in O(n·2^n) per run.
+``has_property`` on one frame runs the same code on its run of one.
+
 Quasi-filter normal form: a family N has (n), (i), (c), (ws) iff N = Q_R =
 {X : R ⊆ X or X ∩ R = ∅} for R = {t : {t} ∉ N}.  (n), (c), (i) make N a
 Boolean subalgebra of 2^S; (ws) on each atom leaves at most one atom with two
@@ -135,8 +147,8 @@ class Model:
     verdicts live in the instance ``__dict__``, outside ``==`` and pickling.
     So does the ``_run`` handle that ``generators`` gives each frame of a
     product sweep: the frame's run (the frames that differ only in the last
-    state's family) and its index there, which ``semantics.frame_valid``
-    reads to check the whole run in one pass.  ``replace`` and
+    state's family) and its index there, which ``run_property`` and
+    ``semantics`` read to decide the whole run at once.  ``replace`` and
     ``with_valuation`` build untagged models.
     """
 
@@ -373,39 +385,139 @@ def _local_verdict(table: dict[frozenset[int], bool], prop: FrameProperty,
     return verdict
 
 
+def _verdicts(prop: FrameProperty, full: int, state: int,
+              families: tuple[frozenset[int], ...]) -> int:
+    """Bit j set iff ``families[j]`` satisfies the local property at
+    ``state``, each verdict read from or kept in ``_local_verdicts``."""
+    table = _local_table(prop, full, state if prop is FrameProperty.T else -1)
+    mask = 0
+    for j, fam in enumerate(families):
+        verdict = table.get(fam)
+        if verdict is None:
+            verdict = _local_verdict(table, prop, fam, full, state)
+        if verdict:
+            mask |= 1 << j
+    return mask
+
+
+def _all_hold(prop: FrameProperty, fams: tuple[frozenset[int], ...],
+              full: int) -> bool:
+    """Whether ``fams[s]`` satisfies the local property at s for every s,
+    with the verdicts of ``_local_verdicts``."""
+    at_state = prop is FrameProperty.T
+    table = None if at_state else _local_table(prop, full, -1)
+    for s, fam in enumerate(fams):
+        if at_state:
+            table = _local_table(prop, full, s)
+        verdict = table.get(fam)
+        if verdict is None:
+            verdict = _local_verdict(table, prop, fam, full, s)
+        if not verdict:
+            return False
+    return True
+
+
 def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
-    full = m.full
+    """The verdict on one frame.  (b), (4) and (5) read it as a run of one,
+    with the last state's family as the whole list."""
     fams = m.neighborhoods
     if prop in LOCAL_PROPERTIES:
-        at_state = prop is FrameProperty.T
-        table = None if at_state else _local_table(prop, full, -1)
-        for s, fam in enumerate(fams):
-            if at_state:
-                table = _local_table(prop, full, s)
-            verdict = table.get(fam)
-            if verdict is None:
-                verdict = _local_verdict(table, prop, fam, full, s)
-            if not verdict:
-                return False
-        return True
-    # holders[x]: the states that have x as a neighborhood.
+        return _all_hold(prop, fams, m.full)
+    return not fams or _mask(prop, fams[:-1], fams[-1:], {}) == 1
+
+
+def run_property(m: NeighborhoodModel, prop: FrameProperty) -> int | None:
+    """``prop`` over the run of a frame tagged by ``generators``' product
+    sweep: bit j is set iff frame j of the run has it.  None for an
+    untagged frame."""
+    handle = m.__dict__.get(_RUN)
+    return None if handle is None else _run_props(handle[0], prop)
+
+
+def _run_props(run, prop: FrameProperty) -> int:
+    """``run_property``'s mask for a ``generators._Run``, computed once per
+    (run, property) and kept on the run."""
+    masks = run.props
+    mask = masks.get(prop)
+    if mask is None:
+        mask = masks[prop] = _mask(prop, run.head, run.families, run.shared)
+    return mask
+
+
+# Key of the per-subset selectors in a run's ``shared`` dict.
+_SEL = "sel"
+
+
+def _mask(prop: FrameProperty, head: tuple[frozenset[int], ...],
+          families: tuple[frozenset[int], ...], shared: dict) -> int:
+    """Bit j set iff the frame with the families ``head`` at states 0..n−2
+    and ``families[j]`` at state n−1 has ``prop``.  ``shared`` keeps what
+    depends on ``families`` alone, for every head that shares the list: the
+    last state's verdicts of a local property, under the property, and the
+    selectors of (b), (4) and (5)."""
+    full = (1 << len(head) + 1) - 1
+    if prop in LOCAL_PROPERTIES:
+        if not _all_hold(prop, head, full):
+            return 0
+        last = shared.get(prop)
+        if last is None:
+            last = shared[prop] = _verdicts(prop, full, len(head), families)
+        return last
+    sel = shared.get(_SEL)
+    if sel is None:
+        # sel[y]: bit j set iff y ∈ families[j]
+        sel = shared[_SEL] = [0] * (full + 1)
+        for j, fam in enumerate(families):
+            for y in fam:
+                sel[y] |= 1 << j
+    return _clauses(prop, head, sel, full, (1 << len(families)) - 1)
+
+
+def _clauses(prop: FrameProperty, head: tuple[frozenset[int], ...],
+             sel: list[int], full: int, ones: int) -> int:
+    """(b), (4) or (5) over a run, bit-parallel: ``ones`` has a bit per
+    frame and ``sel[y]`` the frames whose last family holds y.  Each clause
+    (s, x) asks whether a set built from holders[z], the states that have z
+    as a neighborhood, is in N(s).  The head's holders are fixed; frame j
+    adds the last state iff z ∈ F_j, so the clause reads target ``t1`` on
+    the frames of ``sel[z]`` and ``t0`` on the rest."""
+    if prop not in (FrameProperty.B, FrameProperty.FOUR, FrameProperty.FIVE):
+        raise ValueError(f"unknown frame property {prop!r}")
+    top = 1 << len(head)
     holders = [0] * (full + 1)
-    for u, fam in enumerate(fams):
-        bit = 1 << u
+    for u, fam in enumerate(head):
         for x in fam:
-            holders[x] |= bit
-    if prop is FrameProperty.B:
-        for s, fam in enumerate(fams):
-            for x in range(full + 1):
-                if x >> s & 1 and (full ^ holders[full ^ x]) not in fam:
-                    return False
-        return True
-    if prop is FrameProperty.FOUR:
-        return all(holders[x] in fam for fam in fams for x in fam)
-    if prop is FrameProperty.FIVE:
-        return all((full ^ holders[x]) in fam
-                   for fam in fams for x in range(full + 1) if x not in fam)
-    raise ValueError(f"unknown frame property {prop!r}")
+            holders[x] |= 1 << u
+    # rows[s][y]: the frames whose N(s) holds y
+    rows = [[ones if y in fam else 0 for y in range(full + 1)]
+            for fam in head]
+    rows.append(sel)
+    ok = ones
+    for s, row in enumerate(rows):
+        for x in range(full + 1):
+            if prop is FrameProperty.B:
+                # s ∈ x → S ∖ holders[S ∖ x] ∈ N(s)
+                when = ones if x >> s & 1 else 0
+                z = full ^ x
+                t0 = full ^ holders[z]
+                t1 = t0 ^ top
+            elif prop is FrameProperty.FOUR:
+                # x ∈ N(s) → holders[x] ∈ N(s)
+                when, z = row[x], x
+                t0 = holders[x]
+                t1 = t0 | top
+            else:
+                # x ∉ N(s) → S ∖ holders[x] ∈ N(s)
+                when, z = ones ^ row[x], x
+                t0 = full ^ holders[x]
+                t1 = t0 ^ top
+            if when:
+                has = sel[z]
+                ok &= ((ones ^ when) | (has & row[t1])
+                       | ((ones ^ has) & row[t0]))
+                if not ok:
+                    return 0
+    return ok
 
 
 def classify(m: NeighborhoodModel) -> set[str]:

@@ -48,21 +48,37 @@ once, with passes continuing until each state has its first zero, and every
 state's entry is stored.  On every path, a memo builds the falsifying
 ``FrameCheck`` once per (lowest index, its lowest state) and shares it with
 every frame that has that witness; its valuation is a plain dict, so it
-pickles.  Deeper programs take the whole-frame path above,
-except on a frame tagged by ``generators``' product sweep.  Such a frame
-belongs to a *run*: the L frames that differ only in the last state's
-family, which takes each family of the run's list in turn.  If L > 1 and
-L·V fits in 2^``_CHUNK_BITS`` bits per state (V = 2^(n·k) valuations, so
-the program also runs in one pass), the first frame of the run that is
-checked evaluates all L frames in one pass at width L·V: bits [s·L·V +
-j·V, s·L·V + (j+1)·V) are frame j's plane at state s.  States 0..n−2 OR
-their shared family's minterms as above; the last state ORs M_X & sel_X
-over every X, where sel_X has the planes of the frames whose last family
-holds X (for ``old`` Δ, X or S∖X).  Every frame's first falsifying
-valuations are kept on the run for that program and semantics, and each
-frame of the run, the first included, gets its witness from its own.
-Only ``frame_valid`` decides locality; ``extension`` and ``taut_valid``
-never do.
+pickles.  Deeper programs take the whole-frame path above.
+
+A frame tagged by ``generators``' product sweep belongs to a *run*: the L
+frames that differ only in the last state's family, which takes each
+family of the run's list in turn.  The run is the unit of decision:
+``run_valid`` gives a mask whose bit j is set iff frame j validates the
+program, computed once per (run, program, semantics) and kept on the run,
+and ``frame_valid`` on a tagged frame reads its bit and returns at once if
+it is set.  A run of one frame takes the paths above.
+
+- A state-local program's mask comes from the memo's tables, which are its
+  source: the head states' entries are fixed for the run, so one of them
+  without a zero makes the mask 0, and the last state's entries over the
+  list give a mask that is built once and kept in the runs' shared dict.  A
+  run with missing entries fills them first, from one run pass (below) if
+  the program has atoms and the run fits one, else frame by frame, and is
+  then decided; it is never retried per frame.  An invalid frame gets its
+  witness from the tables, as an untagged frame does.
+- A deeper program's mask comes from one pass at width L·V, if L·V fits in
+  2^``_CHUNK_BITS`` bits per state (V = 2^(n·k) valuations, so the program
+  also runs in one pass): bits [s·L·V + j·V, s·L·V + (j+1)·V) are frame j's
+  plane at state s.  States 0..n−2 OR their shared family's minterms as
+  above; the last state ORs M_X & sel_X over every X, where sel_X has the
+  planes of the frames whose last family holds X (for ``old`` Δ, X or
+  S∖X).  Frame j is valid iff its planes hold no zero in any state.  The
+  zero planes stay on the run, and an invalid frame that is checked reads
+  its first-zeros list from them.  A run that does not fit has no mask,
+  and its frames take the whole-frame path.
+
+Only ``frame_valid`` and ``run_valid`` decide locality; ``extension`` and
+``taut_valid`` never do.
 """
 
 from __future__ import annotations
@@ -73,7 +89,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .formula import And, Atom, Box, Delta, Formula, Not, Top, to_core
-from .model import _RUN, BudgetError, KripkeModel, NeighborhoodModel, bits
+from .model import (_RUN, BudgetError, KripkeModel, NeighborhoodModel,
+                    _swept_frame, bits)
 
 
 class SemanticsKind(Enum):
@@ -462,6 +479,37 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     2^(|S| * |vars|) valuations; sweeps beyond ``max_bits`` exponent bits are
     refused.  Returns the first falsifying valuation and state otherwise.
     """
+    memo = _memo_for(frame, f, kind, max_bits)
+    handle = frame.__dict__.get(_RUN)
+    if handle is not None:
+        run, index = handle
+        if run.program is memo.program and run.kind is kind:
+            valid = run.valid
+        else:
+            valid = _run_mask(memo, frame, run)
+        if valid is not None:
+            if valid >> index & 1:
+                return _VALID
+            if memo.tables is None:
+                return memo.witness(frame, _plane_firsts(
+                    run.zeros, len(run.families), index, memo.bits,
+                    len(frame.states)))
+    tables = memo.tables
+    if tables is None:
+        return memo.witness(frame, _first_zeros(frame, memo.program, kind, 1))
+    rel = frame.succ if kind is SemanticsKind.KRIPKE else frame.neighborhoods
+    try:
+        first = [table[entry] for table, entry in zip(tables, rel)]
+    except KeyError:
+        first = _first_zeros(frame, memo.program, kind, len(tables))
+        memo.store(rel, first)
+    return memo.witness(frame, first)
+
+
+def _memo_for(frame: Model, f: Formula, kind: SemanticsKind,
+              max_bits: int) -> _Memo:
+    """The memo of ``f``'s program under ``kind`` for ``frame``'s state
+    names, once the sweep's size is checked against ``max_bits``."""
     _check_kind(frame, kind)
     prog = _program(f)
     states = frame.states
@@ -471,23 +519,134 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
         memo = _renew(prog, kind, states)
     if memo.bits > max_bits:
         _check_bits(len(states), len(prog.names), max_bits)
-    tables = memo.tables
-    if tables is None:
-        handle = frame.__dict__.get(_RUN)
-        if handle is not None:
-            run, index = handle
-            count = len(run.families)
-            if count > 1 and count << memo.bits <= 1 << _CHUNK_BITS:
-                return memo.witness(
-                    frame, _run_firsts(frame, prog, kind, run)[index])
-        return memo.witness(frame, _first_zeros(frame, prog, kind, 1))
-    rel = frame.succ if kind is SemanticsKind.KRIPKE else frame.neighborhoods
-    try:
-        first = [table[entry] for table, entry in zip(tables, rel)]
-    except KeyError:
-        first = _first_zeros(frame, prog, kind, len(states))
-        memo.store(rel, first)
-    return memo.witness(frame, first)
+    return memo
+
+
+def run_valid(frame: Model, f: Formula, kind: SemanticsKind,
+              max_bits: int = 24) -> int | None:
+    """Validity of ``f`` over the run of a frame tagged by ``generators``'
+    product sweep: bit j is set iff frame j of the run validates ``f``.
+    None for an untagged frame, or for a program of modal depth 2 or more
+    on a run that does not fit one pass.  Refused like ``frame_valid``."""
+    memo = _memo_for(frame, f, kind, max_bits)
+    handle = frame.__dict__.get(_RUN)
+    return None if handle is None else _run_mask(memo, frame, handle[0])
+
+
+def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
+    """``run_valid``'s mask for ``memo``'s program and semantics, computed
+    once per run and kept on it, with the zero planes it came from."""
+    prog, kind = memo.program, memo.kind
+    if run.program is not prog or run.kind is not kind:
+        if len(run.families) < 2:
+            # a run of one frame has nothing to share: the per-frame paths
+            run.valid = run.zeros = None
+        elif memo.tables is None:
+            run.valid, run.zeros = _run_planes(memo, frame, run)
+        else:
+            run.valid, run.zeros = _local_mask(memo, frame, run), None
+        run.program, run.kind = prog, kind
+    return run.valid
+
+
+def _local_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int:
+    """The run's validity mask for a state-local program, from the memo's
+    tables.  The head states' entries are fixed for the run.  The last
+    state's entries over the run's list are read once per list, and the
+    mask they give is kept in ``run.shared``.  Missing entries are filled by
+    one run pass if the run fits one, else frame by frame."""
+    prog, kind, tables = memo.program, memo.kind, memo.tables
+    cached = run.shared.get(_LAST_VALID)
+    if cached is None or cached[0] is not prog or cached[1] is not kind:
+        table = tables[-1]
+        entries = [table.get(fam) for fam in run.families]
+        if None in entries:
+            entries = _fill(memo, frame, run)
+        last = 0
+        for j, entry in enumerate(entries):
+            if entry >> memo.bits:
+                last |= 1 << j
+        cached = run.shared[_LAST_VALID] = (prog, kind, last)
+    for table, fam in zip(tables, run.head):
+        entry = table.get(fam)
+        if entry is None:
+            first = _first_zeros(frame, prog, kind, len(tables))
+            memo.store(frame.neighborhoods, first)
+            return cached[2] if min(first[:-1]) >> memo.bits else 0
+        if not entry >> memo.bits:
+            return 0
+    return cached[2]
+
+
+# Key of a state-local program's last-state mask in a run's ``shared``
+# dict: (program, semantics, mask of the list's families under which the
+# last state has no falsifying valuation).
+_LAST_VALID = "last-valid"
+
+
+def _fill(memo: _Memo, frame: NeighborhoodModel, run) -> list[int]:
+    """Store every frame of the run in the memo's tables, and return the
+    last state's entry of each: from one run pass if the program has atoms
+    and the run fits one pass, else from one evaluation per frame (with no
+    atoms a frame has one valuation, and ``_modal``'s one-valuation path
+    beats a pass over minterm planes)."""
+    n = len(frame.states)
+    _, zeros = _run_planes(memo, frame, run) if memo.bits else (None, None)
+    entries = []
+    for index, fam in enumerate(run.families):
+        fams = run.head + (fam,)
+        if zeros is not None:
+            first = _plane_firsts(zeros, len(run.families), index, memo.bits,
+                                  n)
+        else:
+            first = _first_zeros(_swept_frame(frame.states, fams),
+                                 memo.program, memo.kind, n)
+        memo.store(fams, first)
+        entries.append(first[-1])
+    return entries
+
+
+def _run_planes(memo: _Memo, frame: NeighborhoodModel, run
+                ) -> tuple[int | None, int | None]:
+    """The run's validity mask and zero planes from one pass of width L·V;
+    (None, None) if L·V does not fit ``_CHUNK_BITS``.  States
+    0..n−2 read ``frame``'s families, which the run shares; the last state
+    reads the run's selectors."""
+    count = len(run.families)
+    if count << memo.bits > 1 << _CHUNK_BITS:
+        return None, None
+    prog, kind = memo.program, memo.kind
+    n, k = len(frame.states), len(prog.names)
+    v = 1 << memo.bits
+    width = count * v
+    sels = _selectors(run.families, n, v, kind is SemanticsKind.OLD)
+    value = _run(prog, frame, kind, width, _run_layout(n, k, count), sels)
+    zeros = ((1 << n * width) - 1) ^ value
+    # frame j is valid iff its V bits are clear in every state's plane
+    block = (1 << width) - 1
+    folded = 0
+    for s in range(n):
+        folded |= zeros >> s * width & block
+    plane = (1 << v) - 1
+    valid = 0
+    for j in range(count):
+        if not folded >> j * v & plane:
+            valid |= 1 << j
+    return valid, zeros
+
+
+def _plane_firsts(zeros: int, count: int, index: int, bits: int, n: int
+                  ) -> list[int]:
+    """The first-zeros list of frame ``index`` of a run of ``count``
+    frames, read from the run pass's zero planes (2^bits valuations)."""
+    v = 1 << bits
+    width = count * v
+    plane = (1 << v) - 1
+    first = []
+    for s in range(n):
+        low = zeros >> s * width + index * v & plane
+        first.append((low & -low).bit_length() - 1 if low else v)
+    return first
 
 
 @lru_cache(maxsize=64)
@@ -520,33 +679,6 @@ def _run_layout(n: int, k: int, count: int) -> tuple[int, ...]:
     return tuple(sum((a >> s * v & plane) * repeat << s * width
                      for s in range(n))
                  for a in atoms)
-
-
-def _run_firsts(frame: NeighborhoodModel, prog: Program, kind: SemanticsKind,
-                run) -> list[list[int]]:
-    """The first-zeros list of every frame of ``frame``'s run, filled in one
-    pass of width L·V the first time the run is asked for ``prog`` under
-    ``kind``.  States 0..n−2 read ``frame``'s families, which the run
-    shares; the last state reads the run's selectors."""
-    if run.program is prog and run.kind is kind:
-        return run.firsts
-    n, k = len(frame.states), len(prog.names)
-    count = len(run.families)
-    v = 1 << n * k
-    width = count * v
-    sels = _selectors(run.families, n, v, kind is SemanticsKind.OLD)
-    value = _run(prog, frame, kind, width, _run_layout(n, k, count), sels)
-    zeros = ((1 << n * width) - 1) ^ value
-    plane = (1 << v) - 1
-    firsts = []
-    for j in range(count):
-        first = []
-        for s in range(n):
-            low = zeros >> s * width + j * v & plane
-            first.append((low & -low).bit_length() - 1 if low else v)
-        firsts.append(first)
-    run.program, run.kind, run.firsts = prog, kind, firsts
-    return firsts
 
 
 # Truth-table rows are the valuations of a one-state frame.

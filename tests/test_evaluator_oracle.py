@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from delta_lab.formula import And, Atom, Box, Delta, Formula, Not, Top, \
     expand_sugar, metrics, parse
-from delta_lab import definability, proofsys
+from delta_lab import definability, model, proofsys
 from delta_lab.definability import builtin_claim, builtin_table, defines
 from delta_lab.generators import (GenSpec, _product_frames, random_formula,
                                   random_kripke, random_model, state_names)
@@ -22,7 +22,8 @@ from delta_lab import semantics
 from delta_lab.semantics import (_CHUNK_BITS, AND, ATOM, TOP, FrameCheck,
                                  SemanticsKind, _program_valid,
                                  compile_formula, delta_holds, extension,
-                                 frame_valid)
+                                 frame_valid, run_valid)
+from test_model import oracle as property_oracle
 
 NEW, OLD, KRIPKE = SemanticsKind.NEW, SemanticsKind.OLD, SemanticsKind.KRIPKE
 
@@ -440,8 +441,9 @@ def test_only_frame_valid_decides_locality(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The run path of ``frame_valid`` (one pass per product run, for programs of
-# modal depth 2 or more) against untagged copies and the oracle.
+# The run path: validity decided once per product run (``run_valid``; one
+# pass per run for programs of modal depth 2 or more, the memo tables for
+# the rest), against untagged copies and the oracle.
 
 def _untagged(frame):
     return NeighborhoodModel(frame.states, frame.neighborhoods)
@@ -470,6 +472,11 @@ def _takes_run_path(frame, f: Formula) -> bool:
         1 << _CHUNK_BITS
 
 
+def _run_bit(frame, f: Formula, kind: SemanticsKind) -> int | None:
+    mask = run_valid(frame, f, kind)
+    return None if mask is None else mask >> vars(frame)[_RUN][1] & 1
+
+
 def test_run_path_matches_untagged_copies_and_oracle():
     rnd = random.Random(23)
     taken = 0
@@ -486,11 +493,67 @@ def test_run_path_matches_untagged_copies_and_oracle():
                     if i % 13 == 0:
                         assert got == oracle_frame_valid(frame, f, kind), \
                             (name, n, kind, str(f), frame)
+                    bit = _run_bit(frame, f, kind)
+                    assert bit is None or bit == got.valid, (name, n, str(f))
                 if frames and _takes_run_path(frames[0], f):
                     taken += 1
                     run, _ = vars(frames[-1])[_RUN]
-                    assert run.firsts is not None, (name, n, kind, str(f))
+                    assert run.valid is not None and run.zeros is not None, \
+                        (name, n, kind, str(f))
+                    assert _run_bit(frames[-1], f, kind) is not None
     assert taken >= 50
+
+
+def _mask_formulas() -> list[Formula]:
+    """The builtin claims' formulas, an instance of each axiom schema, and
+    seeded formulas of modal depth 1 to 3."""
+    rnd = random.Random(31)
+    out = [claim.formula for claim in builtin_table()]
+    out += [proofsys.schema_instance(name) for name in proofsys.SCHEMAS]
+    for depth in (1, 1, 2, 2, 3, 3):
+        atoms = ["p", "q", "r"][:rnd.randrange(1, 3)]
+        out.append(random_formula(depth, atoms, rnd.randrange(10**6),
+                                  include_box=True, size=rnd.randrange(4, 12)))
+    return out
+
+
+def _mask_frames():
+    """Tagged frames of every shipped class at 1-3 states (two runs of
+    ``all`` at 3 states), and ranges that start mid-run."""
+    for name in FRAME_CLASSES:
+        for n in (1, 2, 3):
+            if name == "all" and n == 3:
+                yield name, n, list(_product_frames(3, frozenset(), 700,
+                                                    700 + 2 * 256))
+            elif name != "all" or n < 3:
+                yield name, n, list(_product_frames(n, FRAME_CLASSES[name]))
+    yield "c", 3, list(_product_frames(3, FRAME_CLASSES["c"], 1000, 1300))
+    yield "quasi-filter", 3, list(_product_frames(
+        3, FRAME_CLASSES["quasi-filter"], 63, 125))
+
+
+def test_run_valid_matches_untagged_copies_and_oracle():
+    decided = 0
+    for f in _mask_formulas():
+        wide = len(metrics(f).vars) > 2
+        for name, n, frames in _mask_frames():
+            if wide and n == 3 and name == "all":
+                continue
+            for kind in (NEW, OLD):
+                for i, frame in enumerate(frames):
+                    copy = _untagged(frame)
+                    want = frame_valid(copy, f, kind)
+                    assert run_valid(copy, f, kind) is None
+                    bit = _run_bit(frame, f, kind)
+                    if bit is not None:
+                        decided += 1
+                        assert bit == want.valid, (name, n, kind, str(f))
+                    assert frame_valid(frame, f, kind) == want, \
+                        (name, n, kind, str(f), frame)
+                    if i % 41 == 0:
+                        assert want == oracle_frame_valid(copy, f, kind), \
+                            (name, n, kind, str(f), frame)
+    assert decided > 100_000
 
 
 def test_run_is_evaluated_once(monkeypatch):
@@ -507,9 +570,42 @@ def test_run_is_evaluated_once(monkeypatch):
     for kind in (NEW, OLD):
         calls.clear()
         for frame in frames:
+            # a mask per frame, then the frame's own check: still one pass,
+            # and an invalid frame's witness is read from the kept planes
+            run_valid(frame, f, kind)
             frame_valid(frame, f, kind)
         # 256 runs of 16 frames, each evaluated at width 16 * 2^3
         assert calls == [16 * 8] * 256, kind
+    # one pass per (run, program, semantics) through the definability check:
+    # 1, 4 and 256 runs of 2, 4 and 16 frames at 1, 2 and 3 states
+    calls.clear()
+    assert defines(builtin_claim("4"), 3)
+    assert calls == [2 * 2] + [4 * 4] * 4 + [16 * 8] * 256
+
+
+def test_state_local_run_fills_its_tables_once(monkeypatch):
+    passes = []
+    first_zeros = semantics._first_zeros
+
+    def counting(*args):
+        passes.append(args[0])
+        return first_zeros(*args)
+
+    frames = list(_product_frames(3, FRAME_CLASSES["c"]))
+    for kind in (NEW, OLD):
+        f = parse("D(p & q) -> D p & D q")  # a new program, a new memo
+        want = [frame_valid(_untagged(frame), f, kind).valid
+                for frame in frames]
+        f = parse("D(p & q) -> D p & D q")
+        monkeypatch.setattr(semantics, "_first_zeros", counting)
+        passes.clear()
+        got = [run_valid(frame, f, kind) >> vars(frame)[_RUN][1] & 1
+               for frame in frames]
+        monkeypatch.setattr(semantics, "_first_zeros", first_zeros)
+        assert got == want, kind
+        # one evaluation per family of the last state's list, then one per
+        # head that brings a family new to state 0 or 1; never one per frame
+        assert len(passes) <= 3 * 16, (kind, len(passes))
 
 
 def test_range_starting_mid_run_matches_the_whole_stream():
@@ -524,6 +620,7 @@ def test_range_starting_mid_run_matches_the_whole_stream():
         for a, b in zip(part, stream[63:]):
             assert frame_valid(a, f, kind) == frame_valid(b, f, kind) == \
                 frame_valid(_untagged(a), f, kind), (kind, a)
+            assert _run_bit(a, f, kind) == _run_bit(b, f, kind), (kind, a)
 
 
 def test_pickle_round_trip_drops_the_run():
@@ -547,7 +644,8 @@ def test_explicit_frame_stream_takes_the_whole_frame_path(monkeypatch):
     swept = defines(claim, 3)
     copies = [_untagged(frame) for n in (1, 2, 3)
               for frame in _product_frames(n, FRAME_CLASSES["c"])]
-    monkeypatch.setattr(semantics, "_run_firsts", refuse)
+    monkeypatch.setattr(semantics, "_run_mask", refuse)
+    monkeypatch.setattr(model, "_run_props", refuse)
     assert defines(claim, frames=copies) == swept
 
 
@@ -565,7 +663,17 @@ def _fresh_check(frame, f: Formula, kind: SemanticsKind) -> FrameCheck:
 
 def test_swept_checks_match_fresh_witnesses_and_oracle(monkeypatch):
     # every builtin claim at 1-3 states (1-2 for (c) and (ws), whose
-    # background is all 2^24 frames at 3 states), then the E/M/R/K audits
+    # background is all 2^24 frames at 3 states), then the E/M/R/K audits:
+    # each definability frame's ``check_frame`` result, and each audit
+    # frame's ``frame_valid`` result, recorded
+    checked = []
+    real_check = definability.check_frame
+
+    def recording_check(claim, frame, *args, **kwargs):
+        got = real_check(claim, frame, *args, **kwargs)
+        checked.append((claim, frame, got))
+        return got
+
     seen = []
     real = semantics.frame_valid
 
@@ -574,24 +682,37 @@ def test_swept_checks_match_fresh_witnesses_and_oracle(monkeypatch):
         seen.append((frame, f, kind, got))
         return got
 
-    monkeypatch.setattr(definability, "frame_valid", recording)
+    monkeypatch.setattr(definability, "check_frame", recording_check)
     monkeypatch.setattr(proofsys, "frame_valid", recording)
     swept = 0
     for claim in builtin_table():
         result = defines(claim, 3 if claim.background == "c" else 2)
         assert result, claim
         swept += result.frames_checked
+    # one check per definability frame, each answered as the biconditional
+    # of a fresh witness and the literal property clause
+    assert len(checked) == swept
+    invalid = 0
+    for i, (claim, frame, got) in enumerate(checked):
+        assert vars(frame).get(_RUN) is not None
+        fresh = _fresh_check(frame, claim.formula, claim.semantics)
+        assert got is None
+        assert property_oracle(frame, claim.prop) == fresh.valid, \
+            (claim, frame)
+        if i % 97 == 0:
+            assert fresh == oracle_frame_valid(frame, claim.formula,
+                                               claim.semantics), frame
+        invalid += not fresh
+    assert invalid > 10_000
+    audited = 0
     for system in AxiomSystem:
         report = audit_soundness(system, 3)
         assert report.ok, system
-        swept += sum(audit.frames_checked for audit in report.axioms)
-    # one check per swept frame; the audits' negative sweeps add the rest
-    assert swept < len(seen) <= swept + 4 * (1 + 4 + 64)
-    failing = 0
+        audited += sum(audit.frames_checked for audit in report.axioms)
+    # one check per audit frame; the audits' negative sweeps add the rest
+    assert audited < len(seen) <= audited + 4 * (1 + 4 + 64)
     for i, (frame, f, kind, got) in enumerate(seen):
         assert vars(frame).get(_RUN) is not None
         assert got == _fresh_check(frame, f, kind), (str(f), kind, frame)
         if i % 97 == 0:
             assert got == oracle_frame_valid(frame, f, kind), (str(f), frame)
-        failing += not got
-    assert failing > 10_000

@@ -272,6 +272,82 @@ def test_swept_frames_match_constructed_frames():
     assert len({id(frame.valuation) for frame in swept}) == len(swept)
 
 
+# --- run masks: one verdict per product run, bit j for frame j -------------
+
+def _run_frames():
+    """Tagged frames of every shipped class at 1-3 states (three runs of
+    ``all`` at 3 states, from a start mid-run), then cs, csi, filter and
+    quasi-filter at 4 states (a range of 4096 filter frames from a start
+    mid-run of the 65,536)."""
+    classes = generators.FRAME_CLASSES
+    for name, props in classes.items():
+        for n in (1, 2, 3):
+            if name == "all" and n == 3:
+                yield from generators._product_frames(3, props, 300,
+                                                      300 + 3 * 256)
+            else:
+                yield from generators._product_frames(n, props)
+    for name in ("cs", "csi", "quasi-filter"):
+        yield from generators._product_frames(4, classes[name])
+    yield from generators._product_frames(4, classes["filter"], 20008,
+                                          20008 + 4096)
+
+
+def test_run_property_matches_untagged_copies_and_literal_oracle():
+    seen = {prop: set() for prop in FrameProperty}
+    literal = {}
+    count = 0
+    for frame in _run_frames():
+        _, index = vars(frame)[model._RUN]
+        copy = NeighborhoodModel(frame.states, frame.neighborhoods)
+        for prop in FrameProperty:
+            got = model.run_property(frame, prop) >> index & 1
+            assert model.run_property(copy, prop) is None
+            want = has_property(copy, prop)
+            assert got == want, (frame, prop)
+            if prop in model.LOCAL_PROPERTIES:
+                for s, fam in enumerate(frame.neighborhoods):
+                    key = (prop, frame.n, s, fam)
+                    if key not in literal:
+                        literal[key] = family_satisfies(prop, fam,
+                                                        frame.full, s)
+                assert want == all(literal[prop, frame.n, s, fam] for s, fam
+                                   in enumerate(frame.neighborhoods))
+            else:
+                assert want == oracle(frame, prop), (frame, prop)
+            seen[prop].add(got)
+        count += 1
+    assert count == (4 + 256 + 3 * 256) + (2 + 16 + 4096) \
+        + 2 * (2 + 4 + 8 + 16) + (2 + 16 + 512 + 4096) + (1 + 4 + 125 + 20736)
+    assert all(verdicts == {0, 1} for verdicts in seen.values()), seen
+
+
+def test_run_masks_are_kept_per_run_and_list():
+    frames = list(generators._product_frames(3, MODEL_CLASSES["c-model"]))
+    run, _ = vars(frames[0])[model._RUN]
+    mask = model.run_property(frames[0], FP.B)
+    assert run.props == {FP.B: mask} and "sel" in run.shared
+    assert model.run_property(frames[5], FP.B) is mask
+    # every run of one sweep shares the list's data; a new sweep has its own
+    later, _ = vars(frames[-1])[model._RUN]
+    assert later is not run and later.shared is run.shared
+    other = next(iter(generators._product_frames(3, MODEL_CLASSES["c-model"])))
+    assert vars(other)[model._RUN][0].shared is not run.shared
+
+
+def test_global_filter_reads_the_run_masks():
+    # (b) and (4) as a filter over c-frames: the frames kept are the ones
+    # the literal oracle accepts, in product order
+    props = frozenset({FP.C, FP.B, FP.FOUR})
+    for n in (1, 2, 3):
+        kept = list(generators._product_frames(n, props))
+        every = [NeighborhoodModel(f.states, f.neighborhoods)
+                 for f in generators._product_frames(n, MODEL_CLASSES["c-model"])]
+        assert kept == [f for f in every
+                        if oracle(f, FP.B) and oracle(f, FP.FOUR)], n
+        assert generators.count_frames(GenSpec(n, props)) == len(kept)
+
+
 # --- the quasi-filter normal form ------------------------------------------
 
 QF_PROPS = (FP.N, FP.I, FP.C, FP.WS)
