@@ -44,10 +44,9 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
 
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
-from .model import (_RUN, FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
+from .model import (FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
                     FrameProperty, KripkeModel, NeighborhoodModel, _run_props,
-                    _swept_frame, bits, family_satisfies, has_property,
-                    qf_family, submasks)
+                    bits, family_satisfies, has_property, qf_family, submasks)
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -250,10 +249,21 @@ class _Run:
     ``zeros`` for one ``program`` and ``kind``).  ``shared`` is one dict
     for every run of a ``_product_frames`` call: what those functions
     build once per list, such as the last state's verdicts and the
-    selectors of each subset."""
+    selectors of each subset.
+
+    Each per-frame check keeps the one mask it reads, under its own key, so
+    a swept frame's call is one identity comparison and one bit test:
+    ``claim_verdict`` is ``(claim, max_bits, mask)`` for
+    ``definability.check_frame``, bit j set iff frame j's property and
+    validity differ (every bit set if the run has no validity mask), and
+    ``valid_verdict`` is ``(formula, semantics, max_bits, mask)`` for
+    ``semantics.frame_valid``, bit j set iff frame j is valid.  The key
+    holds ``max_bits`` because a kept verdict skips the budget check: a
+    call with another budget computes its own, or is refused.  A frame
+    whose bit is not settled takes the per-frame path."""
 
     __slots__ = ("head", "families", "shared", "props", "program", "kind",
-                 "valid", "zeros")
+                 "valid", "zeros", "claim_verdict", "valid_verdict")
 
     def __init__(self, head: tuple[frozenset[int], ...],
                  families: tuple[frozenset[int], ...], shared: dict):
@@ -261,6 +271,7 @@ class _Run:
         self.props: dict[FrameProperty, int] = {}
         # ``semantics`` sets ``kind``, ``valid`` and ``zeros`` with it
         self.program = None
+        self.claim_verdict = self.valid_verdict = None
 
 
 def _product_frames(n: int, properties: Iterable[FrameProperty],
@@ -272,7 +283,12 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     walked run by run; each frame is tagged with its run and its index in
     that run, read off its raw product index, so a range that starts
     mid-run tags the same way.  Global properties are read from the run's
-    masks."""
+    masks.
+
+    A frame's fields and its handle (under ``model._RUN``) are written
+    straight into the instance ``__dict__`` in one update: the frozen
+    dataclass ``__init__`` costs more than the rest of a swept frame's
+    construction, and so would one more call per frame."""
     per_state, global_props = admissible_space(n, properties)
     names = state_names(n)
     choices = [[_family_of_code(code, 1 << n) for code in codes]
@@ -286,6 +302,7 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     first, offset = divmod(start, width)
     heads = itertools.islice(itertools.product(*choices[:-1]), first, None)
     shared: dict = {}
+    new = object.__new__
     for base, head in zip(range(first * width, stop, width), heads):
         run = _Run(head, last, shared)
         indices = range(offset, min(width, stop - base))
@@ -295,8 +312,10 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
                 keep &= _run_props(run, p)
             indices = [index for index in indices if keep >> index & 1]
         for index in indices:
-            frame = _swept_frame(names, head + (last[index],))
-            frame.__dict__[_RUN] = (run, index)
+            frame = new(NeighborhoodModel)
+            frame.__dict__.update(states=names,
+                                  neighborhoods=head + (last[index],),
+                                  valuation={}, _run=(run, index))
             yield frame
         offset = 0
 

@@ -234,18 +234,6 @@ class NeighborhoodModel(Model):
         return frozenset(map(to_mask, groups))
 
 
-def _swept_frame(states: tuple[str, ...],
-                 neighborhoods: tuple[frozenset[int], ...]
-                 ) -> NeighborhoodModel:
-    """``NeighborhoodModel(states, neighborhoods)``, with the fields written
-    straight into the instance ``__dict__``: the frozen dataclass
-    ``__init__`` costs more than the rest of a swept frame's construction."""
-    frame = object.__new__(NeighborhoodModel)
-    frame.__dict__.update(states=states, neighborhoods=neighborhoods,
-                          valuation={})
-    return frame
-
-
 @dataclass(frozen=True)
 class KripkeModel(Model):
     """States, a successor bitmask per state, and a valuation."""

@@ -54,9 +54,12 @@ A frame tagged by ``generators``' product sweep belongs to a *run*: the L
 frames that differ only in the last state's family, which takes each
 family of the run's list in turn.  The run is the unit of decision:
 ``run_valid`` gives a mask whose bit j is set iff frame j validates the
-program, computed once per (run, program, semantics) and kept on the run,
-and ``frame_valid`` on a tagged frame reads its bit and returns at once if
-it is set.  A run of one frame takes the paths above.
+program, computed once per (run, program, semantics) and kept on the run.
+``frame_valid`` on a tagged frame is one bit test: the run also keeps that
+mask as the verdict of the call reading it, under (formula object,
+semantics, ``max_bits``) compared by identity, and a set bit returns at
+once, before any compiling, memo lookup or budget check.  A run of one
+frame takes the paths above.
 
 - A state-local program's mask comes from the memo's tables, which are its
   source: the head states' entries are fixed for the run, so one of them
@@ -89,8 +92,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .formula import And, Atom, Box, Delta, Formula, Not, Top, to_core
-from .model import (_RUN, BudgetError, KripkeModel, NeighborhoodModel,
-                    _swept_frame, bits)
+from .model import _RUN, BudgetError, KripkeModel, NeighborhoodModel, bits
 
 
 class SemanticsKind(Enum):
@@ -478,25 +480,35 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     Each variable ranges over all subsets of the state set, so the sweep has
     2^(|S| * |vars|) valuations; sweeps beyond ``max_bits`` exponent bits are
     refused.  Returns the first falsifying valuation and state otherwise.
+
+    A frame of a product sweep is answered by one bit of its run's
+    ``valid_verdict``, the run's validity mask for this formula object,
+    ``kind`` and ``max_bits``, built once per run by ``_run_mask``; another
+    formula, semantics or budget builds its own.  Only a frame whose bit is
+    clear, an invalid frame or a frame of a run without a mask, takes the
+    per-frame path below, which finds its witness.
     """
-    memo = _memo_for(frame, f, kind, max_bits)
     handle = frame.__dict__.get(_RUN)
     if handle is not None:
         run, index = handle
-        if run.program is memo.program and run.kind is kind:
-            valid = run.valid
-        else:
-            valid = _run_mask(memo, frame, run)
-        if valid is not None:
-            if valid >> index & 1:
-                return _VALID
-            if memo.tables is None:
-                return memo.witness(frame, _plane_firsts(
-                    run.zeros, len(run.families), index, memo.bits,
-                    len(frame.states)))
+        kept = run.valid_verdict
+        if (kept is None or kept[0] is not f or kept[1] is not kind
+                or kept[2] != max_bits):
+            memo = _memo_for(frame, f, kind, max_bits)
+            kept = run.valid_verdict = (f, kind, max_bits,
+                                        _run_mask(memo, frame, run) or 0)
+        if kept[3] >> index & 1:
+            return _VALID
+    memo = _memo_for(frame, f, kind, max_bits)
     tables = memo.tables
     if tables is None:
-        return memo.witness(frame, _first_zeros(frame, memo.program, kind, 1))
+        if handle is not None and _run_mask(memo, frame, run) is not None:
+            # an invalid frame of a run pass: its first zeros are in the planes
+            first = _plane_firsts(run.zeros, len(run.families), index,
+                                  memo.bits, len(frame.states))
+        else:
+            first = _first_zeros(frame, memo.program, kind, 1)
+        return memo.witness(frame, first)
     rel = frame.succ if kind is SemanticsKind.KRIPKE else frame.neighborhoods
     try:
         first = [table[entry] for table, entry in zip(tables, rel)]
@@ -599,7 +611,7 @@ def _fill(memo: _Memo, frame: NeighborhoodModel, run) -> list[int]:
             first = _plane_firsts(zeros, len(run.families), index, memo.bits,
                                   n)
         else:
-            first = _first_zeros(_swept_frame(frame.states, fams),
+            first = _first_zeros(NeighborhoodModel(frame.states, fams),
                                  memo.program, memo.kind, n)
         memo.store(fams, first)
         entries.append(first[-1])
