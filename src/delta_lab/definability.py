@@ -58,17 +58,21 @@ class DefinesResult:
         return self.confirmed
 
 
+def _claim(letter: str, text: str, background: str) -> DefinabilityClaim:
+    return DefinabilityClaim(FrameProperty.from_letter(letter), parse(text),
+                             background)
+
+
 def builtin_table() -> list[DefinabilityClaim]:
     """The ten shipped property/formula claims."""
-    return [DefinabilityClaim(FrameProperty.from_letter(letter), parse(text),
-                              background)
-            for letter, text, background in _TABLE if text is not None]
+    return [_claim(*row) for row in _TABLE if row[1] is not None]
 
 
 def builtin_claim(letter: str) -> DefinabilityClaim:
-    for claim in builtin_table():
-        if claim.prop.value == letter:
-            return claim
+    """The shipped claim for one property; only its formula is parsed."""
+    for row in _TABLE:
+        if row[0] == letter and row[1] is not None:
+            return _claim(*row)
     raise ValueError(f"no builtin claim for property ({letter})")
 
 

@@ -244,33 +244,31 @@ class _Run:
     ``families`` the last state's list, which frame j of the run takes
     entry j of.  The run is the unit of decision: ``model.run_property``
     and ``semantics.run_valid`` answer for all its frames at once with a
-    mask whose bit j is frame j's verdict, kept on the run (``props`` by
-    property; ``valid`` and, at modal depth 2 or more, the zero planes
-    ``zeros`` for one ``program`` and ``kind``).  ``shared`` is one dict
-    for every run of a ``_product_frames`` call: what those functions
-    build once per list, such as the last state's verdicts and the
-    selectors of each subset.
+    mask whose bit j is frame j's verdict, kept on the run.  ``shared`` is
+    one dict for every run of a ``_product_frames`` call, the walk: what
+    those functions build once per walk, such as the last state's
+    verdicts, the selectors of each subset and ``semantics``' memo of each
+    (formula object, semantics).
 
-    Each per-frame check keeps the one mask it reads, under its own key, so
-    a swept frame's call is one identity comparison and one bit test:
-    ``claim_verdict`` is ``(claim, max_bits, mask)`` for
-    ``definability.check_frame``, bit j set iff frame j's property and
-    validity differ (every bit set if the run has no validity mask), and
-    ``valid_verdict`` is ``(formula, semantics, max_bits, mask)`` for
-    ``semantics.frame_valid``, bit j set iff frame j is valid.  The key
-    holds ``max_bits`` because a kept verdict skips the budget check: a
-    call with another budget computes its own, or is refused.  A frame
-    whose bit is not settled takes the per-frame path."""
+    Each per-frame check keeps the one verdict it reads, under its own key,
+    so a swept frame's call is one identity comparison and one bit test:
+    ``props`` maps a property to its mask; ``claim_verdict`` is
+    ``(claim, max_bits, mask)`` for ``definability.check_frame``, bit j set
+    iff frame j's property and validity differ (every bit set if the run
+    has no validity mask); ``valid_verdict`` is ``semantics._verdict``'s
+    tuple for ``semantics.frame_valid`` and ``run_valid``, keyed by
+    (formula, semantics, max_bits), whose mask has bit j set iff frame j
+    is valid.  The keys hold ``max_bits`` because a kept verdict skips the
+    budget check: a call with another budget computes its own, or is
+    refused.  A frame whose bit is not settled takes the per-frame path."""
 
-    __slots__ = ("head", "families", "shared", "props", "program", "kind",
-                 "valid", "zeros", "claim_verdict", "valid_verdict")
+    __slots__ = ("head", "families", "shared", "props", "claim_verdict",
+                 "valid_verdict")
 
     def __init__(self, head: tuple[frozenset[int], ...],
                  families: tuple[frozenset[int], ...], shared: dict):
         self.head, self.families, self.shared = head, families, shared
         self.props: dict[FrameProperty, int] = {}
-        # ``semantics`` sets ``kind``, ``valid`` and ``zeros`` with it
-        self.program = None
         self.claim_verdict = self.valid_verdict = None
 
 

@@ -549,16 +549,22 @@ def validate(m: Model) -> list[str]:
         for i, fam in enumerate(m.neighborhoods):
             for x in fam:
                 if x & ~full:
-                    problems.append(
-                        f"neighborhood of {m.states[i]!r} contains an unknown state")
+                    problems.append(f"neighborhood of {_entry(m, i)} "
+                                    f"contains an unknown state")
     else:
         if len(m.succ) != len(m.states):
             problems.append("successor map is not total on states")
         for i, r in enumerate(m.succ):
             if r & ~full:
-                problems.append(
-                    f"successors of {m.states[i]!r} reference an unknown state")
+                problems.append(f"successors of {_entry(m, i)} "
+                                f"reference an unknown state")
     for atom, mask in m.valuation.items():
         if mask & ~full:
             problems.append(f"valuation of {atom!r} references an unknown state")
     return problems
+
+
+def _entry(m: Model, i: int) -> str:
+    """Relation entry i by its state's name, or by its index if it is past
+    the last state."""
+    return repr(m.states[i]) if i < len(m.states) else f"entry {i}"

@@ -24,51 +24,45 @@ states all 2^n are built by doubling, above it each on first use.  Kripke Δ
 is the AND over R(s) of the child's planes OR-ed with the AND of their
 complements, and □ is the first term alone.  ``extension`` runs the same
 program at V = 1, where a plane is one bit, a value is a state mask and the
-modal step tests membership directly.  ``frame_valid`` keeps the program of
-the last formula it was given, checked with ``is``.
+modal step tests membership directly.  The program of the last formula
+compiled is kept (``_last``), checked with ``is``; no call changes it.
 
 ``frame_valid`` numbers the valuations of the sorted atoms with the first
 atom most significant: valuation v gives atom i the state mask
 (v >> n·(k-1-i)) & full.  The witness is the lowest falsifying v and the
 lowest state falsified under it.  Sweeps wider than ``_CHUNK_BITS`` run in
 passes that fix the leading bits of v and sweep the trailing ones, in
-ascending order, stopping at the first failing pass.
-
-A program of modal depth at most 1 is *state-local*: its truth at state s
-under valuation v reads only N(s) (or R(s)) and v, so the state's lowest
-falsifying v is fixed by (semantics, n, s, N(s)).  ``frame_valid`` keeps one
-memo, for the last (program, semantics, state names) it was given: the
-program and semantics are checked with ``is``, the names with ``is`` and
-then ``==``, and anything else starts a new memo.  For a state-local program
-it holds one table per state, keyed by that state's family (or successor
-mask) object, which sweep frames share.  A frame whose every state is in
-its table gets its witness with no evaluation: the least of the states'
-entries, at the lowest state that has it.  On a miss the frame is evaluated
-once, with passes continuing until each state has its first zero, and every
-state's entry is stored.  On every path, a memo builds the falsifying
-``FrameCheck`` once per (lowest index, its lowest state) and shares it with
-every frame that has that witness; its valuation is a plain dict, so it
-pickles.  Deeper programs take the whole-frame path above.
+ascending order, stopping at the first failing pass.  A frame that no
+product sweep tagged is always evaluated this way, on its own: it reads no
+table or verdict that another call filled.
 
 A frame tagged by ``generators``' product sweep belongs to a *run*: the L
 frames that differ only in the last state's family, which takes each
 family of the run's list in turn.  The run is the unit of decision:
 ``run_valid`` gives a mask whose bit j is set iff frame j validates the
-program, computed once per (run, program, semantics) and kept on the run.
-``frame_valid`` on a tagged frame is one bit test: the run also keeps that
-mask as the verdict of the call reading it, under (formula object,
-semantics, ``max_bits``) compared by identity, and a set bit returns at
-once, before any compiling, memo lookup or budget check.  A run of one
-frame takes the paths above.
+program.  The mask is part of the run's verdict, kept on the run under
+(formula object, semantics, ``max_bits``) compared by identity, and built
+once per run; ``frame_valid`` on a tagged frame reads the same verdict, and
+a set bit returns at once, before any compiling or budget check.  What the
+verdict is built from belongs to the walk (one ``_product_frames`` call,
+whose runs share one dict): a ``_Memo`` per (formula object, semantics),
+holding the compiled program.  A run of one frame has no mask, and its
+frame takes the per-frame paths below.
 
-- A state-local program's mask comes from the memo's tables, which are its
-  source: the head states' entries are fixed for the run, so one of them
-  without a zero makes the mask 0, and the last state's entries over the
-  list give a mask that is built once and kept in the runs' shared dict.  A
-  run with missing entries fills them first, from one run pass (below) if
-  the program has atoms and the run fits one, else frame by frame, and is
-  then decided; it is never retried per frame.  An invalid frame gets its
-  witness from the tables, as an untagged frame does.
+- A program of modal depth at most 1 is *state-local*: its truth at state
+  s under valuation v reads only N(s) and v, so the state's lowest
+  falsifying v is fixed by (semantics, n, s, N(s)).  The memo holds one
+  table per state, keyed by that state's family object, which the walk's
+  frames share, and the tables are the mask's source: the head states'
+  entries are fixed for the run, so one of them without a zero makes the
+  mask 0, and the last state's entries over the walk's list give a mask
+  that the memo builds once.  A run with missing entries fills them first,
+  from one run pass (below) if the program has atoms and the run fits one,
+  else frame by frame, and is then decided; it is never retried per frame.
+  An invalid frame gets its witness from the tables: the least of its
+  states' entries, at the lowest state that has it; a miss evaluates the
+  frame once, with passes continuing until each state has its first zero,
+  and stores every state's entry.
 - A deeper program's mask comes from one pass at width L·V, if L·V fits in
   2^``_CHUNK_BITS`` bits per state (V = 2^(n·k) valuations, so the program
   also runs in one pass): bits [s·L·V + j·V, s·L·V + (j+1)·V) are frame j's
@@ -76,9 +70,9 @@ frame takes the paths above.
   above; the last state ORs M_X & sel_X over every X, where sel_X has the
   planes of the frames whose last family holds X (for ``old`` Δ, X or
   S∖X).  Frame j is valid iff its planes hold no zero in any state.  The
-  zero planes stay on the run, and an invalid frame that is checked reads
-  its first-zeros list from them.  A run that does not fit has no mask,
-  and its frames take the whole-frame path.
+  zero planes stay in the verdict, and an invalid frame that is checked
+  reads its first-zeros list from them.  A run that does not fit has no
+  mask, and its frames are evaluated one by one.
 
 Only ``frame_valid`` and ``run_valid`` decide locality; ``extension`` and
 ``taut_valid`` never do.
@@ -410,67 +404,28 @@ def _modal_depth(prog: Program) -> int:
 
 
 class _Memo:
-    """What ``frame_valid`` keeps for one (program, semantics, state names):
-    ``tables[s]`` maps state s's family (or successor mask) to the state's
-    lowest falsifying valuation index, or 2^(n·k) if none, and is None for
-    a program of modal depth 2 or more; ``witnesses`` holds one falsifying
-    ``FrameCheck`` per (valuation index, state), shared by every frame that
-    has it.  Both are cleared when they pass ``_MEMO_LIMIT`` entries."""
+    """What a product walk keeps for one (formula object, semantics), in the
+    ``shared`` dict of its runs: the compiled ``program`` and ``bits`` =
+    n·k.  For a program of modal depth at most 1, ``tables[s]`` maps state
+    s's family to the state's lowest falsifying valuation index, or 2^(n·k)
+    if none, and ``last`` is the mask of the walk's last-state list under
+    which the last state has no falsifying valuation, once a run has built
+    it; a deeper program has neither.  The memo holds ``formula``, so the
+    ``id`` it is keyed by cannot be reused while the memo lives."""
 
-    __slots__ = ("program", "kind", "states", "bits", "tables", "size",
-                 "witnesses")
+    __slots__ = ("formula", "program", "kind", "bits", "tables", "last")
 
-    def __init__(self, program: Program | None, kind: SemanticsKind | None,
-                 states: tuple[str, ...], local: bool):
-        self.program, self.kind, self.states = program, kind, states
-        self.bits = len(states) * len(program.names) if program else 0
-        self.tables = [{} for _ in states] if local else None
-        self.size = 0
-        self.witnesses: dict[int, FrameCheck] = {}
+    def __init__(self, f: Formula, kind: SemanticsKind, n: int):
+        self.formula, self.program, self.kind = f, _program(f), kind
+        self.bits = n * len(self.program.names)
+        self.tables = ([{} for _ in range(n)]
+                       if _modal_depth(self.program) <= 1 else None)
+        self.last: int | None = None
 
     def store(self, entries: Sequence, first: list[int]) -> None:
         """Keep each state's first-zeros entry under its family."""
-        if self.size + len(first) > _MEMO_LIMIT:
-            for table in self.tables:
-                table.clear()
-            self.size = 0
         for table, entry, index in zip(self.tables, entries, first):
             table[entry] = index
-        self.size = sum(map(len, self.tables))
-
-    def witness(self, frame: Model, first: list[int]) -> FrameCheck:
-        """``_witness`` of ``frame``, which has these state names: built
-        once per (lowest index, lowest state falsified under it), then
-        shared."""
-        index = min(first)
-        if index >> self.bits:
-            return _VALID
-        key = index * len(first) + first.index(index)
-        got = self.witnesses.get(key)
-        if got is None:
-            if len(self.witnesses) >= _MEMO_LIMIT:
-                self.witnesses.clear()
-            got = self.witnesses[key] = _witness(frame, self.program.names,
-                                                 first)
-        return got
-
-
-# The memo of the last (program, semantics, state names) that
-# ``frame_valid`` was given.  A new program or semantics, or other state
-# names, start a new one, so no memo outlives its program.
-_memo = _Memo(None, None, (), False)
-_MEMO_LIMIT = 1 << 16
-
-
-def _renew(prog: Program, kind: SemanticsKind, states: tuple[str, ...]
-           ) -> _Memo:
-    global _memo
-    memo = _memo
-    if memo.program is prog and memo.kind is kind and memo.states == states:
-        memo.states = states  # equal names: later frames pass the ``is`` test
-    else:
-        memo = _memo = _Memo(prog, kind, states, _modal_depth(prog) <= 1)
-    return memo
 
 
 def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
@@ -481,119 +436,111 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     2^(|S| * |vars|) valuations; sweeps beyond ``max_bits`` exponent bits are
     refused.  Returns the first falsifying valuation and state otherwise.
 
-    A frame of a product sweep is answered by one bit of its run's
-    ``valid_verdict``, the run's validity mask for this formula object,
-    ``kind`` and ``max_bits``, built once per run by ``_run_mask``; another
-    formula, semantics or budget builds its own.  Only a frame whose bit is
-    clear, an invalid frame or a frame of a run without a mask, takes the
-    per-frame path below, which finds its witness.
+    A frame of a product sweep reads its run's verdict for this formula
+    object, ``kind`` and ``max_bits`` (``_verdict``): a set bit of its mask
+    answers at once, and any other frame of the run gets its witness from
+    the verdict's memo tables or zero planes, or else from its own
+    evaluation.  Every other frame is evaluated on its own.
     """
     handle = frame.__dict__.get(_RUN)
-    if handle is not None:
-        run, index = handle
-        kept = run.valid_verdict
-        if (kept is None or kept[0] is not f or kept[1] is not kind
-                or kept[2] != max_bits):
-            memo = _memo_for(frame, f, kind, max_bits)
-            kept = run.valid_verdict = (f, kind, max_bits,
-                                        _run_mask(memo, frame, run) or 0)
-        if kept[3] >> index & 1:
-            return _VALID
-    memo = _memo_for(frame, f, kind, max_bits)
+    if handle is None:
+        _check_kind(frame, kind)
+        return _program_valid(frame, _program(f), kind, max_bits)
+    run, index = handle
+    kept = run.valid_verdict
+    if (kept is None or kept[0] is not f or kept[1] is not kind
+            or kept[2] != max_bits):
+        kept = _verdict(frame, run, f, kind, max_bits)
+    _, _, _, valid, memo, zeros = kept
+    if valid is not None and valid >> index & 1:
+        return _VALID
     tables = memo.tables
-    if tables is None:
-        if handle is not None and _run_mask(memo, frame, run) is not None:
-            # an invalid frame of a run pass: its first zeros are in the planes
-            first = _plane_firsts(run.zeros, len(run.families), index,
-                                  memo.bits, len(frame.states))
-        else:
-            first = _first_zeros(frame, memo.program, kind, 1)
-        return memo.witness(frame, first)
-    rel = frame.succ if kind is SemanticsKind.KRIPKE else frame.neighborhoods
-    try:
-        first = [table[entry] for table, entry in zip(tables, rel)]
-    except KeyError:
-        first = _first_zeros(frame, memo.program, kind, len(tables))
-        memo.store(rel, first)
-    return memo.witness(frame, first)
-
-
-def _memo_for(frame: Model, f: Formula, kind: SemanticsKind,
-              max_bits: int) -> _Memo:
-    """The memo of ``f``'s program under ``kind`` for ``frame``'s state
-    names, once the sweep's size is checked against ``max_bits``."""
-    _check_kind(frame, kind)
-    prog = _program(f)
-    states = frame.states
-    memo = _memo
-    if (memo.states is not states or memo.program is not prog
-            or memo.kind is not kind):
-        memo = _renew(prog, kind, states)
-    if memo.bits > max_bits:
-        _check_bits(len(states), len(prog.names), max_bits)
-    return memo
+    if tables is not None:
+        fams = frame.neighborhoods
+        try:
+            first = [table[fam] for table, fam in zip(tables, fams)]
+        except KeyError:
+            first = _first_zeros(frame, memo.program, kind, len(tables))
+            memo.store(fams, first)
+    elif zeros is not None:
+        # an invalid frame of a run pass: its first zeros are in the planes
+        first = _plane_firsts(zeros, len(run.families), index, memo.bits,
+                              len(frame.states))
+    else:
+        first = _first_zeros(frame, memo.program, kind, 1)
+    return _witness(frame, memo.program.names, first)
 
 
 def run_valid(frame: Model, f: Formula, kind: SemanticsKind,
               max_bits: int = 24) -> int | None:
     """Validity of ``f`` over the run of a frame tagged by ``generators``'
     product sweep: bit j is set iff frame j of the run validates ``f``.
-    None for an untagged frame, or for a program of modal depth 2 or more
-    on a run that does not fit one pass.  Refused like ``frame_valid``."""
-    memo = _memo_for(frame, f, kind, max_bits)
+    None for an untagged frame, a run of one frame, or a program of modal
+    depth 2 or more on a run that does not fit one pass.  Refused like
+    ``frame_valid``."""
     handle = frame.__dict__.get(_RUN)
-    return None if handle is None else _run_mask(memo, frame, handle[0])
+    if handle is None:
+        _check_kind(frame, kind)
+        _check_bits(len(frame.states), len(_program(f).names), max_bits)
+        return None
+    run = handle[0]
+    kept = run.valid_verdict
+    if (kept is None or kept[0] is not f or kept[1] is not kind
+            or kept[2] != max_bits):
+        kept = _verdict(frame, run, f, kind, max_bits)
+    return kept[3]
 
 
-def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
-    """``run_valid``'s mask for ``memo``'s program and semantics, computed
-    once per run and kept on it, with the zero planes it came from."""
-    prog, kind = memo.program, memo.kind
-    if run.program is not prog or run.kind is not kind:
-        if len(run.families) < 2:
-            # a run of one frame has nothing to share: the per-frame paths
-            run.valid = run.zeros = None
-        elif memo.tables is None:
-            run.valid, run.zeros = _run_planes(memo, frame, run)
+def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
+             max_bits: int) -> tuple:
+    """Build and keep the run's ``valid_verdict`` for (``f``, ``kind``,
+    ``max_bits``), which callers compare by identity, so once per run:
+    ``(f, kind, max_bits, mask, memo, zeros)``.  ``mask`` has bit j set iff
+    frame j is valid, and is None for a run of one frame or a deeper program
+    whose run does not fit one pass.  ``memo`` is the walk's ``_Memo`` for
+    (``f``, ``kind``), and ``zeros`` the zero planes of a deeper program's
+    run pass, else None.  Refused like ``frame_valid``."""
+    _check_kind(frame, kind)
+    n = len(frame.states)
+    memo = run.shared.get((id(f), kind))
+    if memo is None:
+        memo = run.shared[id(f), kind] = _Memo(f, kind, n)
+    _check_bits(n, len(memo.program.names), max_bits)
+    valid = zeros = None
+    if len(run.families) > 1:  # a run of one frame has nothing to share
+        if memo.tables is None:
+            valid, zeros = _run_planes(memo, frame, run)
         else:
-            run.valid, run.zeros = _local_mask(memo, frame, run), None
-        run.program, run.kind = prog, kind
-    return run.valid
+            valid = _local_mask(memo, frame, run)
+    run.valid_verdict = (f, kind, max_bits, valid, memo, zeros)
+    return run.valid_verdict
 
 
 def _local_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int:
     """The run's validity mask for a state-local program, from the memo's
-    tables.  The head states' entries are fixed for the run.  The last
-    state's entries over the run's list are read once per list, and the
-    mask they give is kept in ``run.shared``.  Missing entries are filled by
-    one run pass if the run fits one, else frame by frame."""
-    prog, kind, tables = memo.program, memo.kind, memo.tables
-    cached = run.shared.get(_LAST_VALID)
-    if cached is None or cached[0] is not prog or cached[1] is not kind:
-        table = tables[-1]
-        entries = [table.get(fam) for fam in run.families]
+    tables.  The head states' entries are fixed for the run, and the last
+    state's entries over the walk's list give ``memo.last``, built once.
+    Missing entries are filled by one run pass if the run fits one, else
+    frame by frame."""
+    tables = memo.tables
+    if memo.last is None:
+        entries = [tables[-1].get(fam) for fam in run.families]
         if None in entries:
             entries = _fill(memo, frame, run)
         last = 0
         for j, entry in enumerate(entries):
             if entry >> memo.bits:
                 last |= 1 << j
-        cached = run.shared[_LAST_VALID] = (prog, kind, last)
+        memo.last = last
     for table, fam in zip(tables, run.head):
         entry = table.get(fam)
         if entry is None:
-            first = _first_zeros(frame, prog, kind, len(tables))
+            first = _first_zeros(frame, memo.program, memo.kind, len(tables))
             memo.store(frame.neighborhoods, first)
-            return cached[2] if min(first[:-1]) >> memo.bits else 0
+            return memo.last if min(first[:-1]) >> memo.bits else 0
         if not entry >> memo.bits:
             return 0
-    return cached[2]
-
-
-# Key of a state-local program's last-state mask in a run's ``shared``
-# dict: (program, semantics, mask of the list's families under which the
-# last state has no falsifying valuation).
-_LAST_VALID = "last-valid"
+    return memo.last
 
 
 def _fill(memo: _Memo, frame: NeighborhoodModel, run) -> list[int]:

@@ -1,9 +1,10 @@
 import random
+import re
 from functools import partial
 
 import pytest
 
-from delta_lab import generators
+from delta_lab import definability, generators
 from delta_lab.definability import (DefinabilityClaim, DefinesResult,
                                     builtin_claim, builtin_table, check_frame,
                                     defines)
@@ -40,6 +41,25 @@ def test_builtin_table_contents():
         assert claim.background == background, letter
         assert claim.semantics is SemanticsKind.NEW
     assert "r" not in by_prop  # no defining formula is shipped for (r)
+
+
+def test_builtin_claim_parses_only_its_own_row(monkeypatch):
+    table = {claim.prop.value: claim for claim in builtin_table()}
+    parsed = []
+    real = definability.parse
+    monkeypatch.setattr(definability, "parse",
+                        lambda text: parsed.append(text) or real(text))
+    for letter, claim in table.items():
+        parsed.clear()
+        assert builtin_claim(letter) == claim
+        assert parsed == [EXPECTED[letter][0]]
+    parsed.clear()
+    for letter in ("r", "x", "", "nn"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"no builtin claim for property "
+                                           f"({letter})")):
+            builtin_claim(letter)
+    assert parsed == []
 
 
 def test_t_claim_uses_c_background():

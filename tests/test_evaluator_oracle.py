@@ -239,92 +239,110 @@ def test_extension_equals_oracle_property(model_kind, f):
 
 
 # ---------------------------------------------------------------------------
-# The state-local memo of ``frame_valid`` against the whole-frame path.
+# The walk's memo of ``frame_valid`` (one per formula object and semantics,
+# with per-state tables for a state-local program) against the whole-frame
+# path and the oracle.
 
 def _whole_frame(frame, f: Formula, kind: SemanticsKind) -> FrameCheck:
     return _program_valid(frame, compile_formula(f), kind)
 
 
-def _pooled_frames(kind: SemanticsKind, n: int, rnd: random.Random,
-                   count: int) -> list:
-    """Frames whose state entries come from a few per-state candidates, so
-    that later frames repeat earlier frames' (state, entry) pairs in new
-    combinations."""
-    pool = [_random_frame(kind, n, rnd.randrange(10**6)) for _ in range(3)]
-    names = state_names(n)
-    frames = []
-    for _ in range(count):
-        picks = [rnd.choice(pool) for _ in range(n)]
-        if kind is KRIPKE:
-            succ = tuple(p.succ[s] for s, p in enumerate(picks))
-            frames.append(KripkeModel(names, succ))
-        else:
-            fams = tuple(p.neighborhoods[s] for s, p in enumerate(picks))
-            frames.append(NeighborhoodModel(names, fams))
-    return frames
+def _walk_memo(frame, f: Formula, kind: SemanticsKind):
+    """The memo that ``frame``'s walk keeps for (``f``, ``kind``)."""
+    run, _ = vars(frame)[_RUN]
+    return run.shared[id(f), kind]
+
+
+def _walk_sample(n: int, rnd: random.Random, count: int) -> list:
+    """``count`` tagged frames of one new walk at n states, in random order,
+    so that later frames meet entries that frames of other runs filled: the
+    c-frames at 1 and 2 states, six runs of 16 c-frames at 3 states and
+    three runs of 12 quasi-filter frames at 4 states, each range from a
+    random start."""
+    if n <= 2:
+        frames = list(_product_frames(n, FRAME_CLASSES["c"]))
+    elif n == 3:
+        start = rnd.randrange(4096 - 96)
+        frames = list(_product_frames(3, FRAME_CLASSES["c"], start,
+                                      start + 96))
+    else:
+        start = rnd.randrange(12 ** 4 - 36)
+        frames = list(_product_frames(4, FRAME_CLASSES["quasi-filter"],
+                                      start, start + 36))
+    return rnd.sample(frames, min(count, len(frames)))
 
 
 def test_memo_path_matches_whole_frame_path_and_oracle():
     rnd = random.Random(11)
-    for case in range(240):
-        kind = (NEW, OLD, KRIPKE)[case % 3]
-        n = 1 + case // 3 % 5
-        depth = case // 15 % 3
+    for case in range(160):
+        kind = (NEW, OLD)[case % 2]
+        n = 1 + case // 2 % 4
+        depth = case // 8 % 3
         atoms = ["p", "q"][:1 + (n <= 3)]
         f = Top()
         while metrics(f).modal_depth != depth:
             f = random_formula(depth, atoms, rnd.randrange(10**6),
                                include_box=True, size=rnd.randrange(3, 12))
-        for frame in _pooled_frames(kind, n, rnd, 8):
+        frames = _walk_sample(n, rnd, 8)
+        for frame in frames:
             got = frame_valid(frame, f, kind)
             assert got == _whole_frame(frame, f, kind), (case, kind, str(f))
             assert got == oracle_frame_valid(frame, f, kind), (case, str(f))
-        assert (semantics._memo.tables is not None) == (depth <= 1)
+        memo = _walk_memo(frames[0], f, kind)
+        assert (memo.tables is not None) == (depth <= 1)
 
 
 def test_memo_path_above_the_chunk_width():
-    # 5 states and 3 atoms give 15 index bits; a miss runs passes until
-    # every state has its first falsifying valuation, so the memo must hold
-    # the right one for each state, which pooled frames then combine
-    assert 5 * 3 > _CHUNK_BITS
-    late = [parse("~(p0 & q & r & D p0)"), parse("p0 | q | r | B ~r"),
-            parse("D p0 | N q | r"), parse("(p0 -> q) | r | D r"),
-            parse("p0 & q & r -> p0"), parse("D(p0 & q & r) | ~D(p0 & q & r)")]
+    # 4 states and 4 atoms give 16 index bits, so a run does not fit one
+    # pass and a miss runs passes until every state has its first
+    # falsifying valuation: the tables must hold the right one for each
+    # state, which frames of other runs then combine
+    assert 4 * 4 > _CHUNK_BITS
+    late = [parse("~(p0 & q & r & s & D p0)"), parse("p0 | q | r | s | D ~s"),
+            parse("D p0 | N q | r | s"), parse("(p0 -> q) | r | s | D s")]
     rnd = random.Random(5)
-    for kind in (NEW, OLD, KRIPKE):
-        frames = _pooled_frames(kind, 5, rnd, 6)
+    for kind in (NEW, OLD):
         for f in late:
-            for frame in frames:
-                assert frame_valid(frame, f, kind) == \
-                    _whole_frame(frame, f, kind), (kind, str(f))
-    frame = frames[0]
-    for f in late[:2]:
-        assert frame_valid(frame, f, KRIPKE) == \
-            oracle_frame_valid(frame, f, KRIPKE), str(f)
+            frames = _walk_sample(4, rnd, 36)
+            for i, frame in enumerate(frames):
+                got = frame_valid(frame, f, kind)
+                assert got == _whole_frame(frame, f, kind), (kind, str(f))
+                if i % 9 == 0:
+                    assert got == oracle_frame_valid(frame, f, kind), str(f)
+
+
+def _heads(frames) -> dict:
+    """The frames of each run of a walk, by the run's head families."""
+    runs: dict = {}
+    for frame in frames:
+        runs.setdefault(frame.neighborhoods[:-1], []).append(frame)
+    return runs
 
 
 def test_frame_answered_from_earlier_entries_runs_no_pass(monkeypatch):
-    # frames a and b fill the memo; c takes its states from both, so its
-    # witness comes from the memo alone and must still be the lowest one
+    # the runs with heads (a, x) and (y, b) fill the walk's tables; the run
+    # with head (a, b) takes each head state's entry from one of them and
+    # the last state's from the list, so its mask and every witness come
+    # from the tables alone and must still be the lowest ones
     f = parse("D p -> p | q")
-    a = NeighborhoodModel(state_names(3), (frozenset({0b011}), frozenset(),
-                                           frozenset({0b100, 0b010})))
-    b = NeighborhoodModel(state_names(3), (frozenset(), frozenset({0, 0b101}),
-                                           frozenset({0b111})))
-    c = NeighborhoodModel(state_names(3), (b.neighborhoods[0],
-                                           a.neighborhoods[1],
-                                           b.neighborhoods[2]))
     for kind in (NEW, OLD):
-        frame_valid(a, f, kind)
-        frame_valid(b, f, kind)
-        runs = []
+        runs = _heads(_product_frames(3, FRAME_CLASSES["c"]))
+        heads = list(runs)
+        (a, x), (y, b) = heads[1 * 16 + 2], heads[3 * 16 + 5]
+        assert a is not y and x is not b
+        for frame in runs[a, x] + runs[y, b]:
+            frame_valid(frame, f, kind)
+        passes = []
         monkeypatch.setattr(semantics, "_first_zeros",
-                            lambda *args: runs.append(args) or [])
-        for frame in (a, b, c):
-            assert frame_valid(frame, f, kind) == \
-                oracle_frame_valid(frame, f, kind), (kind, frame)
-        assert not runs
+                            lambda *args: passes.append(args) or [])
+        monkeypatch.setattr(semantics, "_run",
+                            lambda *args: passes.append(args) or 0)
+        got = [frame_valid(frame, f, kind) for frame in runs[a, b]]
         monkeypatch.undo()
+        assert not passes
+        assert got == [oracle_frame_valid(frame, f, kind)
+                       for frame in runs[a, b]], kind
+        assert sum(not check for check in got) > 0
 
 
 def test_memo_is_keyed_by_semantics_and_tied_witness_is_lowest_state():
@@ -346,18 +364,39 @@ def test_memo_is_keyed_by_semantics_and_tied_witness_is_lowest_state():
     both = NeighborhoodModel(state_names(2), (frozenset(), frozenset()))
     assert frame_valid(second, g, NEW) == FrameCheck(False, {"q": 0}, "s0")
     assert frame_valid(both, g, NEW) == FrameCheck(False, {"q": 0}, "s0")
+    # the same on tagged frames: the walk keeps one memo per semantics
+    frames = list(_product_frames(1, frozenset()))
+    assert [frame.neighborhoods[0] for frame in frames[2:4]] == \
+        [frozenset({0b1}), frozenset({0, 0b1})]
+    for _ in range(2):
+        assert frame_valid(frames[2], f, OLD) == FrameCheck(True)
+        assert frame_valid(frames[2], f, NEW) == \
+            FrameCheck(False, {"p": 0}, "s0")
+    assert _walk_memo(frames[2], f, OLD) is not _walk_memo(frames[2], f, NEW)
+    frames = list(_product_frames(2, frozenset()))
+    both = next(frame for frame in frames
+                if frame.neighborhoods == (frozenset(), frozenset()))
+    assert frame_valid(both, g, NEW) == FrameCheck(False, {"q": 0}, "s0")
 
 
 def test_depth_two_formula_is_not_memoised():
     # truth of ΔΔp at s0 reads s1's family, which differs between frames
-    # that give s0 the same family
-    f = parse("D D p")
-    left = NeighborhoodModel(state_names(2), (frozenset({0b10}), frozenset()))
-    right = NeighborhoodModel(state_names(2), (frozenset({0b10}),
-                                               frozenset({0, 0b01, 0b10, 0b11})))
-    for frame in (left, right, left, right):
-        assert frame_valid(frame, f, NEW) == oracle_frame_valid(frame, f, NEW)
-    assert semantics._memo.tables is None
+    # that give s0 the same family: every 2-state frame, whose runs of 16
+    # fit one pass, then three runs of 256 at 3 states, which do not fit
+    # one pass with two atoms
+    for f, frames, step in (
+            (parse("D D p"), list(_product_frames(2, frozenset())), 1),
+            (parse("D D (p & q) | q"), _class_frames("all", 3), 7)):
+        for kind in (NEW, OLD):
+            for i, frame in enumerate(frames):
+                got = frame_valid(frame, f, kind)
+                assert got == frame_valid(_untagged(frame), f, kind)
+                if i % step == 0:
+                    assert got == oracle_frame_valid(frame, f, kind), \
+                        (str(f), kind, frame)
+            assert _walk_memo(frames[0], f, kind).tables is None
+    run, _ = vars(frames[0])[_RUN]
+    assert run.valid_verdict[3] is None  # no mask: frame by frame
     k = parse("B (p -> B p)")
     one = KripkeModel(state_names(2), (0b10, 0b00))
     two = KripkeModel(state_names(2), (0b10, 0b01))
@@ -366,41 +405,75 @@ def test_depth_two_formula_is_not_memoised():
             oracle_frame_valid(frame, k, KRIPKE)
 
 
-def test_memo_is_dropped_on_formula_change_and_cleared_when_full(monkeypatch):
-    frame = _random_frame(NEW, 3, 1)
+def test_walk_keeps_one_memo_per_formula_object_and_semantics():
+    frames = list(_product_frames(3, FRAME_CLASSES["c"], 1000, 1100))
+    frame = frames[0]
+    run, _ = vars(frame)[_RUN]
     f, g = parse("D p -> p"), parse("D p -> p")
     frame_valid(frame, f, NEW)
-    memo = semantics._memo
-    # one table per state, each keyed by that state's own family object
-    assert [list(table) for table in memo.tables] == \
-        [[fam] for fam in frame.neighborhoods]
-    renamed = NeighborhoodModel(tuple(list(frame.states)), frame.neighborhoods)
-    assert renamed.states is not frame.states
-    frame_valid(renamed, f, NEW)  # equal state names keep the memo
-    assert semantics._memo is memo and memo.size == 3
+    memo = _walk_memo(frame, f, NEW)
+    # one table per state, each keyed by the walk's family objects: the
+    # head's own, and the last state's whole list, filled by one run pass
+    assert [list(table) for table in memo.tables[:2]] == \
+        [[fam] for fam in frame.neighborhoods[:2]]
+    assert all(key is fam for key, fam in zip(memo.tables[2], run.families))
+    assert len(memo.tables[2]) == len(run.families)
     frame_valid(frame, g, NEW)  # an equal formula, but a new object
-    assert semantics._memo is not memo and semantics._memo.program is not \
-        memo.program
-    assert semantics._memo.size == 3
-    frame_valid(frame, g, OLD)  # another semantics starts its own memo
-    assert semantics._memo.kind is OLD and semantics._memo.size == 3
+    assert _walk_memo(frame, g, NEW) is not memo
+    assert _walk_memo(frame, g, NEW).program is not memo.program
+    frame_valid(frame, f, OLD)  # another semantics has its own memo
+    assert _walk_memo(frame, f, OLD).kind is OLD
+    assert _walk_memo(frame, f, NEW) is memo  # and the first one is kept
+    # every run of the walk shares the memos; another walk has its own
+    for other in frames:
+        for h in (f, g):
+            assert frame_valid(other, h, NEW) == \
+                frame_valid(_untagged(other), h, NEW)
+        assert _walk_memo(other, f, NEW) is memo
+    assert sum(isinstance(value, semantics._Memo)
+               for value in run.shared.values()) == 3
+    fresh = list(_product_frames(3, FRAME_CLASSES["c"], 1000, 1016))
+    frame_valid(fresh[0], f, NEW)
+    assert _walk_memo(fresh[0], f, NEW) is not memo
     h = parse("~(D p -> p)")
     assert frame_valid(frame, h, NEW) == oracle_frame_valid(frame, h, NEW)
 
-    monkeypatch.setattr(semantics, "_MEMO_LIMIT", 7)
-    rnd = random.Random(3)
-    f = parse("D(p & q) -> D p | q")
-    sizes = []
-    for frame in _pooled_frames(NEW, 3, rnd, 40) + _pooled_frames(NEW, 3, rnd, 40):
-        assert frame_valid(frame, f, NEW) == oracle_frame_valid(frame, f, NEW)
-        memo = semantics._memo
-        assert memo.size == sum(map(len, memo.tables))
-        assert len(memo.witnesses) <= 7
-        sizes.append(memo.size)
-    assert max(sizes) <= 7 and min(sizes[1:]) < max(sizes)
+
+def test_untagged_copy_shares_no_state_with_the_walk(monkeypatch):
+    # one last-state entry of the walk's table is made wrong: the tagged
+    # frames that read it answer wrongly, their untagged copies do not.  The
+    # formula is valid on every c-frame, and the entry is the list's last
+    # family's, which no frame that fills a head entry has, so no later
+    # store puts it right
+    f = parse("D p -> D ~p")
+    fill = semantics._fill
+    corrupted = []
+
+    def corrupting(memo, frame, run):
+        entries = fill(memo, frame, run)
+        j = max(j for j, entry in enumerate(entries) if entry >> memo.bits)
+        assert j > 0
+        memo.tables[-1][run.families[j]] = entries[j] = 0
+        corrupted.append(run.families[j])
+        return entries
+
+    monkeypatch.setattr(semantics, "_fill", corrupting)
+    frames = list(_product_frames(3, FRAME_CLASSES["c"]))
+    got = [frame_valid(frame, f, NEW) for frame in frames]
+    assert len(corrupted) == 1
+    wrong = 0
+    for frame, check in zip(frames, got):
+        want = oracle_frame_valid(frame, f, NEW)
+        assert frame_valid(_untagged(frame), f, NEW) == want
+        if frame.neighborhoods[-1] is corrupted[0] and want:
+            assert check == FrameCheck(False, {"p": 0}, "s2"), frame
+            wrong += 1
+        else:
+            assert check == want, frame
+    assert wrong == 256
 
 
-def test_witnesses_are_shared_and_name_each_frames_own_states():
+def test_witness_names_each_frames_own_states():
     f = parse("D p -> p")
     fams = (frozenset({0b01}), frozenset({0b01}))
     one = NeighborhoodModel(("a", "b"), fams)
@@ -408,7 +481,7 @@ def test_witnesses_are_shared_and_name_each_frames_own_states():
     other = NeighborhoodModel(("x", "y"), fams)
     for kind in (NEW, OLD):
         got = frame_valid(one, f, kind)
-        assert not got and frame_valid(two, f, kind) is got
+        assert not got and frame_valid(two, f, kind) == got
         assert got == oracle_frame_valid(one, f, kind)
         # same families and formula, other names: the witness names "y"
         renamed = frame_valid(other, f, kind)
@@ -417,13 +490,12 @@ def test_witnesses_are_shared_and_name_each_frames_own_states():
         assert frame_valid(one, f, kind) == got
 
 
-def test_shared_witnesses_survive_a_pickle_round_trip():
+def test_witnesses_survive_a_pickle_round_trip():
     claim = builtin_claim("s")
     checks = []
     for frame in _product_frames(3, FRAME_CLASSES["c"]):
         checks.append(frame_valid(frame, claim.formula, claim.semantics))
-    failing = [check for check in checks if not check]
-    assert len({id(check) for check in failing}) < len(failing)
+    assert sum(not check for check in checks) > 1000
     copies = pickle.loads(pickle.dumps(checks))
     assert copies == checks
     assert all(type(copy.valuation) is dict for copy in copies if not copy)
@@ -442,8 +514,8 @@ def test_only_frame_valid_decides_locality(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The run path: validity decided once per product run (``run_valid``; one
-# pass per run for programs of modal depth 2 or more, the memo tables for
-# the rest), against untagged copies and the oracle.
+# pass per run for programs of modal depth 2 or more, the walk's memo tables
+# for the rest), against untagged copies and the oracle.
 
 def _untagged(frame):
     return NeighborhoodModel(frame.states, frame.neighborhoods)
@@ -498,7 +570,8 @@ def test_run_path_matches_untagged_copies_and_oracle():
                 if frames and _takes_run_path(frames[0], f):
                     taken += 1
                     run, _ = vars(frames[-1])[_RUN]
-                    assert run.valid is not None and run.zeros is not None, \
+                    _, _, _, mask, _, zeros = run.valid_verdict
+                    assert mask is not None and zeros is not None, \
                         (name, n, kind, str(f))
                     assert _run_bit(frames[-1], f, kind) is not None
     assert taken >= 50
@@ -608,6 +681,42 @@ def test_state_local_run_fills_its_tables_once(monkeypatch):
         assert len(passes) <= 3 * 16, (kind, len(passes))
 
 
+def test_alternating_formulas_keep_their_memos(monkeypatch):
+    # two state-local formulas, one call each per frame in turn: each keeps
+    # its own memo on the walk, so the answers are those of the formulas
+    # run one after the other, with no more evaluations
+    passes = []
+    first_zeros, evaluate = semantics._first_zeros, semantics._run
+
+    def counting(*args):
+        passes.append("first")
+        return first_zeros(*args)
+
+    def counting_run(*args):
+        passes.append("run")
+        return evaluate(*args)
+
+    monkeypatch.setattr(semantics, "_first_zeros", counting)
+    monkeypatch.setattr(semantics, "_run", counting_run)
+    pair = parse("D p -> p"), parse("D p & D q -> D(p & q)")
+    for kind in (NEW, OLD):
+        passes.clear()
+        frames = list(_product_frames(3, FRAME_CLASSES["c"]))
+        apart = [[frame_valid(frame, f, kind) for frame in frames]
+                 for f in pair]
+        one_by_one = passes.count("first"), passes.count("run")
+        passes.clear()
+        together = [[], []]
+        for frame in _product_frames(3, FRAME_CLASSES["c"]):
+            for out, f in zip(together, pair):
+                out.append(frame_valid(frame, f, kind))
+        assert together == apart, kind
+        # ``_first_zeros`` calls, and all evaluations (``_run`` calls)
+        alternating = passes.count("first"), passes.count("run")
+        assert 0 < alternating[0] <= one_by_one[0], (kind, one_by_one)
+        assert alternating[1] <= one_by_one[1], (kind, alternating)
+
+
 def test_range_starting_mid_run_matches_the_whole_stream():
     # the second of two quasi-filter ranges at 3 states starts at frame 63,
     # which is frame 3 of a run of 5
@@ -644,7 +753,7 @@ def test_explicit_frame_stream_takes_the_whole_frame_path(monkeypatch):
     swept = defines(claim, 3)
     copies = [_untagged(frame) for n in (1, 2, 3)
               for frame in _product_frames(n, FRAME_CLASSES["c"])]
-    monkeypatch.setattr(semantics, "_run_mask", refuse)
+    monkeypatch.setattr(semantics, "_verdict", refuse)
     monkeypatch.setattr(model, "_run_props", refuse)
     assert defines(claim, frames=copies) == swept
 
@@ -653,8 +762,7 @@ def test_explicit_frame_stream_takes_the_whole_frame_path(monkeypatch):
 # Every check a shipped sweep makes, against a fresh whole-frame witness.
 
 def _fresh_check(frame, f: Formula, kind: SemanticsKind) -> FrameCheck:
-    """``frame_valid``'s answer rebuilt from scratch: no memo, no run, no
-    shared witness."""
+    """``frame_valid``'s answer rebuilt from scratch: no memo, no run."""
     copy = _untagged(frame)
     prog = compile_formula(f)
     return semantics._witness(copy, prog.names,

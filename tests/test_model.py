@@ -489,5 +489,23 @@ def test_from_names_rejects_unknowns_and_duplicates():
         KripkeModel.from_names(["s"], {"x": ["s"]})
 
 
+def test_validate_names_an_extra_entry_by_its_index():
+    # more relation entries than states: the extra entry is reported, with
+    # the others, instead of raising
+    fams = NeighborhoodModel(("s",), (frozenset(), frozenset({2})))
+    assert validate(fams) == [
+        "neighborhood function is not total on states",
+        "neighborhood of entry 1 contains an unknown state"]
+    succ = KripkeModel(("s",), (0, 2))
+    assert validate(succ) == [
+        "successor map is not total on states",
+        "successors of entry 1 reference an unknown state"]
+    both = KripkeModel(("s",), (2, 2, 0))
+    assert validate(both) == [
+        "successor map is not total on states",
+        "successors of 's' reference an unknown state",
+        "successors of entry 1 reference an unknown state"]
+
+
 def test_validate_empty_state_set():
     assert "empty state set" in validate(NeighborhoodModel((), (), {}))

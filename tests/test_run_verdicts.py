@@ -4,8 +4,9 @@ A frame of a product run is answered by one bit of the verdict mask that its
 run keeps for the check reading it: ``definability.check_frame`` keeps
 ``valid ^ props`` under (claim, max_bits), ``semantics.frame_valid`` the
 validity mask under (formula, semantics, max_bits).  Every result here is
-compared with untagged copies of the same frames, which take the per-frame
-path, and each kept verdict is shown to answer only its own key.
+compared with untagged copies of the same frames, which are evaluated on
+their own and read no table or verdict of the sweep, and each kept verdict
+is shown to answer only its own key.
 """
 
 import re
@@ -272,19 +273,19 @@ def test_a_refused_budget_is_one_error_line_from_the_cli(capsys):
 def test_claim_and_formula_verdicts_are_kept_apart(monkeypatch):
     # a check_frame and a frame_valid call on every frame, alternately: each
     # keeps its own verdict, so each builds it once per run
-    claimed, masks = [], []
-    real_valid, real_mask = definability.run_valid, semantics._run_mask
+    claimed, verdicts = [], []
+    real_valid, real_verdict = definability.run_valid, semantics._verdict
 
     def counting_valid(*args):
         claimed.append(args)
         return real_valid(*args)
 
-    def counting_mask(*args):
-        masks.append(args)
-        return real_mask(*args)
+    def counting_verdict(*args):
+        verdicts.append(args)
+        return real_verdict(*args)
 
     monkeypatch.setattr(definability, "run_valid", counting_valid)
-    monkeypatch.setattr(semantics, "_run_mask", counting_mask)
+    monkeypatch.setattr(semantics, "_verdict", counting_verdict)
     frames = list(_product_frames(3, FRAME_CLASSES["c"]))
     runs = {id(vars(frame)[_RUN][0]) for frame in frames}
     claim = builtin_claim("4")
@@ -294,7 +295,7 @@ def test_claim_and_formula_verdicts_are_kept_apart(monkeypatch):
         assert check_frame(claim, frame) is None
         got.append(frame_valid(frame, g, NEW))
     assert len(runs) == len(claimed) == 256
-    # one mask for the claim's formula and one for g, per run
-    assert len(masks) == 2 * 256
+    # one validity verdict for the claim's formula and one for g, per run
+    assert len(verdicts) == 2 * 256
     assert got == [frame_valid(_copy(frame), g, NEW) for frame in frames]
     assert sum(not check for check in got) > 1000
