@@ -15,8 +15,8 @@ from typing import Iterable
 from .formula import Formula, parse
 from .generators import first_hit, sweep
 from .model import (_RUN, FRAME_CLASSES, FrameProperty, NeighborhoodModel,
-                    has_property, run_property)
-from .semantics import FrameCheck, SemanticsKind, frame_valid, run_valid
+                    _run_props, has_property)
+from .semantics import FrameCheck, SemanticsKind, _verdict, frame_valid
 
 _TABLE = (
     ("n", "D top", "c"),
@@ -80,22 +80,21 @@ def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
                 max_bits: int = 24) -> Counterexample | None:
     """The per-frame biconditional: property holds iff the formula is valid.
 
-    A frame of a product sweep is answered by one bit of its run's
-    ``claim_verdict``, ``valid ^ props`` for this claim object and
-    ``max_bits``, built once per run from ``run_valid`` and
-    ``run_property``; another claim or budget builds its own.  Only a frame
-    whose bit is set, a counterexample or a frame of a run without a
-    validity mask, is checked on its own."""
+    A frame of a product sweep reads one bit of its run's ``claim_verdict``,
+    kept under this claim object and ``max_bits``: ``valid ^ props``, from
+    the run's validity mask (``semantics._verdict``) and property mask
+    (``model._run_props``), or every bit if the run has no validity mask.
+    A clear bit answers: no counterexample.  Every other frame is checked
+    on its own."""
     handle = frame.__dict__.get(_RUN)
     if handle is not None:
         run, index = handle
         kept = run.claim_verdict
         if kept is None or kept[0] is not claim or kept[1] != max_bits:
-            # bit j set iff frame j may be a counterexample: its property
-            # and validity differ, or the run has no validity mask
-            valid = run_valid(frame, claim.formula, claim.semantics, max_bits)
-            differ = -1 if valid is None else valid ^ run_property(
-                frame, claim.prop)
+            valid = _verdict(frame, run, claim.formula, claim.semantics,
+                             max_bits)[3]
+            differ = (-1 if valid is None
+                      else valid ^ _run_props(run, claim.prop))
             kept = run.claim_verdict = (claim, max_bits, differ)
         if not kept[2] >> index & 1:
             return None

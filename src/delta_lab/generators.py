@@ -242,33 +242,30 @@ class _Run:
     """One run of a product: the frames that differ only in the last
     state's family.  ``head`` holds the families of states 0..n−2 and
     ``families`` the last state's list, which frame j of the run takes
-    entry j of.  The run is the unit of decision: ``model.run_property``
-    and ``semantics.run_valid`` answer for all its frames at once with a
-    mask whose bit j is frame j's verdict, kept on the run.  ``shared`` is
-    one dict for every run of a ``_product_frames`` call, the walk: what
-    those functions build once per walk, such as the last state's
-    verdicts, the selectors of each subset and ``semantics``' memo of each
-    (formula object, semantics).
+    entry j of.  ``shared`` is one dict for every run of a
+    ``_product_frames`` call, the walk: what ``model`` and ``semantics``
+    build once per walk, such as the last state's verdicts, the selectors
+    of each subset and ``semantics``' memo of each (formula object,
+    semantics).
 
-    Each per-frame check keeps the one verdict it reads, under its own key,
-    so a swept frame's call is one identity comparison and one bit test:
-    ``props`` maps a property to its mask; ``claim_verdict`` is
-    ``(claim, max_bits, mask)`` for ``definability.check_frame``, bit j set
-    iff frame j's property and validity differ (every bit set if the run
-    has no validity mask); ``valid_verdict`` is ``semantics._verdict``'s
-    tuple for ``semantics.frame_valid`` and ``run_valid``, keyed by
-    (formula, semantics, max_bits), whose mask has bit j set iff frame j
-    is valid.  The keys hold ``max_bits`` because a kept verdict skips the
-    budget check: a call with another budget computes its own, or is
-    refused.  A frame whose bit is not settled takes the per-frame path."""
+    Each per-frame check keeps the one mask it reads, under its own key
+    compared by identity, so a swept frame's call is one key comparison
+    and one bit test: ``claim_verdict`` is ``(claim, max_bits, mask)`` for
+    ``definability.check_frame``, bit j set iff frame j's property and
+    validity differ (every bit set if the run has no validity mask);
+    ``valid_verdict`` is ``(formula, semantics, max_bits, mask)`` for
+    ``semantics.frame_valid``, bit j set iff frame j is valid.  The keys
+    hold ``max_bits`` because a set bit skips the budget check: a call
+    with another budget computes its own, or is refused.  A set bit of
+    ``valid_verdict`` and a clear bit of ``claim_verdict`` answer; every
+    other frame is checked on its own."""
 
-    __slots__ = ("head", "families", "shared", "props", "claim_verdict",
+    __slots__ = ("head", "families", "shared", "claim_verdict",
                  "valid_verdict")
 
     def __init__(self, head: tuple[frozenset[int], ...],
                  families: tuple[frozenset[int], ...], shared: dict):
         self.head, self.families, self.shared = head, families, shared
-        self.props: dict[FrameProperty, int] = {}
         self.claim_verdict = self.valid_verdict = None
 
 

@@ -14,13 +14,12 @@ size), or per (property, size, state) for (t), keyed by the family object
 itself, which sweep frames share.
 
 A frame of ``generators``' product sweep belongs to a *run*, the frames that
-differ only in the last state's family F_j.  ``run_property`` answers for
-the whole run with a mask whose bit j is frame j's verdict, computed once
-per (run, property) and kept on the run.  A local property ANDs the head
-states' verdicts with a mask of the last state's verdicts over the list,
-kept for every run of the sweep.  (b), (4) and (5) are written once, as a
-bit-parallel loop over their clauses (s, x): sel[y] has bit j set iff
-y ∈ F_j, each clause reads holders[z] (the states that have z as a
+differ only in the last state's family F_j.  ``_run_props`` answers for the
+whole run with a mask whose bit j is frame j's verdict.  A local property
+ANDs the head states' verdicts with a mask of the last state's verdicts over
+the list, kept for every run of the sweep.  (b), (4) and (5) are written
+once, as a bit-parallel loop over their clauses (s, x): sel[y] has bit j set
+iff y ∈ F_j, each clause reads holders[z] (the states that have z as a
 neighborhood), and its two candidate holder sets, with or without the last
 state, pick the frames of sel[z] and the rest, in O(n·2^n) per run.
 ``has_property`` on one frame runs the same code on its run of one.
@@ -147,9 +146,9 @@ class Model:
     verdicts live in the instance ``__dict__``, outside ``==`` and pickling.
     So does the ``_run`` handle that ``generators`` gives each frame of a
     product sweep: the frame's run (the frames that differ only in the last
-    state's family) and its index there, which ``run_property`` and
-    ``semantics`` read to decide the whole run at once.  ``replace`` and
-    ``with_valuation`` build untagged models.
+    state's family) and its index there, which ``definability.check_frame``
+    and ``semantics.frame_valid`` read to answer from the run's masks.
+    ``replace`` and ``with_valuation`` build untagged models.
     """
 
     states: tuple[str, ...]
@@ -338,12 +337,16 @@ def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
 
 
 # Verdicts of local properties across models: (property, full, state for
-# (t) and -1 otherwise) -> {family: verdict}.  Sweep frames share their
-# family objects, so a family's verdict is computed once per sweep rather
-# than once per frame, and found by the family object's cached hash.  The
-# tables are emptied when they hold ``_LOCAL_LIMIT`` entries in all, which
-# covers every 3-state family (256, or 768 for (t)); the families that
-# random larger models leave in them stay alive, so the limit is small.
+# (t) and -1 otherwise) -> {family: verdict}, found by the family's cached
+# hash.  Sweep frames share their family objects, so a family's verdict is
+# computed once per sweep rather than once per frame.  The table is kept
+# across models because bisimulation's fresh random models repeat
+# value-equal families: without it a bisim workload round makes 955
+# ``family_satisfies`` calls instead of 51-101, and its median round takes
+# 80 ms instead of 69 ms (seed 1, 2 vCPU, Python 3.11).  The tables are
+# emptied when they hold ``_LOCAL_LIMIT`` entries in all, which covers every
+# 3-state family (256, or 768 for (t)); the families that random larger
+# models leave in them stay alive, so the limit is small.
 _local_verdicts: dict[tuple[FrameProperty, int, int],
                       dict[frozenset[int], bool]] = {}
 _local_size = 0
@@ -414,22 +417,9 @@ def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     return not fams or _mask(prop, fams[:-1], fams[-1:], {}) == 1
 
 
-def run_property(m: NeighborhoodModel, prop: FrameProperty) -> int | None:
-    """``prop`` over the run of a frame tagged by ``generators``' product
-    sweep: bit j is set iff frame j of the run has it.  None for an
-    untagged frame."""
-    handle = m.__dict__.get(_RUN)
-    return None if handle is None else _run_props(handle[0], prop)
-
-
 def _run_props(run, prop: FrameProperty) -> int:
-    """``run_property``'s mask for a ``generators._Run``, computed once per
-    (run, property) and kept on the run."""
-    masks = run.props
-    mask = masks.get(prop)
-    if mask is None:
-        mask = masks[prop] = _mask(prop, run.head, run.families, run.shared)
-    return mask
+    """Bit j set iff frame j of a ``generators._Run`` has ``prop``."""
+    return _mask(prop, run.head, run.families, run.shared)
 
 
 # Key of the per-subset selectors in a run's ``shared`` dict.

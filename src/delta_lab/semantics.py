@@ -32,50 +32,42 @@ atom most significant: valuation v gives atom i the state mask
 (v >> n·(k-1-i)) & full.  The witness is the lowest falsifying v and the
 lowest state falsified under it.  Sweeps wider than ``_CHUNK_BITS`` run in
 passes that fix the leading bits of v and sweep the trailing ones, in
-ascending order, stopping at the first failing pass.  A frame that no
-product sweep tagged is always evaluated this way, on its own: it reads no
-table or verdict that another call filled.
+ascending order, stopping at the first failing pass.  A frame evaluated
+this way reads no table or verdict that another call filled.
 
 A frame tagged by ``generators``' product sweep belongs to a *run*: the L
 frames that differ only in the last state's family, which takes each
-family of the run's list in turn.  The run is the unit of decision:
-``run_valid`` gives a mask whose bit j is set iff frame j validates the
-program.  The mask is part of the run's verdict, kept on the run under
-(formula object, semantics, ``max_bits``) compared by identity, and built
-once per run; ``frame_valid`` on a tagged frame reads the same verdict, and
-a set bit returns at once, before any compiling or budget check.  What the
-verdict is built from belongs to the walk (one ``_product_frames`` call,
-whose runs share one dict): a ``_Memo`` per (formula object, semantics),
-holding the compiled program.  A run of one frame has no mask, and its
-frame takes the per-frame paths below.
+family of the run's list in turn.  The run's validity mask, bit j set iff
+frame j validates the program, is built once per run and kept on it under
+(formula object, semantics, ``max_bits``), compared by identity
+(``_verdict``).  A set bit answers: the frame is valid, before any
+compiling or budget check.  Every other frame is evaluated on its own, as
+above.  What a mask is built from belongs to the walk (one
+``_product_frames`` call, whose runs share one dict): a ``_Memo`` per
+(formula object, semantics), holding the compiled program and the last
+run's mask.  A run of one frame has no mask.
 
 - A program of modal depth at most 1 is *state-local*: its truth at state
-  s under valuation v reads only N(s) and v, so the state's lowest
-  falsifying v is fixed by (semantics, n, s, N(s)).  The memo holds one
-  table per state, keyed by that state's family object, which the walk's
-  frames share, and the tables are the mask's source: the head states'
-  entries are fixed for the run, so one of them without a zero makes the
-  mask 0, and the last state's entries over the walk's list give a mask
-  that the memo builds once.  A run with missing entries fills them first,
-  from one run pass (below) if the program has atoms and the run fits one,
-  else frame by frame, and is then decided; it is never retried per frame.
-  An invalid frame gets its witness from the tables: the least of its
-  states' entries, at the lowest state that has it; a miss evaluates the
-  frame once, with passes continuing until each state has its first zero,
-  and stores every state's entry.
+  s under valuation v reads only N(s) and v, so whether s has a falsifying
+  v is fixed by (semantics, n, s, N(s)).  The memo holds one table per
+  state, keyed by that state's family object, which the walk's frames
+  share, and the tables are the mask's source: the head states' entries
+  are fixed for the run, so one of them false makes the mask 0, and the
+  last state's entries over the walk's list give a mask that the memo
+  builds once.  A run with missing entries fills them first, from one run
+  pass (below) if the program has atoms and the run fits one, else frame
+  by frame, and is then decided; it is never retried per frame.
 - A deeper program's mask comes from one pass at width L·V, if L·V fits in
   2^``_CHUNK_BITS`` bits per state (V = 2^(n·k) valuations, so the program
   also runs in one pass): bits [s·L·V + j·V, s·L·V + (j+1)·V) are frame j's
   plane at state s.  States 0..n−2 OR their shared family's minterms as
   above; the last state ORs M_X & sel_X over every X, where sel_X has the
   planes of the frames whose last family holds X (for ``old`` Δ, X or
-  S∖X).  Frame j is valid iff its planes hold no zero in any state.  The
-  zero planes stay in the verdict, and an invalid frame that is checked
-  reads its first-zeros list from them.  A run that does not fit has no
-  mask, and its frames are evaluated one by one.
+  S∖X).  Frame j is valid iff its planes hold no zero in any state.  A run
+  that does not fit has no mask.
 
-Only ``frame_valid`` and ``run_valid`` decide locality; ``extension`` and
-``taut_valid`` never do.
+Only ``frame_valid`` decides locality; ``extension`` and ``taut_valid``
+never do.
 """
 
 from __future__ import annotations
@@ -160,7 +152,10 @@ def compile_formula(f: Formula) -> Program:
 
 # The last formula compiled and its program.  Sweeps pass one formula object
 # for every frame; checking it with ``is`` never hashes the formula, and one
-# entry cannot grow over many distinct formulas.
+# entry cannot grow over many distinct formulas.  An eval query evaluates
+# one formula under two semantics: compiling costs 10.7 us, against 18.9 us
+# for both ``extension`` calls with one compile (seeded depth-3 formulas on
+# a 3-state model, 2 vCPU, Python 3.11), so the entry saves a third.
 _last: tuple[Formula | None, Program | None] = (None, None)
 
 
@@ -405,15 +400,18 @@ def _modal_depth(prog: Program) -> int:
 
 class _Memo:
     """What a product walk keeps for one (formula object, semantics), in the
-    ``shared`` dict of its runs: the compiled ``program`` and ``bits`` =
-    n·k.  For a program of modal depth at most 1, ``tables[s]`` maps state
-    s's family to the state's lowest falsifying valuation index, or 2^(n·k)
-    if none, and ``last`` is the mask of the walk's last-state list under
-    which the last state has no falsifying valuation, once a run has built
-    it; a deeper program has neither.  The memo holds ``formula``, so the
-    ``id`` it is keyed by cannot be reused while the memo lives."""
+    ``shared`` dict of its runs: the compiled ``program``, ``bits`` = n·k,
+    and the validity mask of the last run it decided (``run``, ``mask``),
+    so a caller that switches formulas on one run builds no mask twice.
+    For a program of modal depth at most 1, ``tables[s]`` maps state s's
+    family to whether the state has no falsifying valuation under it, and
+    ``last`` is the mask of the walk's last-state list under which the last
+    state has none, once a run has built it; a deeper program has neither.
+    The memo holds ``formula``, so the ``id`` it is keyed by cannot be
+    reused while the memo lives."""
 
-    __slots__ = ("formula", "program", "kind", "bits", "tables", "last")
+    __slots__ = ("formula", "program", "kind", "bits", "tables", "last",
+                 "run", "mask")
 
     def __init__(self, f: Formula, kind: SemanticsKind, n: int):
         self.formula, self.program, self.kind = f, _program(f), kind
@@ -421,11 +419,16 @@ class _Memo:
         self.tables = ([{} for _ in range(n)]
                        if _modal_depth(self.program) <= 1 else None)
         self.last: int | None = None
+        self.run = self.mask = None
 
-    def store(self, entries: Sequence, first: list[int]) -> None:
-        """Keep each state's first-zeros entry under its family."""
-        for table, entry, index in zip(self.tables, entries, first):
-            table[entry] = index
+    def store(self, frame: NeighborhoodModel) -> list[bool]:
+        """Evaluate ``frame`` and keep, under each state's family, whether
+        the state has no falsifying valuation; return those verdicts."""
+        first = _first_zeros(frame, self.program, self.kind, len(self.tables))
+        valid = [index >> self.bits != 0 for index in first]
+        for table, fam, ok in zip(self.tables, frame.neighborhoods, valid):
+            table[fam] = ok
+        return valid
 
 
 def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
@@ -436,83 +439,47 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     2^(|S| * |vars|) valuations; sweeps beyond ``max_bits`` exponent bits are
     refused.  Returns the first falsifying valuation and state otherwise.
 
-    A frame of a product sweep reads its run's verdict for this formula
-    object, ``kind`` and ``max_bits`` (``_verdict``): a set bit of its mask
-    answers at once, and any other frame of the run gets its witness from
-    the verdict's memo tables or zero planes, or else from its own
-    evaluation.  Every other frame is evaluated on its own.
+    A frame of a product sweep whose bit is set in its run's validity mask
+    for this formula object, ``kind`` and ``max_bits`` (``_verdict``) is
+    valid at once.  Every other frame is evaluated on its own, a swept one
+    with the program its walk's memo holds.
     """
     handle = frame.__dict__.get(_RUN)
     if handle is None:
         _check_kind(frame, kind)
         return _program_valid(frame, _program(f), kind, max_bits)
     run, index = handle
-    kept = run.valid_verdict
-    if (kept is None or kept[0] is not f or kept[1] is not kind
-            or kept[2] != max_bits):
-        kept = _verdict(frame, run, f, kind, max_bits)
-    _, _, _, valid, memo, zeros = kept
+    valid = _verdict(frame, run, f, kind, max_bits)[3]
     if valid is not None and valid >> index & 1:
         return _VALID
-    tables = memo.tables
-    if tables is not None:
-        fams = frame.neighborhoods
-        try:
-            first = [table[fam] for table, fam in zip(tables, fams)]
-        except KeyError:
-            first = _first_zeros(frame, memo.program, kind, len(tables))
-            memo.store(fams, first)
-    elif zeros is not None:
-        # an invalid frame of a run pass: its first zeros are in the planes
-        first = _plane_firsts(zeros, len(run.families), index, memo.bits,
-                              len(frame.states))
-    else:
-        first = _first_zeros(frame, memo.program, kind, 1)
-    return _witness(frame, memo.program.names, first)
-
-
-def run_valid(frame: Model, f: Formula, kind: SemanticsKind,
-              max_bits: int = 24) -> int | None:
-    """Validity of ``f`` over the run of a frame tagged by ``generators``'
-    product sweep: bit j is set iff frame j of the run validates ``f``.
-    None for an untagged frame, a run of one frame, or a program of modal
-    depth 2 or more on a run that does not fit one pass.  Refused like
-    ``frame_valid``."""
-    handle = frame.__dict__.get(_RUN)
-    if handle is None:
-        _check_kind(frame, kind)
-        _check_bits(len(frame.states), len(_program(f).names), max_bits)
-        return None
-    run = handle[0]
-    kept = run.valid_verdict
-    if (kept is None or kept[0] is not f or kept[1] is not kind
-            or kept[2] != max_bits):
-        kept = _verdict(frame, run, f, kind, max_bits)
-    return kept[3]
+    return _program_valid(frame, run.shared[id(f), kind].program, kind,
+                          max_bits)
 
 
 def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
              max_bits: int) -> tuple:
-    """Build and keep the run's ``valid_verdict`` for (``f``, ``kind``,
-    ``max_bits``), which callers compare by identity, so once per run:
-    ``(f, kind, max_bits, mask, memo, zeros)``.  ``mask`` has bit j set iff
-    frame j is valid, and is None for a run of one frame or a deeper program
-    whose run does not fit one pass.  ``memo`` is the walk's ``_Memo`` for
-    (``f``, ``kind``), and ``zeros`` the zero planes of a deeper program's
-    run pass, else None.  Refused like ``frame_valid``."""
+    """The run's ``valid_verdict`` for (``f``, ``kind``, ``max_bits``):
+    ``(f, kind, max_bits, mask)``, kept on the run and returned while its
+    key matches by identity, else built from the walk's ``_Memo`` for
+    (``f``, ``kind``).  ``mask`` has bit j set iff frame j is valid, and is
+    None for a run of one frame or a deeper program whose run does not fit
+    one pass.  Refused like ``frame_valid``."""
+    kept = run.valid_verdict
+    if (kept is not None and kept[0] is f and kept[1] is kind
+            and kept[2] == max_bits):
+        return kept
     _check_kind(frame, kind)
     n = len(frame.states)
     memo = run.shared.get((id(f), kind))
     if memo is None:
         memo = run.shared[id(f), kind] = _Memo(f, kind, n)
     _check_bits(n, len(memo.program.names), max_bits)
-    valid = zeros = None
-    if len(run.families) > 1:  # a run of one frame has nothing to share
-        if memo.tables is None:
-            valid, zeros = _run_planes(memo, frame, run)
-        else:
-            valid = _local_mask(memo, frame, run)
-    run.valid_verdict = (f, kind, max_bits, valid, memo, zeros)
+    if memo.run is not run:
+        memo.run, memo.mask = run, None
+        if len(run.families) > 1:  # a run of one frame has nothing to share
+            memo.mask = (_run_mask(memo, frame, run) if memo.tables is None
+                         else _local_mask(memo, frame, run))
+    run.valid_verdict = (f, kind, max_bits, memo.mask)
     return run.valid_verdict
 
 
@@ -524,88 +491,78 @@ def _local_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int:
     frame by frame."""
     tables = memo.tables
     if memo.last is None:
-        entries = [tables[-1].get(fam) for fam in run.families]
-        if None in entries:
-            entries = _fill(memo, frame, run)
+        if any(fam not in tables[-1] for fam in run.families):
+            _fill(memo, frame, run)
         last = 0
-        for j, entry in enumerate(entries):
-            if entry >> memo.bits:
+        for j, fam in enumerate(run.families):
+            if tables[-1][fam]:
                 last |= 1 << j
         memo.last = last
     for table, fam in zip(tables, run.head):
-        entry = table.get(fam)
-        if entry is None:
-            first = _first_zeros(frame, memo.program, memo.kind, len(tables))
-            memo.store(frame.neighborhoods, first)
-            return memo.last if min(first[:-1]) >> memo.bits else 0
-        if not entry >> memo.bits:
+        ok = table.get(fam)
+        if ok is None:
+            return memo.last if all(memo.store(frame)[:-1]) else 0
+        if not ok:
             return 0
     return memo.last
 
 
-def _fill(memo: _Memo, frame: NeighborhoodModel, run) -> list[int]:
-    """Store every frame of the run in the memo's tables, and return the
-    last state's entry of each: from one run pass if the program has atoms
-    and the run fits one pass, else from one evaluation per frame (with no
-    atoms a frame has one valuation, and ``_modal``'s one-valuation path
-    beats a pass over minterm planes)."""
-    n = len(frame.states)
-    _, zeros = _run_planes(memo, frame, run) if memo.bits else (None, None)
-    entries = []
-    for index, fam in enumerate(run.families):
+def _fill(memo: _Memo, frame: NeighborhoodModel, run) -> None:
+    """Store every frame of the run in the memo's tables: from one run pass
+    if the program has atoms and the run fits one pass, else from one
+    evaluation per frame (with no atoms a frame has one valuation, and
+    ``_modal``'s one-valuation path beats a pass over minterm planes)."""
+    count = len(run.families)
+    zeros = _run_zeros(memo, frame, run) if memo.bits else None
+    v = 1 << memo.bits
+    plane = (1 << v) - 1
+    for j, fam in enumerate(run.families):
         fams = run.head + (fam,)
-        if zeros is not None:
-            first = _plane_firsts(zeros, len(run.families), index, memo.bits,
-                                  n)
-        else:
-            first = _first_zeros(NeighborhoodModel(frame.states, fams),
-                                 memo.program, memo.kind, n)
-        memo.store(fams, first)
-        entries.append(first[-1])
-    return entries
+        if zeros is None:
+            memo.store(NeighborhoodModel(frame.states, fams))
+            continue
+        for s, (table, entry) in enumerate(zip(memo.tables, fams)):
+            table[entry] = not zeros >> (s * count + j) * v & plane
 
 
-def _run_planes(memo: _Memo, frame: NeighborhoodModel, run
-                ) -> tuple[int | None, int | None]:
-    """The run's validity mask and zero planes from one pass of width L·V;
-    (None, None) if L·V does not fit ``_CHUNK_BITS``.  States
-    0..n−2 read ``frame``'s families, which the run shares; the last state
-    reads the run's selectors."""
+def _run_zeros(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
+    """The run's zero planes from one pass of width L·V, None if L·V does
+    not fit ``_CHUNK_BITS``: bits [s·L·V + j·V, s·L·V + (j+1)·V) are frame
+    j's falsified valuations at state s.  States 0..n−2 read ``frame``'s
+    families, which the run shares; the last state reads the run's
+    selectors."""
     count = len(run.families)
     if count << memo.bits > 1 << _CHUNK_BITS:
-        return None, None
+        return None
     prog, kind = memo.program, memo.kind
     n, k = len(frame.states), len(prog.names)
+    width = count << memo.bits
+    sels = _selectors(run.families, n, 1 << memo.bits,
+                      kind is SemanticsKind.OLD)
+    value = _run(prog, frame, kind, width, _run_layout(n, k, count), sels)
+    return ((1 << n * width) - 1) ^ value
+
+
+def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
+    """The run's validity mask from its zero planes (``_run_zeros``): frame
+    j is valid iff its V bits are clear in every state's plane.  None if
+    the run does not fit one pass."""
+    zeros = _run_zeros(memo, frame, run)
+    if zeros is None:
+        return None
+    count = len(run.families)
     v = 1 << memo.bits
     width = count * v
-    sels = _selectors(run.families, n, v, kind is SemanticsKind.OLD)
-    value = _run(prog, frame, kind, width, _run_layout(n, k, count), sels)
-    zeros = ((1 << n * width) - 1) ^ value
-    # frame j is valid iff its V bits are clear in every state's plane
     block = (1 << width) - 1
     folded = 0
-    for s in range(n):
+    for s in range(len(frame.states)):
         folded |= zeros >> s * width & block
     plane = (1 << v) - 1
     valid = 0
     for j in range(count):
         if not folded >> j * v & plane:
             valid |= 1 << j
-    return valid, zeros
-
-
-def _plane_firsts(zeros: int, count: int, index: int, bits: int, n: int
-                  ) -> list[int]:
-    """The first-zeros list of frame ``index`` of a run of ``count``
-    frames, read from the run pass's zero planes (2^bits valuations)."""
-    v = 1 << bits
-    width = count * v
-    plane = (1 << v) - 1
-    first = []
-    for s in range(n):
-        low = zeros >> s * width + index * v & plane
-        first.append((low & -low).bit_length() - 1 if low else v)
-    return first
+    return valid
 
 
 @lru_cache(maxsize=64)

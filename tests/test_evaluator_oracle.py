@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from delta_lab.formula import And, Atom, Box, Delta, Formula, Not, Top, \
     expand_sugar, metrics, parse
-from delta_lab import definability, model, proofsys
+from delta_lab import definability, proofsys
 from delta_lab.definability import builtin_claim, builtin_table, defines
 from delta_lab.generators import (GenSpec, _product_frames, random_formula,
                                   random_kripke, random_model, state_names)
@@ -22,7 +22,7 @@ from delta_lab import semantics
 from delta_lab.semantics import (_CHUNK_BITS, AND, ATOM, TOP, FrameCheck,
                                  SemanticsKind, _program_valid,
                                  compile_formula, delta_holds, extension,
-                                 frame_valid, run_valid)
+                                 frame_valid)
 from test_model import oracle as property_oracle
 
 NEW, OLD, KRIPKE = SemanticsKind.NEW, SemanticsKind.OLD, SemanticsKind.KRIPKE
@@ -322,9 +322,10 @@ def _heads(frames) -> dict:
 def test_frame_answered_from_earlier_entries_runs_no_pass(monkeypatch):
     # the runs with heads (a, x) and (y, b) fill the walk's tables; the run
     # with head (a, b) takes each head state's entry from one of them and
-    # the last state's from the list, so its mask and every witness come
-    # from the tables alone and must still be the lowest ones
-    f = parse("D p -> p | q")
+    # the last state's from the list, so its mask comes from the tables
+    # alone: a valid frame runs no pass, and an invalid one runs one pass
+    # of its own (3 states, 2 atoms: width 2^6), which gives its witness
+    f = parse("D top -> (D p -> p | q)")
     for kind in (NEW, OLD):
         runs = _heads(_product_frames(3, FRAME_CLASSES["c"]))
         heads = list(runs)
@@ -332,17 +333,20 @@ def test_frame_answered_from_earlier_entries_runs_no_pass(monkeypatch):
         assert a is not y and x is not b
         for frame in runs[a, x] + runs[y, b]:
             frame_valid(frame, f, kind)
-        passes = []
-        monkeypatch.setattr(semantics, "_first_zeros",
-                            lambda *args: passes.append(args) or [])
-        monkeypatch.setattr(semantics, "_run",
-                            lambda *args: passes.append(args) or 0)
+        passes, own = [], []
+        evaluate, evaluate_frame = semantics._run, semantics._program_valid
+        monkeypatch.setattr(semantics, "_run", lambda *args: passes.append(
+            args[3]) or evaluate(*args))
+        monkeypatch.setattr(semantics, "_program_valid", lambda *args: own.append(
+            args[0]) or evaluate_frame(*args))
         got = [frame_valid(frame, f, kind) for frame in runs[a, b]]
         monkeypatch.undo()
-        assert not passes
         assert got == [oracle_frame_valid(frame, f, kind)
                        for frame in runs[a, b]], kind
-        assert sum(not check for check in got) > 0
+        invalid = [frame for frame, check in zip(runs[a, b], got)
+                   if not check]
+        assert 0 < len(invalid) < len(got)
+        assert own == invalid and passes == [64] * len(invalid), kind
 
 
 def test_memo_is_keyed_by_semantics_and_tied_witness_is_lowest_state():
@@ -440,22 +444,22 @@ def test_walk_keeps_one_memo_per_formula_object_and_semantics():
 
 
 def test_untagged_copy_shares_no_state_with_the_walk(monkeypatch):
-    # one last-state entry of the walk's table is made wrong: the tagged
-    # frames that read it answer wrongly, their untagged copies do not.  The
-    # formula is valid on every c-frame, and the entry is the list's last
-    # family's, which no frame that fills a head entry has, so no later
-    # store puts it right
-    f = parse("D p -> D ~p")
+    # one last-state entry of the walk's table is made wrong: "valid" for a
+    # family that lacks S, under which D top fails at the last state.  The
+    # tagged frames that read it through a set bit answer wrongly, their
+    # untagged copies do not.  The head states are valid iff both families
+    # hold S, as 8 of the 16 c-families at 3 states do, so 64 frames read
+    # the wrong bit
+    f = parse("D top")
     fill = semantics._fill
     corrupted = []
 
     def corrupting(memo, frame, run):
-        entries = fill(memo, frame, run)
-        j = max(j for j, entry in enumerate(entries) if entry >> memo.bits)
-        assert j > 0
-        memo.tables[-1][run.families[j]] = entries[j] = 0
-        corrupted.append(run.families[j])
-        return entries
+        fill(memo, frame, run)
+        last = memo.tables[-1]
+        fam = next(fam for fam in reversed(run.families) if not last[fam])
+        last[fam] = True
+        corrupted.append(fam)
 
     monkeypatch.setattr(semantics, "_fill", corrupting)
     frames = list(_product_frames(3, FRAME_CLASSES["c"]))
@@ -465,12 +469,13 @@ def test_untagged_copy_shares_no_state_with_the_walk(monkeypatch):
     for frame, check in zip(frames, got):
         want = oracle_frame_valid(frame, f, NEW)
         assert frame_valid(_untagged(frame), f, NEW) == want
-        if frame.neighborhoods[-1] is corrupted[0] and want:
-            assert check == FrameCheck(False, {"p": 0}, "s2"), frame
+        if (frame.neighborhoods[-1] is corrupted[0]
+                and all(0b111 in fam for fam in frame.neighborhoods[:-1])):
+            assert not want and check == FrameCheck(True), frame
             wrong += 1
         else:
             assert check == want, frame
-    assert wrong == 256
+    assert wrong == 64
 
 
 def test_witness_names_each_frames_own_states():
@@ -513,7 +518,7 @@ def test_only_frame_valid_decides_locality(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The run path: validity decided once per product run (``run_valid``; one
+# The run path: validity decided once per product run (``_verdict``; one
 # pass per run for programs of modal depth 2 or more, the walk's memo tables
 # for the rest), against untagged copies and the oracle.
 
@@ -544,8 +549,14 @@ def _takes_run_path(frame, f: Formula) -> bool:
         1 << _CHUNK_BITS
 
 
+def _run_mask(frame, f: Formula, kind: SemanticsKind) -> int | None:
+    """The validity mask of ``frame``'s run, as ``frame_valid`` reads it."""
+    run, _ = vars(frame)[_RUN]
+    return semantics._verdict(frame, run, f, kind, 24)[3]
+
+
 def _run_bit(frame, f: Formula, kind: SemanticsKind) -> int | None:
-    mask = run_valid(frame, f, kind)
+    mask = _run_mask(frame, f, kind)
     return None if mask is None else mask >> vars(frame)[_RUN][1] & 1
 
 
@@ -570,8 +581,7 @@ def test_run_path_matches_untagged_copies_and_oracle():
                 if frames and _takes_run_path(frames[0], f):
                     taken += 1
                     run, _ = vars(frames[-1])[_RUN]
-                    _, _, _, mask, _, zeros = run.valid_verdict
-                    assert mask is not None and zeros is not None, \
+                    assert run.valid_verdict[3] is not None, \
                         (name, n, kind, str(f))
                     assert _run_bit(frames[-1], f, kind) is not None
     assert taken >= 50
@@ -616,7 +626,6 @@ def test_run_valid_matches_untagged_copies_and_oracle():
                 for i, frame in enumerate(frames):
                     copy = _untagged(frame)
                     want = frame_valid(copy, f, kind)
-                    assert run_valid(copy, f, kind) is None
                     bit = _run_bit(frame, f, kind)
                     if bit is not None:
                         decided += 1
@@ -637,20 +646,27 @@ def test_run_is_evaluated_once(monkeypatch):
         calls.append(args[3])
         return evaluate(*args)
 
-    monkeypatch.setattr(semantics, "_run", counting)
     f = parse("D p -> D D p")
     frames = list(_product_frames(3, FRAME_CLASSES["c"]))
     for kind in (NEW, OLD):
+        invalid = sum(not frame_valid(_untagged(frame), f, kind)
+                      for frame in frames)
+        assert invalid > 0
+        monkeypatch.setattr(semantics, "_run", counting)
         calls.clear()
         for frame in frames:
-            # a mask per frame, then the frame's own check: still one pass,
-            # and an invalid frame's witness is read from the kept planes
-            run_valid(frame, f, kind)
+            # a mask per frame, then the frame's own check: still one pass
+            # per run, and an invalid frame adds one pass of its own
+            _run_mask(frame, f, kind)
             frame_valid(frame, f, kind)
-        # 256 runs of 16 frames, each evaluated at width 16 * 2^3
-        assert calls == [16 * 8] * 256, kind
+        monkeypatch.undo()
+        # 256 runs of 16 frames, each evaluated at width 16 * 2^3; each
+        # invalid frame alone at width 2^3
+        assert [width for width in calls if width != 8] == [16 * 8] * 256
+        assert calls.count(8) == invalid, kind
     # one pass per (run, program, semantics) through the definability check:
     # 1, 4 and 256 runs of 2, 4 and 16 frames at 1, 2 and 3 states
+    monkeypatch.setattr(semantics, "_run", counting)
     calls.clear()
     assert defines(builtin_claim("4"), 3)
     assert calls == [2 * 2] + [4 * 4] * 4 + [16 * 8] * 256
@@ -672,8 +688,7 @@ def test_state_local_run_fills_its_tables_once(monkeypatch):
         f = parse("D(p & q) -> D p & D q")
         monkeypatch.setattr(semantics, "_first_zeros", counting)
         passes.clear()
-        got = [run_valid(frame, f, kind) >> vars(frame)[_RUN][1] & 1
-               for frame in frames]
+        got = [_run_bit(frame, f, kind) for frame in frames]
         monkeypatch.setattr(semantics, "_first_zeros", first_zeros)
         assert got == want, kind
         # one evaluation per family of the last state's list, then one per
@@ -717,6 +732,33 @@ def test_alternating_formulas_keep_their_memos(monkeypatch):
         assert alternating[1] <= one_by_one[1], (kind, alternating)
 
 
+def test_alternating_deep_formulas_run_one_pass_per_run_each(monkeypatch):
+    # two formulas of modal depth 2, one call each per frame in turn: the
+    # walk's memo of each keeps its last run's mask, so a switch back reads
+    # it, and each run gets one pass of width 16 * 2^3 per formula
+    pair = parse("D p -> D D p"), parse("p -> D N p")
+    frames = list(_product_frames(3, FRAME_CLASSES["c"]))
+    evaluate = semantics._run
+    for kind in (NEW, OLD):
+        want = [[frame_valid(_untagged(frame), f, kind) for frame in frames]
+                for f in pair]
+        wide = []
+
+        def counting(prog, m, *args):
+            if args[1] == 16 * 8:
+                wide.append((prog, m.neighborhoods[:-1]))
+            return evaluate(prog, m, *args)
+
+        monkeypatch.setattr(semantics, "_run", counting)
+        together = [[], []]
+        for frame in _product_frames(3, FRAME_CLASSES["c"]):
+            for out, f in zip(together, pair):
+                out.append(frame_valid(frame, f, kind))
+        monkeypatch.undo()
+        assert together == want, kind
+        assert len(wide) == len(set(wide)) == 2 * 256, kind
+
+
 def test_range_starting_mid_run_matches_the_whole_stream():
     # the second of two quasi-filter ranges at 3 states starts at frame 63,
     # which is frame 3 of a run of 5
@@ -753,8 +795,9 @@ def test_explicit_frame_stream_takes_the_whole_frame_path(monkeypatch):
     swept = defines(claim, 3)
     copies = [_untagged(frame) for n in (1, 2, 3)
               for frame in _product_frames(n, FRAME_CLASSES["c"])]
-    monkeypatch.setattr(semantics, "_verdict", refuse)
-    monkeypatch.setattr(model, "_run_props", refuse)
+    for module in (semantics, definability):
+        monkeypatch.setattr(module, "_verdict", refuse)
+    monkeypatch.setattr(definability, "_run_props", refuse)
     assert defines(claim, frames=copies) == swept
 
 

@@ -298,11 +298,10 @@ def test_run_property_matches_untagged_copies_and_literal_oracle():
     literal = {}
     count = 0
     for frame in _run_frames():
-        _, index = vars(frame)[model._RUN]
+        run, index = vars(frame)[model._RUN]
         copy = NeighborhoodModel(frame.states, frame.neighborhoods)
         for prop in FrameProperty:
-            got = model.run_property(frame, prop) >> index & 1
-            assert model.run_property(copy, prop) is None
+            got = model._run_props(run, prop) >> index & 1
             want = has_property(copy, prop)
             assert got == want, (frame, prop)
             if prop in model.LOCAL_PROPERTIES:
@@ -323,11 +322,15 @@ def test_run_property_matches_untagged_copies_and_literal_oracle():
 
 
 def test_run_masks_are_kept_per_run_and_list():
+    # a run's mask is computed from what the walk keeps for its list: the
+    # selectors of (b), built once, and the last state's local verdicts
     frames = list(generators._product_frames(3, MODEL_CLASSES["c-model"]))
     run, _ = vars(frames[0])[model._RUN]
-    mask = model.run_property(frames[0], FP.B)
-    assert run.props == {FP.B: mask} and "sel" in run.shared
-    assert model.run_property(frames[5], FP.B) is mask
+    mask = model._run_props(run, FP.B)
+    sel = run.shared["sel"]
+    assert model._run_props(run, FP.B) == mask and run.shared["sel"] is sel
+    last = model._run_props(run, FP.D)
+    assert run.shared[FP.D] == last  # the head's families are both empty
     # every run of one sweep shares the list's data; a new sweep has its own
     later, _ = vars(frames[-1])[model._RUN]
     assert later is not run and later.shared is run.shared

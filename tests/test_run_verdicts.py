@@ -3,10 +3,11 @@
 A frame of a product run is answered by one bit of the verdict mask that its
 run keeps for the check reading it: ``definability.check_frame`` keeps
 ``valid ^ props`` under (claim, max_bits), ``semantics.frame_valid`` the
-validity mask under (formula, semantics, max_bits).  Every result here is
-compared with untagged copies of the same frames, which are evaluated on
-their own and read no table or verdict of the sweep, and each kept verdict
-is shown to answer only its own key.
+validity mask under (formula, semantics, max_bits).  A bit that answers is
+the only shortcut: every other frame is evaluated on its own.  Every result
+here is compared with untagged copies of the same frames, which are
+evaluated on their own and read no table or verdict of the sweep, and each
+kept verdict is shown to answer only its own key.
 """
 
 import re
@@ -182,6 +183,45 @@ def test_ranges_from_mid_run_match_untagged_copies_in_workers():
                 assert got.result() == want, (name, n, start, check)
 
 
+def test_every_other_frame_is_evaluated_on_its_own(monkeypatch):
+    # a set bit of the run's validity mask answers; every other swept frame
+    # takes the untagged path, so its FrameCheck is made by exactly one
+    # ``_program_valid`` call and equals the untagged copy's.  Every shipped
+    # class at 1-3 states (quasi-filter at 1 state is a run of one frame,
+    # with no mask), and three runs of ``all`` at 3 states from a start
+    # mid-run: 256 frames at 2 atoms do not fit one pass at depth 2
+    made = []
+    real = semantics._program_valid
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(semantics, "_program_valid", recording)
+    formulas = [parse(text) for text in (
+        DEPTH_ONE, DEPTH_TWO, "D p -> p", "p -> D N p", "D D (p & q) | q")]
+    invalid = unmasked = 0
+    for name, n, start, stop in list(_ranges())[:-3]:
+        frames = list(_product_frames(n, FRAME_CLASSES[name], start, stop))
+        for f in formulas:
+            for kind in (NEW, OLD):
+                for frame in frames:
+                    made.clear()
+                    got = frame_valid(frame, f, kind)
+                    own = list(made)
+                    assert got == frame_valid(_copy(frame), f, kind), \
+                        (name, n, str(f), kind, frame)
+                    run, _ = vars(frame)[_RUN]
+                    if got and run.valid_verdict[3] is not None:
+                        assert own == [], (name, n, str(f), kind)
+                        continue
+                    assert len(own) == 1 and own[0] is got, \
+                        (name, n, str(f), kind)
+                    invalid += not got
+                    unmasked += run.valid_verdict[3] is None
+    assert invalid > 10_000 and unmasked > 1000
+
+
 # --- a kept verdict answers only its own key --------------------------------
 
 def _small_runs() -> list[NeighborhoodModel]:
@@ -273,19 +313,17 @@ def test_a_refused_budget_is_one_error_line_from_the_cli(capsys):
 def test_claim_and_formula_verdicts_are_kept_apart(monkeypatch):
     # a check_frame and a frame_valid call on every frame, alternately: each
     # keeps its own verdict, so each builds it once per run
-    claimed, verdicts = [], []
-    real_valid, real_verdict = definability.run_valid, semantics._verdict
+    claimed, masks = [], []
 
-    def counting_valid(*args):
-        claimed.append(args)
-        return real_valid(*args)
+    def counting(calls, real, *args):
+        calls.append(args)
+        return real(*args)
 
-    def counting_verdict(*args):
-        verdicts.append(args)
-        return real_verdict(*args)
-
-    monkeypatch.setattr(definability, "run_valid", counting_valid)
-    monkeypatch.setattr(semantics, "_verdict", counting_verdict)
+    monkeypatch.setattr(definability, "_run_props",
+                        partial(counting, claimed, definability._run_props))
+    for name in ("_run_mask", "_local_mask"):
+        monkeypatch.setattr(semantics, name, partial(
+            counting, masks, getattr(semantics, name)))
     frames = list(_product_frames(3, FRAME_CLASSES["c"]))
     runs = {id(vars(frame)[_RUN][0]) for frame in frames}
     claim = builtin_claim("4")
@@ -295,7 +333,7 @@ def test_claim_and_formula_verdicts_are_kept_apart(monkeypatch):
         assert check_frame(claim, frame) is None
         got.append(frame_valid(frame, g, NEW))
     assert len(runs) == len(claimed) == 256
-    # one validity verdict for the claim's formula and one for g, per run
-    assert len(verdicts) == 2 * 256
+    # one validity mask for the claim's formula and one for g, per run
+    assert len(masks) == 2 * 256
     assert got == [frame_valid(_copy(frame), g, NEW) for frame in frames]
     assert sum(not check for check in got) > 1000
