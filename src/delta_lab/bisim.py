@@ -7,7 +7,8 @@ components, plus each state that Z leaves out as a block of its own.
 
 ``max_bisim`` and ``logical_equiv_partition`` share one refinement core over
 the disjoint union of the models: group states by atoms, then split blocks by
-a per-state signature until the block count stops growing.  Greatest
+a per-state signature until the block count stops growing.  Refinement only
+splits, so a one-state block is final and its state is never signed.  Greatest
 bisimilarity is the final partition's cross-model part; same-side states take
 part, which makes it line up with logical equivalence on finite models.  A
 signature says which unions U of blocks make Δ hold, read off the input:
@@ -21,8 +22,10 @@ signature says which unions U of blocks make Δ hold, read off the input:
 
 Each is a family of block sets over coordinates P (Kripke: {∅, Q} over Q),
 reduced to its essential coordinates, those whose toggle changes it, so equal
-signatures mean the same unions, across models too.  ``c-monotonic`` uses the
-⊆-minimal block sets met by N(s), equal exactly when zig and zag hold.
+signatures mean the same unions, across models too.  Kripke's is closed-form:
+({∅, Q} over Q) if Q has two or more blocks, else ({∅} over none), since Δ
+then holds on every union.  ``c-monotonic`` uses the ⊆-minimal block sets
+met by N(s), equal exactly when zig and zag hold.
 
 ``check_bisim`` compares the same signatures over Z's partition, and
 ``_least_difference`` finds both its witnesses and ``char_formula``'s unions.
@@ -170,10 +173,10 @@ def check_bisim(kind: BisimKind, z: PairRelation, left: Model,
         raise ValueError("a bisimulation is a nonempty relation")
     pairs = _index_pairs(z, left, right)
 
-    atoms = left.valuation.keys() | right.valuation.keys()
+    masks = [(left.atom_mask(p), right.atom_mask(p))
+             for p in left.valuation.keys() | right.valuation.keys()]
     for i, j in pairs:
-        if any(left.atom_mask(p) >> i & 1 != right.atom_mask(p) >> j & 1
-               for p in atoms):
+        if any(a >> i & 1 != b >> j & 1 for a, b in masks):
             return BisimVerdict(False, (left.states[i], right.states[j]),
                                 reason="states disagree on an atom")
 
@@ -310,13 +313,19 @@ def _canonical(coords: int, family: set[int]) -> tuple[int, frozenset[int]]:
     return essential, frozenset(x & essential for x in family)
 
 
+#: The canonical family that holds on every union: Δ is constant.
+_NO_SPLIT = (0, frozenset((0,)))
+
+
 def _delta_signature(m: Model, kind: SemanticsKind, s: int,
                      block_of: list[int], pieces: list[int]
                      ) -> tuple[int, frozenset[int]]:
     """Which unions of blocks make Δ hold at ``s``, in canonical form."""
     if kind is SemanticsKind.KRIPKE:
+        # _canonical(met, {0, met}) in closed form: one met block is no
+        # essential coordinate, since toggling it swaps ∅ and met
         met = _met(m.succ[s], block_of, pieces)
-        return _canonical(met, {0, met})
+        return (met, frozenset((0, met))) if met & (met - 1) else _NO_SPLIT
     present = _met(m.full, block_of, pieces)
     family = set()
     for x in m.neighborhoods[s]:
@@ -397,12 +406,16 @@ def _refine(models: Sequence[Model], kinds: Sequence[SemanticsKind],
     """Group the states of ``models`` by atom truth over ``vocab``, then split
     blocks by ``signature(model, kind, state, block_of, pieces)`` until the
     block count stops growing.  ``block_of[t]`` is the block of the model's
-    state t, ``pieces[b]`` the mask of block b's states in the model."""
+    state t, ``pieces[b]`` the mask of block b's states in the model.
+
+    Refinement only splits, so a one-state block is final: it is carried
+    over unsigned, and a round with no larger block signs nothing."""
     part = Partition(tuple(models), tuple(kinds), vocab)
     by_atoms: dict[tuple[int, ...], list[StateRef]] = {}
     for mi, m in enumerate(models):
+        masks = [m.atom_mask(p) for p in vocab]
         for s in range(m.n):
-            key = tuple(m.atom_mask(p) >> s & 1 for p in vocab)
+            key = tuple(mask >> s & 1 for mask in masks)
             by_atoms.setdefault(key, []).append((mi, s))
     blocks = _sorted_blocks(by_atoms.values())
     part.history.append(blocks)
@@ -411,6 +424,9 @@ def _refine(models: Sequence[Model], kinds: Sequence[SemanticsKind],
         block_of, pieces = _layout(models, blocks)
         grouped: dict[tuple[int, Hashable], list[StateRef]] = {}
         for b, block in enumerate(blocks):
+            if len(block) == 1:
+                grouped[b, None] = list(block)
+                continue
             for mi, s in block:
                 sig = signature(models[mi], kinds[mi], s, block_of[mi],
                                 pieces[mi])

@@ -68,6 +68,23 @@ def _sorted_set(names: Any, what: str) -> list[str]:
     return sorted(names)
 
 
+def _require(data: Any, keys: tuple[str, ...], what: str) -> None:
+    """Refuse anything but a JSON object that holds every one of ``keys``."""
+    if not isinstance(data, dict):
+        raise CliError(f"{what}: must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise CliError(f"{what}: missing key {key!r}")
+
+
+def _section(data: dict[str, Any], key: str) -> dict[str, Any]:
+    """The optional JSON object ``data[key]``, empty when absent."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise CliError(f"{key} must be a JSON object")
+    return value
+
+
 def model_to_json(m: NeighborhoodModel | KripkeModel) -> dict[str, Any]:
     out: dict[str, Any] = {"states": sorted(m.states)}
     if isinstance(m, NeighborhoodModel):
@@ -85,14 +102,15 @@ def model_to_json(m: NeighborhoodModel | KripkeModel) -> dict[str, Any]:
 
 
 def model_from_json(data: dict[str, Any]) -> NeighborhoodModel | KripkeModel:
+    _require(data, ("type", "states"), "malformed model file")
     try:
         kind = data["type"]
         states = _sorted_set(data["states"], "states")
         valuation = {atom: _sorted_set(group, f"V[{atom}]")
-                     for atom, group in data.get("V", {}).items()}
+                     for atom, group in _section(data, "V").items()}
         if kind == "neighborhood":
             nbhd = {}
-            for name, groups in data.get("N", {}).items():
+            for name, groups in _section(data, "N").items():
                 if not isinstance(groups, list):
                     raise CliError(f"N[{name}] must be an array of arrays")
                 seen = [tuple(_sorted_set(g, f"N[{name}]")) for g in groups]
@@ -102,7 +120,7 @@ def model_from_json(data: dict[str, Any]) -> NeighborhoodModel | KripkeModel:
             m = NeighborhoodModel.from_names(states, nbhd, valuation)
         elif kind == "kripke":
             succ = {name: _sorted_set(group, f"R[{name}]")
-                    for name, group in data.get("R", {}).items()}
+                    for name, group in _section(data, "R").items()}
             m = KripkeModel.from_names(states, succ, valuation)
         else:
             raise CliError(f"unknown model type {kind!r}")
@@ -124,18 +142,22 @@ def load_model(path: str) -> NeighborhoodModel | KripkeModel:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSON or UTF-8 decoding
         raise CliError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
-    return model_from_json(data)
+    try:
+        return model_from_json(data)
+    except CliError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def load_pairs(path: str) -> bisim.PairRelation:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        pairs = data["pairs"]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"malformed pair-relation file {path}: {exc}") from exc
+    _require(data, ("pairs",), f"malformed pair-relation file {path}")
+    pairs = data["pairs"]
     if not isinstance(pairs, list) or not all(
             _is_strings(pair) and len(pair) == 2 for pair in pairs):
         raise CliError(f"malformed pair-relation file {path}: pairs must be "

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delta_lab.bisim import (BisimKind, PairRelation, char_formula,
                              check_bisim, is_coherent, logical_equiv_partition,
@@ -10,7 +11,7 @@ from delta_lab.generators import GenSpec, random_formula, random_kripke, \
 from delta_lab.model import FrameProperty, KripkeModel, NeighborhoodModel
 from delta_lab.semantics import SemanticsKind, extension
 from delta_lab.transform import c_variation, qf_variation
-from test_bisim_oracle import coherent_pairs
+from test_bisim_oracle import ATOMS, atom_agreeing, coherent_pairs, kind_model
 
 FP = FrameProperty
 NEW, OLD, KRIPKE = (SemanticsKind.NEW, SemanticsKind.OLD,
@@ -228,6 +229,32 @@ def test_max_bisim_bounds_every_checked_relation():
                                    left, right).ok
             grown = PairRelation.of(z.pairs | {extra})
             assert not check_bisim(BisimKind.C, grown, left, right).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(BisimKind)), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 2), st.integers(0, 10 ** 6), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_max_bisim_is_accepted_and_bounds_accepted_relations(
+        kind, nl, nr, n_atoms, seed, agreeing, rnd):
+    atoms = ATOMS[:n_atoms]
+    left = kind_model(kind, nl, atoms, seed)
+    right = kind_model(kind, nr, atoms, seed + 1)
+    z = max_bisim(kind, left, right)
+    # a state z leaves out is free in coherent pairs, so only a covering z
+    # is a bisimulation, save for c-monotonic, whose clauses have no unions
+    covers = ({a for a, _ in z.pairs} == set(left.states)
+              and {b for _, b in z.pairs} == set(right.states))
+    if z and (covers or kind is BisimKind.C_MONOTONIC):
+        assert check_bisim(kind, z, left, right).ok, (kind, z)
+    # half the draws keep to atom-agreeing pairs, which fail less often
+    pool = (atom_agreeing(left, right) if agreeing else None) or [
+        (a, b) for a in left.states for b in right.states]
+    for _ in range(4):
+        candidate = PairRelation.of(
+            rnd.sample(pool, rnd.randrange(1, len(pool) + 1)))
+        if check_bisim(kind, candidate, left, right).ok:
+            assert candidate.pairs <= z.pairs, (kind, candidate)
 
 
 def test_max_bisim_exceeds_cross_only_relations_when_union_pairs_matter():

@@ -373,6 +373,58 @@ def test_partition_edge_cases_match_oracle():
         assert part.history == oracle_history(models, kinds, vocab), vocab
 
 
+def signing_refine(models, kinds, vocab, signature):
+    """``_refine`` with ``signature`` wrapped to record each signed state
+    with the block it lies in that round.  ``pieces`` has one entry per block
+    of the round, and each round has more blocks than the one before, so its
+    length names the round's ``history`` entry."""
+    signed = []
+
+    def sign(m, kind, s, block_of, pieces):
+        signed.append((m, s, block_of[s], len(pieces)))
+        return signature(m, kind, s, block_of, pieces)
+
+    part = bisim._refine(models, kinds, vocab, sign)
+    rounds = {len(blocks): blocks for blocks in part.history}
+    return part, [((next(mi for mi, x in enumerate(models) if x is m), s),
+                   rounds[k][b]) for m, s, b, k in signed]
+
+
+def test_refine_signs_no_one_state_block():
+    # refinement only splits, so a one-state block is final and unsigned
+    signed = 0
+    for kind in BisimKind:
+        sem = kind_semantics(kind)
+        signature = (bisim._minimal_signature if kind is BisimKind.C_MONOTONIC
+                     else bisim._delta_signature)
+        for left, right, atoms in seeded_pairs(kind):
+            _, blocks = signing_refine((left, right), (sem, sem),
+                                       tuple(sorted(atoms)), signature)
+            for ref, block in blocks:
+                assert ref in block and len(block) >= 2, (kind, ref, block)
+            signed += len(blocks)
+    assert signed > 1000, signed
+    # atoms that tell every state apart leave nothing to sign
+    apart = NeighborhoodModel.from_names(
+        ["a", "b", "c"], {"a": [["a"]], "b": [], "c": [["a", "b"]]},
+        {"p": ["a"], "q": ["b"]})
+    part, blocks = signing_refine((apart,), (NEW,), ("p", "q"),
+                                  bisim._delta_signature)
+    assert blocks == []
+    assert part.history == [[frozenset({(0, 0)}), frozenset({(0, 1)}),
+                              frozenset({(0, 2)})]]
+
+
+def test_kripke_signature_is_the_closed_form_of_canonical():
+    # with every state its own block, the blocks R(s) meets are R(s) itself
+    block_of, pieces = list(range(8)), [1 << b for b in range(8)]
+    names = tuple(f"s{i}" for i in range(8))
+    for met in range(1 << 8):
+        m = KripkeModel(names, (met,) + (0,) * 7, {})
+        assert (bisim._delta_signature(m, KRIPKE, 0, block_of, pieces)
+                == bisim._canonical(met, {0, met})), met
+
+
 # --- greatest bisimilarity --------------------------------------------------
 
 def test_max_bisim_matches_oracle_all_kinds():

@@ -464,3 +464,47 @@ def test_bisim_max_and_partition_on_32_blocks(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["depth"] == 1 and len(payload["blocks"]) == 32
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("data, rule", [
+    ({"states": ["s"], "N": {}}, "missing key 'type'"),
+    ({"type": "kripke", "R": {}}, "missing key 'states'"),
+    ([NBH], "must be a JSON object"),
+    ("neighborhood", "must be a JSON object"),
+    (7, "must be a JSON object"),
+    (dict(NBH, V=[["s"]]), "V must be a JSON object"),
+    (dict(NBH, N=[["s"]]), "N must be a JSON object"),
+    (dict(KRIPKE, R=["s"]), "R must be a JSON object"),
+])
+def test_model_file_refusals_name_the_file(tmp_path, nbh_path, capsys,
+                                           data, rule):
+    # the multi-file commands must say which file is wrong, and what
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for argv in (["bisim", "max", "--kind", "c", "--left", nbh_path,
+                  "--right", str(bad)],
+                 ["bisim", "check", "--kind", "c", "--left", str(bad),
+                  "--right", nbh_path, "--pairs", nbh_path],
+                 ["equiv-partition", "--models", nbh_path, str(bad),
+                  "--vocab", "p", "--semantics", "new"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("error: ") and str(bad) in err, err
+        assert rule in err, err
+
+
+@pytest.mark.parametrize("data, rule", [
+    ({"pair": [["s", "s"]]}, "missing key 'pairs'"),
+    ([["s", "s"]], "must be a JSON object"),
+    (None, "must be a JSON object"),
+])
+def test_pair_file_refusals_name_the_file(tmp_path, nbh_path, capsys,
+                                          data, rule):
+    bad = tmp_path / "z.json"
+    bad.write_text(json.dumps(data))
+    assert main(["bisim", "check", "--kind", "c", "--left", nbh_path,
+                 "--right", nbh_path, "--pairs", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert str(bad) in err and rule in err, err
