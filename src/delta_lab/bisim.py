@@ -10,8 +10,11 @@ the disjoint union of the models: group states by atoms, then split blocks by
 a per-state signature until the block count stops growing.  Refinement only
 splits, so a one-state block is final and its state is never signed.  Greatest
 bisimilarity is the final partition's cross-model part; same-side states take
-part, which makes it line up with logical equivalence on finite models.  A
-signature says which unions U of blocks make Δ hold, read off the input:
+part, which makes it line up with logical equivalence on finite models.  The
+partition keeps one block map per round, which ``block_index`` and
+``char_formula`` read; a model's pieces hold only the blocks it meets, so
+memory is linear in the union's states.  A signature says which unions U of
+blocks make Δ hold, read off the input:
 
 - Kripke: with Q the blocks R(s) meets, Δ holds iff Q ⊆ U or Q ∩ U = ∅.
 - ``new`` (and ``c``, ``monotonic-c``, ``qf``): Δ holds iff U ∩ P is the
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .formula import And, Atom, Bot, Delta, Formula, Not, Or, Top
 from .model import KripkeModel, Model, bits, first_failing
@@ -211,9 +214,9 @@ def check_bisim(kind: BisimKind, z: PairRelation, left: Model,
         if sigs[i] != sigs2[j]:
             w = _least_difference(sigs[i], sigs2[j], prefer)
             u = u2 = 0
-            for b in bits(w):
-                u |= pieces[b]
-                u2 |= pieces2[b]
+            for b in bits(w):   # a block of Z's partition may miss a model
+                u |= pieces.get(b, 0)
+                u2 |= pieces2.get(b, 0)
             return BisimVerdict(False, (left.states[i], right.states[j]),
                                 witness=(left.names(u), right.names(u2)),
                                 reason="coherent pair breaks the clause")
@@ -257,12 +260,15 @@ class Partition:
 
     ``history[d]`` lists the depth-d blocks; refinement only splits, so the
     final entry is the full logical-equivalence partition over the vocabulary.
+    ``block_of[d][mi][s]`` is the index in ``history[d]`` of model mi's
+    state s, the block map refinement computed for that round.
     """
 
     models: tuple[Model, ...]
     kinds: tuple[SemanticsKind, ...]
     vocab: tuple[str, ...]
     history: list[list[Block]] = field(default_factory=list)
+    block_of: list[list[list[int]]] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -272,10 +278,11 @@ class Partition:
         return self.history[depth]
 
     def block_index(self, depth: int, ref: StateRef) -> int:
-        for b, block in enumerate(self.history[depth]):
-            if ref in block:
-                return b
-        raise ValueError(f"state {ref} not covered by the partition")
+        mi, s = ref
+        # checked, since a negative index would wrap to another state
+        if not (0 <= mi < len(self.models) and 0 <= s < self.models[mi].n):
+            raise ValueError(f"state {ref} not covered by the partition")
+        return self.block_of[depth][mi][s]
 
     def cross_pairs(self, left: int = 0, right: int = 1,
                     depth: int = -1) -> frozenset[tuple[str, str]]:
@@ -384,15 +391,18 @@ def _least_difference(sig: tuple[int, frozenset[int]],
 
 
 def _layout(models: Sequence[Model], blocks: Sequence[Iterable[StateRef]]
-            ) -> tuple[list[list[int]], list[list[int]]]:
+            ) -> tuple[list[list[int]], list[dict[int, int]]]:
     """``block_of[mi][s]``, the block of model mi's state s, and
-    ``pieces[mi][b]``, the mask of block b's states in model mi."""
+    ``pieces[mi][b]``, the mask of block b's states in model mi, in one pass.
+    ``pieces[mi]`` holds only the blocks model mi meets, so the layout is
+    linear in the states rather than models × blocks."""
     block_of = [[0] * m.n for m in models]
-    pieces = [[0] * len(blocks) for _ in models]
+    pieces: list[dict[int, int]] = [{} for _ in models]
     for b, block in enumerate(blocks):
         for mi, s in block:
             block_of[mi][s] = b
-            pieces[mi][b] |= 1 << s
+            piece = pieces[mi]
+            piece[b] = piece.get(b, 0) | 1 << s
     return block_of, pieces
 
 
@@ -406,7 +416,10 @@ def _refine(models: Sequence[Model], kinds: Sequence[SemanticsKind],
     """Group the states of ``models`` by atom truth over ``vocab``, then split
     blocks by ``signature(model, kind, state, block_of, pieces)`` until the
     block count stops growing.  ``block_of[t]`` is the block of the model's
-    state t, ``pieces[b]`` the mask of block b's states in the model.
+    state t, ``pieces[b]`` the mask of block b's states in the model, for
+    the blocks the model meets only.  Each round's block map is kept in
+    ``Partition.block_of``, so memory is linear in the union's states per
+    round.
 
     Refinement only splits, so a one-state block is final: it is carried
     over unsigned, and a round with no larger block signs nothing."""
@@ -422,6 +435,7 @@ def _refine(models: Sequence[Model], kinds: Sequence[SemanticsKind],
 
     while True:
         block_of, pieces = _layout(models, blocks)
+        part.block_of.append(block_of)
         grouped: dict[tuple[int, Hashable], list[StateRef]] = {}
         for b, block in enumerate(blocks):
             if len(block) == 1:
@@ -495,13 +509,10 @@ def _disj(parts: list[Formula]) -> Formula:
     return out
 
 
-def _ancestor(partition: Partition, block_id: int, depth: int, at: int) -> int:
-    ref = min(partition.history[depth][block_id])
-    return partition.block_index(at, ref)
-
-
 def _char(partition: Partition, block_id: int, depth: int,
-          memo: dict[tuple[int, int], Formula]) -> Formula:
+          memo: dict[tuple[int, ...], Any]) -> Formula:
+    """``char_formula``; ``memo`` keeps each block's formula under (block,
+    depth) and each separator, with its text, under (depth, block, block)."""
     key = (block_id, depth)
     if key in memo:
         return memo[key]
@@ -513,30 +524,33 @@ def _char(partition: Partition, block_id: int, depth: int,
         memo[key] = out
         return out
 
+    mi, s = ref = min(partition.history[depth][block_id])
+    maps = partition.block_of[:depth + 1]
     conjuncts: dict[str, Formula] = {}
-    for other in range(len(partition.history[depth])):
+    for other, block in enumerate(partition.history[depth]):
         if other == block_id:
             continue
-        sep = _separator(partition, block_id, other, depth, memo)
-        conjuncts.setdefault(str(sep), sep)
+        mj, t = ref2 = min(block)
+        # The first depth where the two blocks' ancestors differ.  The
+        # separator depends on those ancestors alone: their states share
+        # their signatures a depth below, or their atoms at depth 0.
+        at = next(at for at, rows in enumerate(maps)
+                  if rows[mi][s] != rows[mj][t])
+        sep_key = (at, maps[at][mi][s], maps[at][mj][t])
+        if sep_key not in memo:
+            sep = _separator(partition, ref, ref2, at, memo)
+            memo[sep_key] = str(sep), sep
+        conjuncts.setdefault(*memo[sep_key])
     out = _conj(list(conjuncts.values()))
     memo[key] = out
     return out
 
 
-def _separator(partition: Partition, block_id: int, other: int, depth: int,
-               memo: dict[tuple[int, int], Formula]) -> Formula:
-    """A formula true on every state of ``block_id`` and false on every state
-    of ``other`` (both depth-``depth`` blocks)."""
-    # Walk up to the first depth where the two blocks' ancestors differ.
-    split_at = depth
-    for at in range(depth + 1):
-        if _ancestor(partition, block_id, depth, at) != _ancestor(
-                partition, other, depth, at):
-            split_at = at
-            break
-    ref = min(partition.history[depth][block_id])
-    ref2 = min(partition.history[depth][other])
+def _separator(partition: Partition, ref: StateRef, ref2: StateRef,
+               split_at: int, memo: dict[tuple[int, ...], Any]) -> Formula:
+    """A formula true on every state of ``ref``'s depth-``split_at`` block
+    and false on every state of ``ref2``'s, the two blocks' parents being
+    equal."""
     if split_at == 0:
         mi, s = ref
         mj, t = ref2
@@ -548,10 +562,15 @@ def _separator(partition: Partition, block_id: int, other: int, depth: int,
         raise AssertionError("depth-0 blocks must differ on some atom")
     # The numerically least separating union keeps the formulas stable.
     base = split_at - 1
-    block_of, pieces = _layout(partition.models, partition.history[base])
-    sig, sig2 = (_delta_signature(partition.models[mi], partition.kinds[mi], s,
-                                  block_of[mi], pieces[mi])
-                 for mi, s in (ref, ref2))
+    sigs = []
+    for mi, s in (ref, ref2):
+        block_of = partition.block_of[base][mi]
+        pieces: dict[int, int] = {}
+        for t, b in enumerate(block_of):
+            pieces[b] = pieces.get(b, 0) | 1 << t
+        sigs.append(_delta_signature(partition.models[mi], partition.kinds[mi],
+                                     s, block_of, pieces))
+    sig, sig2 = sigs
     union = _least_difference(sig, sig2)
     body = _disj([_char(partition, b, base, memo) for b in bits(union)])
     essential, family = sig

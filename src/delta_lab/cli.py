@@ -315,8 +315,9 @@ def _cmd_proof_check(args) -> int:
         script = proofsys.load_script(args.script)
     except OSError as exc:
         raise CliError(f"cannot read {args.script}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"malformed proof script: {exc}") from exc
+    except ValueError as exc:  # JSON, UTF-8, a formula or the script's shape
+        raise CliError(
+            f"{args.script}: malformed proof script: {exc}") from exc
     verdict = proofsys.check_proof(proofsys.AxiomSystem(args.system), script)
     if verdict.ok:
         _emit(args, {"ok": True, "lines": len(script)},

@@ -35,6 +35,7 @@ model, to name the one that fails.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
@@ -336,74 +337,38 @@ def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     return verdict
 
 
-# Verdicts of local properties across models: (property, full, state for
-# (t) and -1 otherwise) -> {family: verdict}, found by the family's cached
-# hash.  Sweep frames share their family objects, so a family's verdict is
-# computed once per sweep rather than once per frame.  The table is kept
-# across models because bisimulation's fresh random models repeat
-# value-equal families: without it a bisim workload round makes 955
-# ``family_satisfies`` calls instead of 51-101, and its median round takes
-# 80 ms instead of 69 ms (seed 1, 2 vCPU, Python 3.11).  The tables are
-# emptied when they hold ``_LOCAL_LIMIT`` entries in all, which covers every
-# 3-state family (256, or 768 for (t)); the families that random larger
-# models leave in them stay alive, so the limit is small.
-_local_verdicts: dict[tuple[FrameProperty, int, int],
-                      dict[frozenset[int], bool]] = {}
-_local_size = 0
-_LOCAL_LIMIT = 1 << 10
-
-
-def _local_table(prop: FrameProperty, full: int, state: int
-                 ) -> dict[frozenset[int], bool]:
-    key = (prop, full, state)
-    table = _local_verdicts.get(key)
-    if table is None:
-        table = _local_verdicts[key] = {}
-    return table
-
-
-def _local_verdict(table: dict[frozenset[int], bool], prop: FrameProperty,
-                   family: frozenset[int], full: int, state: int) -> bool:
-    """``family_satisfies``, kept in ``table`` (a table of
-    ``_local_verdicts``)."""
-    global _local_size
-    if _local_size >= _LOCAL_LIMIT:
-        for other in _local_verdicts.values():
-            other.clear()
-        _local_size = 0
-    verdict = table[family] = family_satisfies(prop, family, full, state)
-    _local_size += 1
-    return verdict
+@functools.lru_cache(maxsize=1 << 10)
+def _family_verdict(prop: FrameProperty, family: frozenset[int], full: int,
+                    state: int) -> bool:
+    """``family_satisfies``, kept across models; ``state`` is -1 but for
+    (t).  Sweep frames share their family objects, whose hashes are cached,
+    so a family's verdict is computed once per sweep rather than once per
+    frame.  Bisimulation's fresh random models repeat value-equal families:
+    without the cache a bisim workload round makes 955 ``family_satisfies``
+    calls instead of 51-101 (seed 1).  The bound covers every 3-state family
+    (256, or 768 for (t)); the families that random larger models leave in
+    it stay alive, so the bound is small."""
+    return family_satisfies(prop, family, full, state)
 
 
 def _verdicts(prop: FrameProperty, full: int, state: int,
               families: tuple[frozenset[int], ...]) -> int:
     """Bit j set iff ``families[j]`` satisfies the local property at
-    ``state``, each verdict read from or kept in ``_local_verdicts``."""
-    table = _local_table(prop, full, state if prop is FrameProperty.T else -1)
+    ``state``."""
+    key = state if prop is FrameProperty.T else -1
     mask = 0
     for j, fam in enumerate(families):
-        verdict = table.get(fam)
-        if verdict is None:
-            verdict = _local_verdict(table, prop, fam, full, state)
-        if verdict:
+        if _family_verdict(prop, fam, full, key):
             mask |= 1 << j
     return mask
 
 
 def _all_hold(prop: FrameProperty, fams: tuple[frozenset[int], ...],
               full: int) -> bool:
-    """Whether ``fams[s]`` satisfies the local property at s for every s,
-    with the verdicts of ``_local_verdicts``."""
+    """Whether ``fams[s]`` satisfies the local property at s for every s."""
     at_state = prop is FrameProperty.T
-    table = None if at_state else _local_table(prop, full, -1)
     for s, fam in enumerate(fams):
-        if at_state:
-            table = _local_table(prop, full, s)
-        verdict = table.get(fam)
-        if verdict is None:
-            verdict = _local_verdict(table, prop, fam, full, s)
-        if not verdict:
+        if not _family_verdict(prop, fam, full, s if at_state else -1):
             return False
     return True
 

@@ -184,11 +184,21 @@ def _check_line(system: AxiomSystem, script: Sequence[ProofLine], no: int,
 
 
 def _script_lines(raw) -> list[ProofLine]:
-    """Proof lines from a decoded JSON array of {"formula": ..., "by": ...}."""
-    pairs = [(line["formula"], line["by"]) for line in raw]
-    if not all(isinstance(text, str) for pair in pairs for text in pair):
-        raise TypeError('"formula" and "by" must be strings')
-    return [ProofLine(parse(formula), by) for formula, by in pairs]
+    """Proof lines from a decoded JSON array of {"formula": ..., "by": ...};
+    anything else is a ``ValueError`` that names the line and the rule."""
+    if not isinstance(raw, list):
+        raise ValueError("must be a JSON array")
+    out = []
+    for n, line in enumerate(raw, 1):
+        if not isinstance(line, dict):
+            raise ValueError(f"line {n} must be a JSON object")
+        for key in ("formula", "by"):
+            if key not in line:
+                raise ValueError(f"line {n}: missing key {key!r}")
+            if not isinstance(line[key], str):
+                raise ValueError(f"line {n}: {key!r} must be a string")
+        out.append(ProofLine(parse(line["formula"]), line["by"]))
+    return out
 
 
 def load_script(path) -> list[ProofLine]:

@@ -398,6 +398,22 @@ def test_partition_merges_bisimilar_singletons():
     assert max_bisim(BisimKind.C, left, right).pairs == part.cross_pairs()
 
 
+def test_block_index_reads_history_and_refuses_refs_outside_the_union():
+    left = nm(["x", "y"], {"x": [], "y": [[], ["x", "y"]]}, {"p": []})
+    right = nm(["z"], {"z": [[], ["z"]]}, {"p": []})
+    models = [left, right]
+    part = logical_equiv_partition(models, ["p"], NEW)
+    for depth in range(part.depth + 1):
+        blocks = part.blocks_at(depth)
+        for mi, m in enumerate(models):
+            for s in range(m.n):
+                assert (mi, s) in blocks[part.block_index(depth, (mi, s))]
+        # a negative index would wrap to another state
+        for ref in ((-1, 0), (0, left.n), (len(models), 0), (1, -1)):
+            with pytest.raises(ValueError, match="not covered"):
+                part.block_index(depth, ref)
+
+
 def test_hennessy_milner_c_and_qf():
     for seed in range(40):
         left = random_model(GenSpec(4, C_PROPS, seed=seed, mode="random"),

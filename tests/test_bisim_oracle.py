@@ -375,19 +375,23 @@ def test_partition_edge_cases_match_oracle():
 
 def signing_refine(models, kinds, vocab, signature):
     """``_refine`` with ``signature`` wrapped to record each signed state
-    with the block it lies in that round.  ``pieces`` has one entry per block
-    of the round, and each round has more blocks than the one before, so its
-    length names the round's ``history`` entry."""
+    with the block it lies in that round.  The ``block_of`` a signature
+    receives is the model's row of the round's map in ``part.block_of``, so
+    that row names the round's ``history`` entry."""
     signed = []
 
     def sign(m, kind, s, block_of, pieces):
-        signed.append((m, s, block_of[s], len(pieces)))
+        signed.append((m, s, block_of))
         return signature(m, kind, s, block_of, pieces)
 
     part = bisim._refine(models, kinds, vocab, sign)
-    rounds = {len(blocks): blocks for blocks in part.history}
-    return part, [((next(mi for mi, x in enumerate(models) if x is m), s),
-                   rounds[k][b]) for m, s, b, k in signed]
+    out = []
+    for m, s, row in signed:
+        mi = next(mi for mi, x in enumerate(models) if x is m)
+        depth = next(d for d, rows in enumerate(part.block_of)
+                     if rows[mi] is row)
+        out.append(((mi, s), part.history[depth][row[s]]))
+    return part, out
 
 
 def test_refine_signs_no_one_state_block():

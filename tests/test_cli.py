@@ -508,3 +508,20 @@ def test_pair_file_refusals_name_the_file(tmp_path, nbh_path, capsys,
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1, err
     assert str(bad) in err and rule in err, err
+
+
+@pytest.mark.parametrize("data, rule", [
+    ([{"formula": "p"}], "line 1: missing key 'by'"),
+    ([{"formula": "p", "by": "TAUT"}, {"by": "TAUT"}],
+     "line 2: missing key 'formula'"),
+    ({"formula": "p", "by": "TAUT"}, "must be a JSON array"),
+    ([{"formula": "p", "by": "TAUT"}, "p"], "line 2 must be a JSON object"),
+    ([{"formula": 5, "by": "TAUT"}], "line 1: 'formula' must be a string"),
+])
+def test_proof_script_refusals_name_the_file(tmp_path, capsys, data, rule):
+    bad = tmp_path / "proof.json"
+    bad.write_text(json.dumps(data))
+    assert main(["proof-check", "--system", "E", "--script", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err == f"error: {bad}: malformed proof script: {rule}\n", err

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import pickle
 
@@ -197,28 +198,24 @@ def _frame_stream():
                                 tuple(map(frozenset, frame.neighborhoods)))
 
 
-@pytest.mark.parametrize("limit", [model._LOCAL_LIMIT, 5])
+@pytest.mark.parametrize(
+    "limit", [model._family_verdict.cache_parameters()["maxsize"], 5])
 def test_local_verdict_memo_matches_literal_verdicts(monkeypatch, limit):
-    monkeypatch.setattr(model, "_LOCAL_LIMIT", limit)
-    monkeypatch.setattr(model, "_local_verdicts", {})
-    monkeypatch.setattr(model, "_local_size", 0)
-    sizes = []
+    # a fresh cache of the given bound, so that the small one must evict
+    cache = functools.lru_cache(maxsize=limit)(
+        model._family_verdict.__wrapped__)
+    monkeypatch.setattr(model, "_family_verdict", cache)
     for frame in _frame_stream():
         for prop in model.LOCAL_PROPERTIES:
             assert has_property(frame, prop) == all(
                 family_satisfies(prop, fam, frame.full, s)
                 for s, fam in enumerate(frame.neighborhoods)), (frame, prop)
-        size = sum(map(len, model._local_verdicts.values()))
-        assert size == model._local_size <= limit
-        sizes.append(size)
-    # one table per (property, size, state for (t) or -1), each keyed by
-    # the family objects themselves
-    for (prop, full, state), table in model._local_verdicts.items():
-        assert state == -1 or prop is FP.T
-        for fam, verdict in table.items():
-            assert verdict == family_satisfies(prop, fam, full, state)
-    emptied = any(b < a for a, b in zip(sizes, sizes[1:]))
-    assert emptied == (limit == 5), limit
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize == limit
+    # the stream's distinct (property, family, size, state) keys overflow
+    # only the small bound
+    info = cache.cache_info()
+    assert info.hits and (info.misses > info.currsize) == (limit == 5), info
 
 
 def test_first_failing_follows_declaration_order():
