@@ -72,16 +72,13 @@ _KIND_SEMANTICS = {BisimKind.REL_DELTA: SemanticsKind.KRIPKE,
 
 @dataclass(frozen=True)
 class PairRelation:
-    """Cross-model state pairs, by name; ``left``/``right`` label the models."""
+    """Cross-model state pairs, by name: (left state, right state)."""
 
     pairs: frozenset[tuple[str, str]]
-    left: str = ""
-    right: str = ""
 
     @classmethod
-    def of(cls, pairs: Iterable[tuple[str, str]], left: str = "",
-           right: str = "") -> "PairRelation":
-        return cls(frozenset(pairs), left, right)
+    def of(cls, pairs: Iterable[tuple[str, str]]) -> "PairRelation":
+        return cls(frozenset(pairs))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -284,11 +281,14 @@ class Partition:
             raise ValueError(f"state {ref} not covered by the partition")
         return self.block_of[depth][mi][s]
 
-    def cross_pairs(self, left: int = 0, right: int = 1,
-                    depth: int = -1) -> frozenset[tuple[str, str]]:
-        """Same-block pairs between two of the input models, by state name."""
+    def cross_pairs(self, left: int = 0, right: int = 1
+                    ) -> frozenset[tuple[str, str]]:
+        """Final-block pairs between two of the input models, by state name."""
+        for mi in (left, right):
+            if not 0 <= mi < len(self.models):
+                raise ValueError(f"model {mi} is not in the partition")
         out = []
-        for block in self.history[depth]:
+        for block in self.history[-1]:
             lefts = [s for mi, s in block if mi == left]
             rights = [s for mi, s in block if mi == right]
             out.extend((self.models[left].states[a], self.models[right].states[b])
@@ -472,6 +472,9 @@ def char_formula(partition: Partition, block: Block | int, depth: int) -> Formul
         raise ValueError(f"partition is computed to depth {partition.depth}, "
                          f"not {depth}")
     if isinstance(block, int):
+        # checked, since a negative index would wrap to another block
+        if not 0 <= block < len(partition.history[depth]):
+            raise ValueError(f"no block {block} at depth {depth}")
         block_id = block
     else:
         block_id = partition.history[depth].index(block)

@@ -134,14 +134,19 @@ def model_from_json(data: dict[str, Any]) -> NeighborhoodModel | KripkeModel:
     return m
 
 
-def load_model(path: str) -> NeighborhoodModel | KripkeModel:
+def _read_json(path: str) -> Any:
+    """The decoded contents of a JSON file, or one refusal naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSON or UTF-8 decoding
         raise CliError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
+
+
+def load_model(path: str) -> NeighborhoodModel | KripkeModel:
+    data = _read_json(path)
     try:
         return model_from_json(data)
     except CliError as exc:
@@ -149,13 +154,7 @@ def load_model(path: str) -> NeighborhoodModel | KripkeModel:
 
 
 def load_pairs(path: str) -> bisim.PairRelation:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"malformed pair-relation file {path}: {exc}") from exc
+    data = _read_json(path)
     _require(data, ("pairs",), f"malformed pair-relation file {path}")
     pairs = data["pairs"]
     if not isinstance(pairs, list) or not all(
@@ -189,19 +188,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    m = load_model(args.model)
-    if args.kind == "c-variation":
-        if not isinstance(m, NeighborhoodModel):
-            raise CliError("c-variation needs a neighborhood model")
-        out = transform.c_variation(m)
-    elif args.kind == "qf-variation":
-        if not isinstance(m, KripkeModel):
-            raise CliError("qf-variation needs a Kripke model")
-        out = transform.qf_variation(m)
-    else:
-        if not isinstance(m, NeighborhoodModel):
-            raise CliError("qf-to-kripke needs a neighborhood model")
-        out = transform.qf_to_kripke(m)
+    convert = {"c-variation": transform.c_variation,
+               "qf-variation": transform.qf_variation,
+               "qf-to-kripke": transform.qf_to_kripke}[args.kind]
+    out = convert(load_model(args.model))
     text = json.dumps(model_to_json(out), sort_keys=True, ensure_ascii=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -311,11 +301,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_proof_check(args) -> int:
+    raw = _read_json(args.script)
     try:
-        script = proofsys.load_script(args.script)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.script}: {exc}") from exc
-    except ValueError as exc:  # JSON, UTF-8, a formula or the script's shape
+        script = proofsys.parse_script(raw)
+    except ValueError as exc:  # a formula or the script's shape
         raise CliError(
             f"{args.script}: malformed proof script: {exc}") from exc
     verdict = proofsys.check_proof(proofsys.AxiomSystem(args.system), script)

@@ -7,11 +7,11 @@ an empty valuation.  Both model types share one base class, ``Model``.
 Property checks are polynomial in the families' size: (s) asks X ∪ {i} ∈ N
 for each X ∈ N and i ∉ X; (ws) reads N's upward core, built largest first by
 the same one-step rule; (b), (4), (5) read which states hold each set as a
-neighborhood.  ``has_property`` computes each verdict once per model, and
-``first_failing`` its answer once per (model, class).  A local property's
-verdict on a family is computed once and kept in a table per (property,
-size), or per (property, size, state) for (t), keyed by the family object
-itself, which sweep frames share.
+neighborhood.  Models keep no verdicts: a verdict is a function of the
+families, cached per family value.  A local property's verdict on a family
+is kept in a table per (property, size), or per (property, size, state) for
+(t), and a composite class's in a table per (class, size).  Sweep frames
+share their family objects, and fresh models repeat value-equal families.
 
 A frame of ``generators``' product sweep belongs to a *run*, the frames that
 differ only in the last state's family F_j.  ``_run_props`` answers for the
@@ -43,10 +43,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 _M = TypeVar("_M", bound="Model")
 
-#: Instance ``__dict__`` key of a model's memoised verdicts: property ->
-#: bool, and composite class name -> ``first_failing``'s answer.
-_VERDICTS = "_verdicts"
-_UNKNOWN = object()
 #: Instance ``__dict__`` key of a swept frame's (run, index) handle.
 _RUN = "_run"
 
@@ -143,12 +139,14 @@ def frame_class(name: str) -> frozenset[FrameProperty]:
 
 class Model:
     """What both model types share: states in a fixed order, one relation
-    entry per state, and a valuation from atoms to bitmasks.  Property
-    verdicts live in the instance ``__dict__``, outside ``==`` and pickling.
-    So does the ``_run`` handle that ``generators`` gives each frame of a
-    product sweep: the frame's run (the frames that differ only in the last
-    state's family) and its index there, which ``definability.check_frame``
-    and ``semantics.frame_valid`` read to answer from the run's masks.
+    entry per state, and a valuation from atoms to bitmasks.  A model keeps
+    no verdicts: ``has_property`` and ``first_failing`` read them from
+    tables keyed by family value.  The one entry of the instance
+    ``__dict__`` besides the fields, outside ``==`` and pickling, is the
+    ``_run`` handle that ``generators`` gives each frame of a product
+    sweep: the frame's run (the frames that differ only in the last state's
+    family) and its index there, which ``definability.check_frame`` and
+    ``semantics.frame_valid`` read to answer from the run's masks.
     ``replace`` and ``with_valuation`` build untagged models.
     """
 
@@ -186,7 +184,6 @@ class Model:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop(_VERDICTS, None)
         state.pop(_RUN, None)
         return state
 
@@ -319,22 +316,15 @@ def is_qf_family(family: frozenset[int], full: int) -> bool:
     return len(family) == size and all(x & r in (0, r) for x in family)
 
 
-def _verdicts_of(m: Model) -> dict:
-    verdicts = m.__dict__.get(_VERDICTS)
-    if verdicts is None:
-        verdicts = m.__dict__[_VERDICTS] = {}
-    return verdicts
-
-
 def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
-    """Whether every state's neighborhood family satisfies ``prop``.
-
-    Each verdict is computed once per model instance and kept on it."""
-    verdicts = _verdicts_of(m)
-    verdict = verdicts.get(prop)
-    if verdict is None:
-        verdict = verdicts[prop] = _holds(m, prop)
-    return verdict
+    """Whether every state's neighborhood family satisfies ``prop``.  A local
+    property reads each family's cached verdict; (b), (4) and (5) read the
+    model as a run of one, with the last state's family as the whole
+    list."""
+    fams = m.neighborhoods
+    if prop in LOCAL_PROPERTIES:
+        return _all_hold(prop, fams, m.full)
+    return not fams or _mask(prop, fams[:-1], fams[-1:], {}) == 1
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -343,11 +333,11 @@ def _family_verdict(prop: FrameProperty, family: frozenset[int], full: int,
     """``family_satisfies``, kept across models; ``state`` is -1 but for
     (t).  Sweep frames share their family objects, whose hashes are cached,
     so a family's verdict is computed once per sweep rather than once per
-    frame.  Bisimulation's fresh random models repeat value-equal families:
-    without the cache a bisim workload round makes 955 ``family_satisfies``
-    calls instead of 51-101 (seed 1).  The bound covers every 3-state family
-    (256, or 768 for (t)); the families that random larger models leave in
-    it stay alive, so the bound is small."""
+    frame: without the cache the sweep workload's per-row best times sum
+    3-4% higher (2 vCPU, Python 3.11.7, both versions in one process,
+    against 0.4% between two copies of one).  The bound covers every
+    3-state family (256, or 768 for (t)); the families that random larger
+    models leave in it stay alive, so the bound is small."""
     return family_satisfies(prop, family, full, state)
 
 
@@ -371,15 +361,6 @@ def _all_hold(prop: FrameProperty, fams: tuple[frozenset[int], ...],
         if not _family_verdict(prop, fam, full, s if at_state else -1):
             return False
     return True
-
-
-def _holds(m: NeighborhoodModel, prop: FrameProperty) -> bool:
-    """The verdict on one frame.  (b), (4) and (5) read it as a run of one,
-    with the last state's family as the whole list."""
-    fams = m.neighborhoods
-    if prop in LOCAL_PROPERTIES:
-        return _all_hold(prop, fams, m.full)
-    return not fams or _mask(prop, fams[:-1], fams[-1:], {}) == 1
 
 
 def _run_props(run, prop: FrameProperty) -> int:
@@ -463,31 +444,36 @@ def _clauses(prop: FrameProperty, head: tuple[frozenset[int], ...],
     return ok
 
 
+@functools.lru_cache(maxsize=1 << 10)
+def _family_in_class(class_name: str, family: frozenset[int],
+                     full: int) -> bool:
+    """Whether ``family`` satisfies every property of the composite class,
+    kept across models.  The state is not read: every ``MODEL_CLASSES``
+    entry is local and has no (t).  A quasi-filter family is recognised by
+    its normal form, the others through ``_family_verdict``."""
+    if class_name == "quasi-filter":
+        return is_qf_family(family, full)
+    return all(_family_verdict(p, family, full, -1)
+               for p in MODEL_CLASSES[class_name])
+
+
 def classify(m: NeighborhoodModel) -> set[str]:
     """The composite classes whose defining property sets all hold of ``m``."""
-    return {name for name, props in MODEL_CLASSES.items()
-            if all(has_property(m, p) for p in props)}
+    return {name for name in MODEL_CLASSES if first_failing(m, name) is None}
 
 
 def first_failing(m: NeighborhoodModel, class_name: str
                   ) -> FrameProperty | None:
     """The first property of the composite class, in ``FrameProperty``
     declaration order, that fails on ``m``; None if ``m`` is in the class.
-    The answer is kept with ``m``'s verdicts, under the class name.
-
-    A quasi-filter model is first recognised by its normal form, which sets
-    all four verdicts at once; only a rejected model walks the properties,
-    to name the one that fails."""
-    verdicts = _verdicts_of(m)
-    failing = verdicts.get(class_name, _UNKNOWN)
-    if failing is _UNKNOWN:
-        props = _DECLARED_ORDER[class_name]
-        if class_name == "quasi-filter" and all(
-                is_qf_family(fam, m.full) for fam in m.neighborhoods):
-            verdicts.update(dict.fromkeys(props, True))
-        failing = verdicts[class_name] = next(
-            (p for p in props if not has_property(m, p)), None)
-    return failing
+    Each family's class verdict is cached by value, so a model whose
+    families all pass costs one lookup per state; only a rejected model
+    walks the properties, to name the one that fails."""
+    full = m.full
+    if all(_family_in_class(class_name, fam, full) for fam in m.neighborhoods):
+        return None
+    return next((p for p in _DECLARED_ORDER[class_name]
+                 if not has_property(m, p)), None)
 
 
 def validate(m: Model) -> list[str]:

@@ -102,10 +102,10 @@ def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:
 _TAUT_ATOM_BUDGET = 20
 
 
-def is_taut_instance(f: Formula, atom_budget: int = _TAUT_ATOM_BUDGET) -> bool:
+def is_taut_instance(f: Formula) -> bool:
     """Propositional tautology after abstracting each maximal modal subformula
     to a fresh atom (equal subformulas share one atom)."""
-    return taut_valid(f, atom_budget)
+    return taut_valid(f, _TAUT_ATOM_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def _check_line(system: AxiomSystem, script: Sequence[ProofLine], no: int,
     return f"unknown justification {by!r}"
 
 
-def _script_lines(raw) -> list[ProofLine]:
+def parse_script(raw) -> list[ProofLine]:
     """Proof lines from a decoded JSON array of {"formula": ..., "by": ...};
     anything else is a ``ValueError`` that names the line and the rule."""
     if not isinstance(raw, list):
@@ -201,12 +201,6 @@ def _script_lines(raw) -> list[ProofLine]:
     return out
 
 
-def load_script(path) -> list[ProofLine]:
-    """Read a proof script: a JSON array of {"formula": ..., "by": ...}."""
-    with open(path, encoding="utf-8") as fh:
-        return _script_lines(json.load(fh))
-
-
 def sample_scripts() -> dict[str, list[ProofLine]]:
     """The derivations shipped with the package, all checkable in system K."""
     from importlib import resources
@@ -216,7 +210,7 @@ def sample_scripts() -> dict[str, list[ProofLine]]:
     for entry in sorted(root.iterdir()):
         if entry.name.endswith(".json"):
             raw = json.loads(entry.read_text(encoding="utf-8"))
-            out[entry.name.removesuffix(".json")] = _script_lines(raw)
+            out[entry.name.removesuffix(".json")] = parse_script(raw)
     return out
 
 

@@ -25,6 +25,8 @@ MAX_SUBSET_STATES = 16
 
 def c_variation(m: NeighborhoodModel) -> NeighborhoodModel:
     """Close each family under complements: X is kept iff X or S\\X was present."""
+    if not isinstance(m, NeighborhoodModel):
+        raise ValueError("c-variation needs a neighborhood model")
     full = m.full
     fams = tuple(fam | frozenset(full & ~x for x in fam)
                  for fam in m.neighborhoods)
@@ -33,6 +35,8 @@ def c_variation(m: NeighborhoodModel) -> NeighborhoodModel:
 
 def qf_variation(k: KripkeModel) -> NeighborhoodModel:
     """Neighborhoods of s are the X with R(s) inside X or disjoint from X."""
+    if not isinstance(k, KripkeModel):
+        raise ValueError("qf-variation needs a Kripke model")
     if k.n > MAX_SUBSET_STATES:
         raise BudgetError(
             f"qf-variation builds up to 2^{k.n} neighborhoods per state, "
@@ -49,6 +53,8 @@ def qf_to_kripke(m: NeighborhoodModel) -> KripkeModel:
     Rejects models outside the quasi-filter class, naming the failing
     property; the construction is only correct under (n), (i), (c), (ws).
     """
+    if not isinstance(m, NeighborhoodModel):
+        raise ValueError("qf-to-kripke needs a neighborhood model")
     prop = first_failing(m, "quasi-filter")
     if prop is not None:
         raise ValueError(f"not a quasi-filter model: property ({prop.value}) fails")

@@ -414,6 +414,31 @@ def test_block_index_reads_history_and_refuses_refs_outside_the_union():
                 part.block_index(depth, ref)
 
 
+def test_cross_pairs_refuses_models_outside_the_partition():
+    left = nm(["x", "y"], {"x": [], "y": [[], ["x", "y"]]}, {"p": []})
+    right = nm(["z"], {"z": [[], ["z"]]}, {"p": []})
+    part = logical_equiv_partition([left, right], ["p"], NEW)
+    assert part.cross_pairs(1, 0) == {(b, a) for a, b in part.cross_pairs()}
+    for left_i, right_i, bad in ((0, 5, 5), (-1, 0, -1), (2, 1, 2)):
+        with pytest.raises(ValueError, match=f"model {bad} "):
+            part.cross_pairs(left_i, right_i)
+
+
+def test_char_formula_refuses_block_indices_outside_the_depth():
+    left = nm(["x", "y"], {"x": [], "y": [[], ["x", "y"]]}, {"p": []})
+    right = nm(["z"], {"z": [[], ["z"]]}, {"p": []})
+    part = logical_equiv_partition([left, right], ["p"], NEW)
+    several = part.depth
+    count = len(part.blocks_at(several))
+    assert count > 1 and len(part.blocks_at(0)) == 1
+    # a negative index would wrap to another block; one past the end, and
+    # any index on a one-block depth, names no block either
+    for depth, block in ((several, -1), (several, count), (0, 7), (0, -1)):
+        with pytest.raises(ValueError, match=f"no block {block} at depth "
+                                             f"{depth}"):
+            char_formula(part, block, depth)
+
+
 def test_hennessy_milner_c_and_qf():
     for seed in range(40):
         left = random_model(GenSpec(4, C_PROPS, seed=seed, mode="random"),

@@ -6,8 +6,9 @@ models, since a formula is evaluated within one model and logical
 equivalence equals greatest bisimilarity on finite models.  So one
 refinement of a union answers every pair of its models at once.  The union
 checks test the theorems where the code differs: ``old`` against ``new``
-signatures, and the Kripke closed form against the neighborhood signatures
-of ``qf_variation``.  ``extension`` checks the characteristic formulas
+signatures, the Kripke closed form against the neighborhood signatures of
+``qf_variation``, and, on the 84 one-atom cs-models, the Δ signature against
+c-monotonic's minimal signature.  ``extension`` checks the characteristic formulas
 independently of ``bisim``.
 
 A layout with one slot per (model, block) pair needs about 4.5 GB for the c
@@ -20,7 +21,8 @@ import tracemalloc
 
 import pytest
 
-from delta_lab.bisim import (BisimKind, char_formula, logical_equiv_partition,
+from delta_lab.bisim import (BisimKind, _delta_signature, _minimal_signature,
+                             _refine, char_formula, logical_equiv_partition,
                              max_bisim)
 from delta_lab.generators import GenSpec, enum_frames, enum_kripke_frames
 from delta_lab.model import FrameProperty
@@ -83,6 +85,29 @@ def test_c_equals_nbh_delta_on_the_c_union(c_models, c_union):
 def test_rel_delta_equals_qf_on_the_kripke_union(kripke_union, qf_union):
     assert qf_union.history == kripke_union.history
     assert len(kripke_union.blocks_at(kripke_union.depth)) == 126
+
+
+@pytest.fixture(scope="module")
+def cs_models():
+    models = one_atom_models(lambda n: enum_frames(GenSpec(
+        n, frozenset({FrameProperty.C, FrameProperty.S}))), 3)
+    assert len(models) == 84
+    return models
+
+
+def test_monotonic_c_equals_c_monotonic_on_the_cs_union(cs_models):
+    # monotonic-c signs by the Δ clause, c-monotonic by the ⊆-minimal block
+    # sets that the neighborhoods meet; both read new semantics
+    kinds = (NEW,) * len(cs_models)
+    delta = _refine(cs_models, kinds, ("p",), _delta_signature)
+    minimal = _refine(cs_models, kinds, ("p",), _minimal_signature)
+    assert delta.history == minimal.history
+    assert len(delta.blocks_at(delta.depth)) == 4
+    for i, j in seeded_pairs(delta, seed=1):
+        pairs = delta.cross_pairs(i, j)
+        for kind in (BisimKind.MONOTONIC_C, BisimKind.C_MONOTONIC):
+            assert pairs == max_bisim(kind, cs_models[i],
+                                      cs_models[j]).pairs, (kind, i, j)
 
 
 def seeded_pairs(part, seed, count=50):

@@ -525,3 +525,34 @@ def test_proof_script_refusals_name_the_file(tmp_path, capsys, data, rule):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1, err
     assert err == f"error: {bad}: malformed proof script: {rule}\n", err
+
+
+@pytest.mark.parametrize("text", ["{not json", "\ufeff[]", ""])
+def test_non_json_pair_and_proof_files_name_the_file(tmp_path, nbh_path,
+                                                     capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    for argv in (["bisim", "check", "--kind", "c", "--left", nbh_path,
+                  "--right", nbh_path, "--pairs", str(bad)],
+                 ["proof-check", "--system", "E", "--script", str(bad)]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: {bad} is not valid UTF-8 JSON: "), err
+
+
+def test_transforms_refuse_the_wrong_model_type(nbh_path, kripke_path,
+                                                capsys):
+    from delta_lab import transform
+    from delta_lab.cli import load_model
+
+    nbh, kripke = load_model(nbh_path), load_model(kripke_path)
+    for kind, model_path, m in (("c-variation", kripke_path, kripke),
+                                ("qf-variation", nbh_path, nbh),
+                                ("qf-to-kripke", kripke_path, kripke)):
+        rule = f"{kind} needs a"
+        with pytest.raises(ValueError, match=rule):
+            getattr(transform, kind.replace("-", "_"))(m)
+        assert main(["transform", kind, "--model", model_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {rule}"), err

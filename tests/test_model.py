@@ -6,13 +6,14 @@ import pickle
 import pytest
 
 from delta_lab import generators, model
+from delta_lab.bisim import BisimKind, PairRelation, check_bisim, max_bisim
 from delta_lab.generators import (GenSpec, enum_frames, enum_kripke_frames,
                                   random_kripke, random_model)
-from delta_lab.model import (_VERDICTS, MODEL_CLASSES, FrameProperty,
+from delta_lab.model import (MODEL_CLASSES, FrameProperty,
                              KripkeModel, NeighborhoodModel, classify,
                              family_satisfies, first_failing, has_property,
                              is_qf_family, qf_family, qf_relation, validate)
-from delta_lab.transform import c_variation, qf_variation
+from delta_lab.transform import c_variation, qf_to_kripke, qf_variation
 
 FP = FrameProperty
 
@@ -226,25 +227,42 @@ def test_first_failing_follows_declaration_order():
     assert all(first_failing(powerset, name) is None for name in MODEL_CLASSES)
 
 
-def test_verdicts_are_kept_per_model_instance():
+def test_verdicts_follow_the_families():
     m = nm(["a", "b"], {"a": [["a"]], "b": [["a", "b"]]}, {"p": ["a"]})
     assert not has_property(m, FP.C) and not has_property(m, FP.S)
     assert has_property(m, FP.I)
-    # Models derived from ``m`` start with no verdicts of their own.
-    assert _VERDICTS not in vars(m.with_valuation({"q": 1}))
-    assert _VERDICTS not in vars(m.frame())
+    # Models derived from ``m`` answer for their own families.
+    assert not has_property(m.with_valuation({"q": 1}), FP.C)
+    assert not has_property(m.frame(), FP.S)
     assert has_property(c_variation(m), FP.C)
     widened = dataclasses.replace(
         m, neighborhoods=(frozenset({0b01, 0b10, 0b11}), m.neighborhoods[1]))
     assert has_property(widened, FP.S) and not has_property(widened, FP.I)
-    # The memo is outside equality, repr and pickling.
+    # Verdicts leave equality, repr and pickling alone.
     fresh = nm(["a", "b"], {"a": [["a"]], "b": [["a", "b"]]}, {"p": ["a"]})
     assert fresh == m and repr(fresh) == repr(m)
-    vars(m)[_VERDICTS][FP.C] = True  # a false verdict that must not travel
-    assert classify(m) == {"c-model"}
     copy = pickle.loads(pickle.dumps(m))
-    assert copy == m and _VERDICTS not in vars(copy)
-    assert classify(copy) == classify(fresh) == set()
+    assert copy == m
+    assert classify(m) == classify(copy) == classify(fresh) == set()
+
+
+def test_models_carry_only_their_fields():
+    k = KripkeModel.from_names("xyz", {"x": "xy", "z": "yz"}, {"p": "x"})
+    qf = qf_variation(k)
+    c = c_variation(random_model(GenSpec(3, seed=4, mode="random"), ["p"]))
+    for m, kinds in ((qf, (BisimKind.QF, BisimKind.C)), (c, (BisimKind.C,))):
+        for prop in FP:
+            has_property(m, prop)
+        for name in MODEL_CLASSES:
+            first_failing(m, name)
+        classify(m)
+        z = PairRelation.of([(m.states[0], m.states[0])])
+        for kind in kinds:
+            check_bisim(kind, z, m, m)
+            max_bisim(kind, m, m)
+    assert qf_to_kripke(qf) == k
+    for m in (qf, c, k):
+        assert list(vars(m)) == [f.name for f in dataclasses.fields(m)], m
 
 
 def test_swept_frames_match_constructed_frames():
@@ -436,16 +454,20 @@ def test_qf_recogniser_near_misses():
                 assert not walk_says_qf(q - {r}, full)
 
 
-def test_qf_gate_fills_the_verdict_memo(monkeypatch):
+def test_qf_gate_reads_families_by_value(monkeypatch):
     m = next(m for m in _qf_variations() if m.n == 3)
-    fresh = NeighborhoodModel(m.states, m.neighborhoods, m.valuation)
 
     def walked(*args):
         raise AssertionError("the walk ran on a quasi-filter model")
 
-    monkeypatch.setattr(model, "_holds", walked)
-    assert first_failing(fresh, "quasi-filter") is None
-    assert all(vars(fresh)[_VERDICTS][p] is True for p in QF_PROPS)
+    monkeypatch.setattr(model, "has_property", walked)
+    assert first_failing(m, "quasi-filter") is None
+    # a fresh model with value-equal families reads the cached verdicts
+    fresh = NeighborhoodModel(
+        m.states, tuple(frozenset(list(fam)) for fam in m.neighborhoods),
+        m.valuation)
+    assert all(a is not b for a, b in zip(fresh.neighborhoods,
+                                          m.neighborhoods))
     monkeypatch.setattr(model, "is_qf_family", walked)
     assert first_failing(fresh, "quasi-filter") is None
 
