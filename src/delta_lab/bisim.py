@@ -259,6 +259,8 @@ class Partition:
     final entry is the full logical-equivalence partition over the vocabulary.
     ``block_of[d][mi][s]`` is the index in ``history[d]`` of model mi's
     state s, the block map refinement computed for that round.
+    ``char_memo`` keeps what ``char_formula`` builds, for every later call:
+    each block's formula and each separator.
     """
 
     models: tuple[Model, ...]
@@ -266,6 +268,8 @@ class Partition:
     vocab: tuple[str, ...]
     history: list[list[Block]] = field(default_factory=list)
     block_of: list[list[list[int]]] = field(default_factory=list)
+    char_memo: dict[tuple[int, ...], Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -478,7 +482,7 @@ def char_formula(partition: Partition, block: Block | int, depth: int) -> Formul
         block_id = block
     else:
         block_id = partition.history[depth].index(block)
-    return _char(partition, block_id, depth, {})
+    return _char(partition, block_id, depth, partition.char_memo)
 
 
 def _literal_conj(partition: Partition, block_id: int, depth: int) -> Formula:

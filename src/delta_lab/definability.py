@@ -8,7 +8,7 @@ background is the c-frames; (c) and (ws) are defined over all frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable
 
@@ -85,7 +85,7 @@ def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
     the run's validity mask (``semantics._verdict``) and property mask
     (``model._run_props``), or every bit if the run has no validity mask.
     A clear bit answers: no counterexample.  Every other frame is checked
-    on its own."""
+    on its own, and a counterexample holds an untagged copy of it."""
     handle = frame.__dict__.get(_RUN)
     if handle is not None:
         run, index = handle
@@ -100,11 +100,13 @@ def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
             return None
     holds = has_property(frame, claim.prop)
     check = frame_valid(frame, claim.formula, claim.semantics, max_bits)
-    if holds and not check.valid:
-        return Counterexample(frame, "property-without-validity", check)
-    if check.valid and not holds:
-        return Counterexample(frame, "validity-without-property", None)
-    return None
+    if holds == check.valid:
+        return None
+    # an untagged copy: a swept frame's handle holds its whole walk
+    if holds:
+        return Counterexample(replace(frame), "property-without-validity",
+                              check)
+    return Counterexample(replace(frame), "validity-without-property", None)
 
 
 def _check_at(claim: DefinabilityClaim, max_bits: int,

@@ -74,6 +74,11 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.n_states < 1:
             raise ValueError(f"n_states must be at least 1, got {self.n_states}")
+        if self.mode not in ("exhaustive", "random"):
+            raise ValueError(f"mode must be 'exhaustive' or 'random', "
+                             f"got {self.mode!r}")
+        if self.count < 0:
+            raise ValueError(f"count must be at least 0, got {self.count}")
 
 
 def state_names(n: int) -> tuple[str, ...]:

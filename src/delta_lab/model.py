@@ -15,9 +15,12 @@ share their family objects, and fresh models repeat value-equal families.
 
 A frame of ``generators``' product sweep belongs to a *run*, the frames that
 differ only in the last state's family F_j.  ``_run_props`` answers for the
-whole run with a mask whose bit j is frame j's verdict.  A local property
-ANDs the head states' verdicts with a mask of the last state's verdicts over
-the list, kept for every run of the sweep.  (b), (4) and (5) are written
+whole run with a mask whose bit j is frame j's verdict.  Any verdict that is
+a function of (family, state) gets its run mask from ``_local_mask``: the
+head states' verdicts ANDed with the last state's verdicts over the list,
+kept for every run of the sweep.  Local properties read it through
+``_family_verdict``, and ``semantics`` reads it for formulas of modal depth
+at most 1 through the columns of its walk memos.  (b), (4) and (5) are written
 once, as a bit-parallel loop over their clauses (s, x): sel[y] has bit j set
 iff y ∈ F_j, each clause reads holders[z] (the states that have z as a
 neighborhood), and its two candidate holder sets, with or without the last
@@ -38,7 +41,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
+                    TypeVar)
 
 
 _M = TypeVar("_M", bound="Model")
@@ -323,7 +327,9 @@ def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     list."""
     fams = m.neighborhoods
     if prop in LOCAL_PROPERTIES:
-        return _all_hold(prop, fams, m.full)
+        full, at_state = m.full, prop is FrameProperty.T
+        return all(_family_verdict(prop, fam, full, s if at_state else -1)
+                   for s, fam in enumerate(fams))
     return not fams or _mask(prop, fams[:-1], fams[-1:], {}) == 1
 
 
@@ -341,26 +347,24 @@ def _family_verdict(prop: FrameProperty, family: frozenset[int], full: int,
     return family_satisfies(prop, family, full, state)
 
 
-def _verdicts(prop: FrameProperty, full: int, state: int,
-              families: tuple[frozenset[int], ...]) -> int:
-    """Bit j set iff ``families[j]`` satisfies the local property at
-    ``state``."""
-    key = state if prop is FrameProperty.T else -1
-    mask = 0
-    for j, fam in enumerate(families):
-        if _family_verdict(prop, fam, full, key):
-            mask |= 1 << j
-    return mask
-
-
-def _all_hold(prop: FrameProperty, fams: tuple[frozenset[int], ...],
-              full: int) -> bool:
-    """Whether ``fams[s]`` satisfies the local property at s for every s."""
-    at_state = prop is FrameProperty.T
-    for s, fam in enumerate(fams):
-        if not _family_verdict(prop, fam, full, s if at_state else -1):
-            return False
-    return True
+def _local_mask(holds: Callable[[frozenset[int], int], Any],
+                head: tuple[frozenset[int], ...],
+                families: tuple[frozenset[int], ...], shared: dict,
+                key: Hashable) -> int:
+    """The run mask of a local verdict: bit j set iff ``holds(fam, s)`` is
+    true for each head state s and its family, and for the last state and
+    ``families[j]``.  The last state's mask over the list depends on the
+    list alone, so ``shared`` keeps it under ``key`` for every head that
+    shares the list; the head's verdicts are fixed for the run."""
+    last = shared.get(key)
+    if last is None:
+        s = len(head)
+        last = shared[key] = sum(1 << j for j, fam in enumerate(families)
+                                 if holds(fam, s))
+    for s, fam in enumerate(head):
+        if not holds(fam, s):
+            return 0
+    return last
 
 
 def _run_props(run, prop: FrameProperty) -> int:
@@ -381,12 +385,11 @@ def _mask(prop: FrameProperty, head: tuple[frozenset[int], ...],
     selectors of (b), (4) and (5)."""
     full = (1 << len(head) + 1) - 1
     if prop in LOCAL_PROPERTIES:
-        if not _all_hold(prop, head, full):
-            return 0
-        last = shared.get(prop)
-        if last is None:
-            last = shared[prop] = _verdicts(prop, full, len(head), families)
-        return last
+        at_state = prop is FrameProperty.T
+        return _local_mask(
+            lambda fam, s: _family_verdict(prop, fam, full,
+                                           s if at_state else -1),
+            head, families, shared, prop)
     sel = shared.get(_SEL)
     if sel is None:
         # sel[y]: bit j set iff y ∈ families[j]

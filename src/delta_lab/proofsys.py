@@ -12,7 +12,7 @@ countermodel search.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
@@ -250,9 +250,11 @@ class AuditReport:
 
 def _counterexample(f: Formula, max_bits: int, frame: NeighborhoodModel,
                     ) -> tuple[NeighborhoodModel, FrameCheck] | None:
-    """The frame and its falsifying valuation for ``f``, or None if valid."""
+    """The frame and its falsifying valuation for ``f``, or None if valid.
+    The frame is an untagged copy: a swept frame's handle holds its whole
+    walk."""
     result = frame_valid(frame, f, SemanticsKind.NEW, max_bits)
-    return None if result.valid else (frame, result)
+    return None if result.valid else (replace(frame), result)
 
 
 def audit_soundness(system: AxiomSystem, max_states: int = 2,

@@ -49,14 +49,16 @@ run's mask.  A run of one frame has no mask.
 
 - A program of modal depth at most 1 is *state-local*: its truth at state
   s under valuation v reads only N(s) and v, so whether s has a falsifying
-  v is fixed by (semantics, n, s, N(s)).  The memo holds one table per
-  state, keyed by that state's family object, which the walk's frames
-  share, and the tables are the mask's source: the head states' entries
-  are fixed for the run, so one of them false makes the mask 0, and the
-  last state's entries over the walk's list give a mask that the memo
-  builds once.  A run with missing entries fills them first, from one run
-  pass (below) if the program has atoms and the run fits one, else frame
-  by frame, and is then decided; it is never retried per frame.
+  v is fixed by (semantics, n, s, N(s)), a verdict per family like a local
+  frame property's.  The memo keeps a *column* per family value F, a state
+  mask with bit s set iff F at state s leaves no falsifying valuation,
+  filled by one evaluation of the frame that has F at every state; that
+  holds for (t) classes too, whose per-state lists only choose which
+  families appear.  The mask is ``model._local_mask`` over the columns, the
+  rule that local properties use: the head states' bits ANDed with the
+  last state's mask over the walk's list, kept in the walk's dict under
+  the memo.  So a walk evaluates each family it meets once, and runs no
+  run pass.
 - A deeper program's mask comes from one pass at width L·V, if L·V fits in
   2^``_CHUNK_BITS`` bits per state (V = 2^(n·k) valuations, so the program
   also runs in one pass): bits [s·L·V + j·V, s·L·V + (j+1)·V) are frame j's
@@ -78,7 +80,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .formula import And, Atom, Box, Delta, Formula, Not, Top, to_core
-from .model import _RUN, BudgetError, KripkeModel, NeighborhoodModel, bits
+from .model import (_RUN, BudgetError, KripkeModel, NeighborhoodModel,
+                    _local_mask, bits)
 
 
 class SemanticsKind(Enum):
@@ -403,32 +406,36 @@ class _Memo:
     ``shared`` dict of its runs: the compiled ``program``, ``bits`` = n·k,
     and the validity mask of the last run it decided (``run``, ``mask``),
     so a caller that switches formulas on one run builds no mask twice.
-    For a program of modal depth at most 1, ``tables[s]`` maps state s's
-    family to whether the state has no falsifying valuation under it, and
-    ``last`` is the mask of the walk's last-state list under which the last
-    state has none, once a run has built it; a deeper program has neither.
-    The memo holds ``formula``, so the ``id`` it is keyed by cannot be
-    reused while the memo lives."""
+    For a program of modal depth at most 1, ``columns`` maps a family F to
+    a state mask, bit s set iff F at state s leaves no falsifying
+    valuation; a deeper program has none.  The memo holds ``formula``, so
+    the ``id`` it is keyed by cannot be reused while the memo lives."""
 
-    __slots__ = ("formula", "program", "kind", "bits", "tables", "last",
+    __slots__ = ("formula", "program", "kind", "states", "bits", "columns",
                  "run", "mask")
 
-    def __init__(self, f: Formula, kind: SemanticsKind, n: int):
+    def __init__(self, f: Formula, kind: SemanticsKind,
+                 states: tuple[str, ...]):
         self.formula, self.program, self.kind = f, _program(f), kind
-        self.bits = n * len(self.program.names)
-        self.tables = ([{} for _ in range(n)]
-                       if _modal_depth(self.program) <= 1 else None)
-        self.last: int | None = None
+        self.states = states
+        self.bits = len(states) * len(self.program.names)
+        self.columns: dict[frozenset[int], int] | None = (
+            {} if _modal_depth(self.program) <= 1 else None)
         self.run = self.mask = None
 
-    def store(self, frame: NeighborhoodModel) -> list[bool]:
-        """Evaluate ``frame`` and keep, under each state's family, whether
-        the state has no falsifying valuation; return those verdicts."""
-        first = _first_zeros(frame, self.program, self.kind, len(self.tables))
-        valid = [index >> self.bits != 0 for index in first]
-        for table, fam, ok in zip(self.tables, frame.neighborhoods, valid):
-            table[fam] = ok
-        return valid
+    def holds(self, fam: frozenset[int], s: int) -> int:
+        """Bit s of ``fam``'s column.  A missing column comes from one
+        evaluation of the frame with ``fam`` at every state: a state-local
+        program read at s sees only N(s), so that frame's state s answers
+        for every frame that gives s the family ``fam``."""
+        column = self.columns.get(fam)
+        if column is None:
+            n = len(self.states)
+            uniform = NeighborhoodModel(self.states, (fam,) * n)
+            first = _first_zeros(uniform, self.program, self.kind, n)
+            column = self.columns[fam] = sum(
+                1 << t for t, index in enumerate(first) if index >> self.bits)
+        return column >> s & 1
 
 
 def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
@@ -461,101 +468,50 @@ def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
     """The run's ``valid_verdict`` for (``f``, ``kind``, ``max_bits``):
     ``(f, kind, max_bits, mask)``, kept on the run and returned while its
     key matches by identity, else built from the walk's ``_Memo`` for
-    (``f``, ``kind``).  ``mask`` has bit j set iff frame j is valid, and is
-    None for a run of one frame or a deeper program whose run does not fit
-    one pass.  Refused like ``frame_valid``."""
+    (``f``, ``kind``).  ``mask`` has bit j set iff frame j is valid: for a
+    state-local program from the memo's columns (``model._local_mask``,
+    keyed by the memo), for a deeper one from one run pass (``_run_mask``).
+    It is None for a run of one frame or a deeper program whose run does
+    not fit one pass.  Refused like ``frame_valid``."""
     kept = run.valid_verdict
     if (kept is not None and kept[0] is f and kept[1] is kind
             and kept[2] == max_bits):
         return kept
     _check_kind(frame, kind)
-    n = len(frame.states)
     memo = run.shared.get((id(f), kind))
     if memo is None:
-        memo = run.shared[id(f), kind] = _Memo(f, kind, n)
-    _check_bits(n, len(memo.program.names), max_bits)
+        memo = run.shared[id(f), kind] = _Memo(f, kind, frame.states)
+    _check_bits(len(frame.states), len(memo.program.names), max_bits)
     if memo.run is not run:
         memo.run, memo.mask = run, None
         if len(run.families) > 1:  # a run of one frame has nothing to share
-            memo.mask = (_run_mask(memo, frame, run) if memo.tables is None
-                         else _local_mask(memo, frame, run))
+            memo.mask = (_run_mask(memo, frame, run) if memo.columns is None
+                         else _local_mask(memo.holds, run.head, run.families,
+                                          run.shared, memo))
     run.valid_verdict = (f, kind, max_bits, memo.mask)
     return run.valid_verdict
 
 
-def _local_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int:
-    """The run's validity mask for a state-local program, from the memo's
-    tables.  The head states' entries are fixed for the run, and the last
-    state's entries over the walk's list give ``memo.last``, built once.
-    Missing entries are filled by one run pass if the run fits one, else
-    frame by frame."""
-    tables = memo.tables
-    if memo.last is None:
-        if any(fam not in tables[-1] for fam in run.families):
-            _fill(memo, frame, run)
-        last = 0
-        for j, fam in enumerate(run.families):
-            if tables[-1][fam]:
-                last |= 1 << j
-        memo.last = last
-    for table, fam in zip(tables, run.head):
-        ok = table.get(fam)
-        if ok is None:
-            return memo.last if all(memo.store(frame)[:-1]) else 0
-        if not ok:
-            return 0
-    return memo.last
-
-
-def _fill(memo: _Memo, frame: NeighborhoodModel, run) -> None:
-    """Store every frame of the run in the memo's tables: from one run pass
-    if the program has atoms and the run fits one pass, else from one
-    evaluation per frame (with no atoms a frame has one valuation, and
-    ``_modal``'s one-valuation path beats a pass over minterm planes)."""
-    count = len(run.families)
-    zeros = _run_zeros(memo, frame, run) if memo.bits else None
-    v = 1 << memo.bits
-    plane = (1 << v) - 1
-    for j, fam in enumerate(run.families):
-        fams = run.head + (fam,)
-        if zeros is None:
-            memo.store(NeighborhoodModel(frame.states, fams))
-            continue
-        for s, (table, entry) in enumerate(zip(memo.tables, fams)):
-            table[entry] = not zeros >> (s * count + j) * v & plane
-
-
-def _run_zeros(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
-    """The run's zero planes from one pass of width L·V, None if L·V does
-    not fit ``_CHUNK_BITS``: bits [s·L·V + j·V, s·L·V + (j+1)·V) are frame
-    j's falsified valuations at state s.  States 0..n−2 read ``frame``'s
-    families, which the run shares; the last state reads the run's
-    selectors."""
+def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
+    """The run's validity mask from one pass of width L·V, None if L·V does
+    not fit ``_CHUNK_BITS``.  Bits [s·L·V + j·V, s·L·V + (j+1)·V) of the
+    pass's zeros are frame j's falsified valuations at state s: states
+    0..n−2 read ``frame``'s families, which the run shares, and the last
+    state reads the run's selectors.  Frame j is valid iff its V bits are
+    clear in every state's plane."""
     count = len(run.families)
     if count << memo.bits > 1 << _CHUNK_BITS:
         return None
     prog, kind = memo.program, memo.kind
     n, k = len(frame.states), len(prog.names)
-    width = count << memo.bits
-    sels = _selectors(run.families, n, 1 << memo.bits,
-                      kind is SemanticsKind.OLD)
-    value = _run(prog, frame, kind, width, _run_layout(n, k, count), sels)
-    return ((1 << n * width) - 1) ^ value
-
-
-def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
-    """The run's validity mask from its zero planes (``_run_zeros``): frame
-    j is valid iff its V bits are clear in every state's plane.  None if
-    the run does not fit one pass."""
-    zeros = _run_zeros(memo, frame, run)
-    if zeros is None:
-        return None
-    count = len(run.families)
     v = 1 << memo.bits
     width = count * v
+    sels = _selectors(run.families, n, v, kind is SemanticsKind.OLD)
+    zeros = ((1 << n * width) - 1) ^ _run(prog, frame, kind, width,
+                                          _run_layout(n, k, count), sels)
     block = (1 << width) - 1
     folded = 0
-    for s in range(len(frame.states)):
+    for s in range(n):
         folded |= zeros >> s * width & block
     plane = (1 << v) - 1
     valid = 0

@@ -2,6 +2,7 @@
 recursive evaluator and per-valuation frame sweep it replaced, which live
 here as the oracle and nowhere in the package."""
 
+import dataclasses
 import itertools
 import pickle
 import random
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 from delta_lab.formula import And, Atom, Box, Delta, Formula, Not, Top, \
     expand_sugar, metrics, parse
 from delta_lab import definability, proofsys
-from delta_lab.definability import builtin_claim, builtin_table, defines
+from delta_lab.definability import (DefinabilityClaim, builtin_claim,
+                                    builtin_table, defines)
 from delta_lab.generators import (GenSpec, _product_frames, random_formula,
                                   random_kripke, random_model, state_names)
-from delta_lab.model import (_RUN, FRAME_CLASSES, KripkeModel,
+from delta_lab.model import (_RUN, FRAME_CLASSES, FrameProperty, KripkeModel,
                              NeighborhoodModel, bits)
 from delta_lab.proofsys import AxiomSystem, audit_soundness, is_taut_instance
 from delta_lab import semantics
@@ -240,8 +242,8 @@ def test_extension_equals_oracle_property(model_kind, f):
 
 # ---------------------------------------------------------------------------
 # The walk's memo of ``frame_valid`` (one per formula object and semantics,
-# with per-state tables for a state-local program) against the whole-frame
-# path and the oracle.
+# with a column per family for a state-local program) against the
+# whole-frame path and the oracle.
 
 def _whole_frame(frame, f: Formula, kind: SemanticsKind) -> FrameCheck:
     return _program_valid(frame, compile_formula(f), kind)
@@ -255,7 +257,7 @@ def _walk_memo(frame, f: Formula, kind: SemanticsKind):
 
 def _walk_sample(n: int, rnd: random.Random, count: int) -> list:
     """``count`` tagged frames of one new walk at n states, in random order,
-    so that later frames meet entries that frames of other runs filled: the
+    so that later frames meet columns that frames of other runs filled: the
     c-frames at 1 and 2 states, six runs of 16 c-frames at 3 states and
     three runs of 12 quasi-filter frames at 4 states, each range from a
     random start."""
@@ -289,14 +291,14 @@ def test_memo_path_matches_whole_frame_path_and_oracle():
             assert got == _whole_frame(frame, f, kind), (case, kind, str(f))
             assert got == oracle_frame_valid(frame, f, kind), (case, str(f))
         memo = _walk_memo(frames[0], f, kind)
-        assert (memo.tables is not None) == (depth <= 1)
+        assert (memo.columns is not None) == (depth <= 1)
 
 
 def test_memo_path_above_the_chunk_width():
-    # 4 states and 4 atoms give 16 index bits, so a run does not fit one
-    # pass and a miss runs passes until every state has its first
-    # falsifying valuation: the tables must hold the right one for each
-    # state, which frames of other runs then combine
+    # 4 states and 4 atoms give 16 index bits, so a column's evaluation
+    # runs passes until every state has its first falsifying valuation:
+    # each column must hold the right bit for each state, which frames of
+    # other runs then combine
     assert 4 * 4 > _CHUNK_BITS
     late = [parse("~(p0 & q & r & s & D p0)"), parse("p0 | q | r | s | D ~s"),
             parse("D p0 | N q | r | s"), parse("(p0 -> q) | r | s | D s")]
@@ -320,11 +322,11 @@ def _heads(frames) -> dict:
 
 
 def test_frame_answered_from_earlier_entries_runs_no_pass(monkeypatch):
-    # the runs with heads (a, x) and (y, b) fill the walk's tables; the run
-    # with head (a, b) takes each head state's entry from one of them and
-    # the last state's from the list, so its mask comes from the tables
-    # alone: a valid frame runs no pass, and an invalid one runs one pass
-    # of its own (3 states, 2 atoms: width 2^6), which gives its witness
+    # the runs with heads (a, x) and (y, b) fill the walk's columns; the
+    # run with head (a, b) takes each head state's bit from them and the
+    # last state's from the list, so its mask comes from the columns alone:
+    # a valid frame runs no pass, and an invalid one runs one pass of its
+    # own (3 states, 2 atoms: width 2^6), which gives its witness
     f = parse("D top -> (D p -> p | q)")
     for kind in (NEW, OLD):
         runs = _heads(_product_frames(3, FRAME_CLASSES["c"]))
@@ -398,7 +400,7 @@ def test_depth_two_formula_is_not_memoised():
                 if i % step == 0:
                     assert got == oracle_frame_valid(frame, f, kind), \
                         (str(f), kind, frame)
-            assert _walk_memo(frames[0], f, kind).tables is None
+            assert _walk_memo(frames[0], f, kind).columns is None
     run, _ = vars(frames[0])[_RUN]
     assert run.valid_verdict[3] is None  # no mask: frame by frame
     k = parse("B (p -> B p)")
@@ -416,12 +418,11 @@ def test_walk_keeps_one_memo_per_formula_object_and_semantics():
     f, g = parse("D p -> p"), parse("D p -> p")
     frame_valid(frame, f, NEW)
     memo = _walk_memo(frame, f, NEW)
-    # one table per state, each keyed by the walk's family objects: the
-    # head's own, and the last state's whole list, filled by one run pass
-    assert [list(table) for table in memo.tables[:2]] == \
-        [[fam] for fam in frame.neighborhoods[:2]]
-    assert all(key is fam for key, fam in zip(memo.tables[2], run.families))
-    assert len(memo.tables[2]) == len(run.families)
+    # one column per family value that the call met, the head's own and
+    # the last state's whole list, each keyed by a family object of the walk
+    assert set(memo.columns) == set(run.head) | set(run.families)
+    walk = {id(fam) for fam in run.head + run.families}
+    assert all(id(key) in walk for key in memo.columns)
     frame_valid(frame, g, NEW)  # an equal formula, but a new object
     assert _walk_memo(frame, g, NEW) is not memo
     assert _walk_memo(frame, g, NEW).program is not memo.program
@@ -444,24 +445,25 @@ def test_walk_keeps_one_memo_per_formula_object_and_semantics():
 
 
 def test_untagged_copy_shares_no_state_with_the_walk(monkeypatch):
-    # one last-state entry of the walk's table is made wrong: "valid" for a
-    # family that lacks S, under which D top fails at the last state.  The
+    # the last-state bit of one column of the walk's memo is made wrong:
+    # "valid" for a family that lacks S, under which D top fails.  The
     # tagged frames that read it through a set bit answer wrongly, their
     # untagged copies do not.  The head states are valid iff both families
     # hold S, as 8 of the 16 c-families at 3 states do, so 64 frames read
     # the wrong bit
     f = parse("D top")
-    fill = semantics._fill
+    holds = semantics._Memo.holds
     corrupted = []
 
-    def corrupting(memo, frame, run):
-        fill(memo, frame, run)
-        last = memo.tables[-1]
-        fam = next(fam for fam in reversed(run.families) if not last[fam])
-        last[fam] = True
-        corrupted.append(fam)
+    def corrupting(memo, fam, s):
+        holds(memo, fam, s)  # fills the column
+        if not corrupted and 0b111 not in fam:
+            assert memo.columns[fam] == 0
+            memo.columns[fam] |= 1 << 2
+            corrupted.append(fam)
+        return holds(memo, fam, s)
 
-    monkeypatch.setattr(semantics, "_fill", corrupting)
+    monkeypatch.setattr(semantics._Memo, "holds", corrupting)
     frames = list(_product_frames(3, FRAME_CLASSES["c"]))
     got = [frame_valid(frame, f, NEW) for frame in frames]
     assert len(corrupted) == 1
@@ -469,7 +471,7 @@ def test_untagged_copy_shares_no_state_with_the_walk(monkeypatch):
     for frame, check in zip(frames, got):
         want = oracle_frame_valid(frame, f, NEW)
         assert frame_valid(_untagged(frame), f, NEW) == want
-        if (frame.neighborhoods[-1] is corrupted[0]
+        if (frame.neighborhoods[-1] == corrupted[0]
                 and all(0b111 in fam for fam in frame.neighborhoods[:-1])):
             assert not want and check == FrameCheck(True), frame
             wrong += 1
@@ -519,8 +521,8 @@ def test_only_frame_valid_decides_locality(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The run path: validity decided once per product run (``_verdict``; one
-# pass per run for programs of modal depth 2 or more, the walk's memo tables
-# for the rest), against untagged copies and the oracle.
+# pass per run for programs of modal depth 2 or more, the walk's memo
+# columns for the rest), against untagged copies and the oracle.
 
 def _untagged(frame):
     return NeighborhoodModel(frame.states, frame.neighborhoods)
@@ -673,27 +675,42 @@ def test_run_is_evaluated_once(monkeypatch):
 
 
 def test_state_local_run_fills_its_tables_once(monkeypatch):
-    passes = []
-    first_zeros = semantics._first_zeros
+    # a state-local walk evaluates each family value it meets once, on the
+    # frame with that family at every state, and runs no run pass: the 16
+    # c-families at 3 states give 16 evaluations, each one pass of width
+    # 2^(3·k), whatever the heads bring
+    evaluated, widths = [], []
+    first_zeros, evaluate = semantics._first_zeros, semantics._run
 
     def counting(*args):
-        passes.append(args[0])
+        evaluated.append(args[0])
         return first_zeros(*args)
 
+    def counting_run(*args):
+        widths.append(args[3])
+        return evaluate(*args)
+
     frames = list(_product_frames(3, FRAME_CLASSES["c"]))
-    for kind in (NEW, OLD):
-        f = parse("D(p & q) -> D p & D q")  # a new program, a new memo
-        want = [frame_valid(_untagged(frame), f, kind).valid
-                for frame in frames]
-        f = parse("D(p & q) -> D p & D q")
-        monkeypatch.setattr(semantics, "_first_zeros", counting)
-        passes.clear()
-        got = [_run_bit(frame, f, kind) for frame in frames]
-        monkeypatch.setattr(semantics, "_first_zeros", first_zeros)
-        assert got == want, kind
-        # one evaluation per family of the last state's list, then one per
-        # head that brings a family new to state 0 or 1; never one per frame
-        assert len(passes) <= 3 * 16, (kind, len(passes))
+    for text in ("D(p & q) -> D p & D q", "D p <-> D ~p"):
+        for kind in (NEW, OLD):
+            f = parse(text)
+            want = [frame_valid(_untagged(frame), f, kind).valid
+                    for frame in frames]
+            f = parse(text)  # a new formula object, a new memo
+            monkeypatch.setattr(semantics, "_first_zeros", counting)
+            monkeypatch.setattr(semantics, "_run", counting_run)
+            evaluated.clear()
+            widths.clear()
+            got = [_run_bit(frame, f, kind) for frame in frames]
+            monkeypatch.undo()
+            assert got == want, (text, kind)
+            assert len(evaluated) == 16, (text, kind, len(evaluated))
+            assert {frame.neighborhoods[0] for frame in evaluated} == \
+                set(vars(frames[0])[_RUN][0].families)
+            assert all(len(set(frame.neighborhoods)) == 1
+                       for frame in evaluated)
+            k = len(metrics(f).vars)
+            assert widths == [1 << 3 * k] * 16, (text, kind)
 
 
 def test_alternating_formulas_keep_their_memos(monkeypatch):
@@ -785,6 +802,30 @@ def test_pickle_round_trip_drops_the_run():
     for kind in (NEW, OLD):
         assert frame_valid(copy, f, kind) == frame_valid(frame, f, kind) == \
             oracle_frame_valid(frame, f, kind)
+
+
+def test_results_hold_no_sweep_state(monkeypatch):
+    # a hit is an untagged copy of its swept frame, serial or not: the
+    # handle would keep the whole walk alive in the result, and a later
+    # ``frame_valid`` call on the frame would write a memo into it.  The
+    # audit sweeps all frames, where ΔEqu fails, to have a counterexample
+    monkeypatch.setattr(AxiomSystem, "frame_class",
+                        property(lambda system: "all"))
+    claim = DefinabilityClaim(FrameProperty.WS,
+                              parse("D p & D q -> D(p & q)"), "c")
+    for jobs in (1, 2):
+        result = defines(claim, 3, jobs=jobs)
+        report = audit_soundness(AxiomSystem.E, 2, jobs=jobs)
+        (audit,) = report.axioms
+        frames = [result.counterexample.frame, audit.counterexample[0],
+                  report.negative_witness[0],
+                  proofsys.filter_equ_witness(2, jobs=jobs)[0]]
+        for frame in frames:
+            assert list(vars(frame)) == \
+                [field.name for field in dataclasses.fields(frame)], jobs
+        frame = result.counterexample.frame
+        check = result.counterexample.witness
+        assert not check and frame_valid(frame, claim.formula, NEW) == check
 
 
 def test_explicit_frame_stream_takes_the_whole_frame_path(monkeypatch):

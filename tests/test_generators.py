@@ -476,8 +476,11 @@ def test_sweep_refuses_before_starting_a_pool(pool_sizes):
         with pytest.raises(ValueError):
             sweep((), max_states, partial(_hit_at, None), jobs)
     assert pool_sizes == []
-    with pytest.raises(ValueError):
-        GenSpec(0)
+    # a size, mode or count that would sweep the wrong frames, or none
+    for spec in ({"n_states": 0}, {"n_states": 2, "mode": "Random", "count": 3},
+                 {"n_states": 2, "mode": "random", "count": -4}):
+        with pytest.raises(ValueError):
+            GenSpec(**spec)
 
 
 def test_sweep_sends_a_deep_check_to_workers(pool_sizes):
