@@ -14,18 +14,22 @@ is kept in a table per (property, size), or per (property, size, state) for
 share their family objects, and fresh models repeat value-equal families.
 
 A frame of ``generators``' product sweep belongs to a *run*, the frames that
-differ only in the last state's family F_j.  ``_run_props`` answers for the
-whole run with a mask whose bit j is frame j's verdict.  Any verdict that is
-a function of (family, state) gets its run mask from ``_local_mask``: the
-head states' verdicts ANDed with the last state's verdicts over the list,
-kept for every run of the sweep.  Local properties read it through
-``_family_verdict``, and ``semantics`` reads it for formulas of modal depth
-at most 1 through the columns of its walk memos.  (b), (4) and (5) are written
-once, as a bit-parallel loop over their clauses (s, x): sel[y] has bit j set
-iff y ∈ F_j, each clause reads holders[z] (the states that have z as a
-neighborhood), and its two candidate holder sets, with or without the last
-state, pick the frames of sel[z] and the rest, in O(n·2^n) per run.
-``has_property`` on one frame runs the same code on its run of one.
+share the leading states' families and vary the r trailing states, frame j
+taking entry d_t of trailing list t for the mixed-radix digits d_t of j
+(``_members``).  ``_run_props`` answers for the whole run with a mask whose
+bit j is frame j's verdict.  Any verdict that is a function of (family,
+state) gets its run mask from ``_local_mask``: the head states' verdicts
+ANDed with the trailing states' mask over their lists, kept for every run
+of the sweep.  Local properties read it through ``_family_verdict``, and
+``semantics`` reads it for formulas of modal depth at most 1 through the
+columns of its walk memos.  (b), (4) and (5) are written once, as a
+bit-parallel loop over their clauses (s, x): row[y] of a trailing state has
+bit j set iff frame j's family there holds y, each clause reads holders[z]
+(the states that have z as a neighborhood), and its 2^r candidate holder
+sets, one per set of trailing states added to the head's holders, pick the
+frames where exactly those trailing states hold z, in O(n·2^n·2^r) per run.
+``has_property`` on one frame runs the same code on a run of one frame with
+no trailing state.
 
 Quasi-filter normal form: a family N has (n), (i), (c), (ws) iff N = Q_R =
 {X : R ⊆ X or X ∩ R = ∅} for R = {t : {t} ∉ N}.  (n), (c), (i) make N a
@@ -39,6 +43,7 @@ model, to name the one that fails.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
@@ -148,9 +153,10 @@ class Model:
     tables keyed by family value.  The one entry of the instance
     ``__dict__`` besides the fields, outside ``==`` and pickling, is the
     ``_run`` handle that ``generators`` gives each frame of a product
-    sweep: the frame's run (the frames that differ only in the last state's
-    family) and its index there, which ``definability.check_frame`` and
-    ``semantics.frame_valid`` read to answer from the run's masks.
+    sweep: the frame's run (the frames that differ only in the trailing
+    states' families) and its index there, which
+    ``definability.check_frame`` and ``semantics.frame_valid`` read to
+    answer from the run's masks.
     ``replace`` and ``with_valuation`` build untagged models.
     """
 
@@ -323,14 +329,13 @@ def is_qf_family(family: frozenset[int], full: int) -> bool:
 def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
     """Whether every state's neighborhood family satisfies ``prop``.  A local
     property reads each family's cached verdict; (b), (4) and (5) read the
-    model as a run of one, with the last state's family as the whole
-    list."""
+    model as a run of one frame, with no trailing state."""
     fams = m.neighborhoods
     if prop in LOCAL_PROPERTIES:
         full, at_state = m.full, prop is FrameProperty.T
         return all(_family_verdict(prop, fam, full, s if at_state else -1)
                    for s, fam in enumerate(fams))
-    return not fams or _mask(prop, fams[:-1], fams[-1:], {}) == 1
+    return _mask(prop, fams, (), {}) == 1
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -347,101 +352,145 @@ def _family_verdict(prop: FrameProperty, family: frozenset[int], full: int,
     return family_satisfies(prop, family, full, state)
 
 
+def _members(lists: tuple[tuple[frozenset[int], ...], ...], full: int,
+             width: int = 1) -> list[list[int]]:
+    """For each trailing state of a run over ``lists``, row[y]: the frames
+    whose family at that state holds y, ``width`` bits per frame.  Frame j
+    takes entry d_t of list t, the digits of j in the mixed radix of the
+    list lengths with the last list least significant, so the frames of
+    one entry of list t are runs of ``stride`` frames, one every
+    ``period``."""
+    count = math.prod(map(len, lists))
+    ones = (1 << count * width) - 1
+    stride, out = count, []
+    for fams in lists:
+        stride //= len(fams)
+        period = len(fams) * stride
+        block = (1 << stride * width) - 1
+        repeat = ones // ((1 << period * width) - 1)
+        row = [0] * (full + 1)
+        for i, fam in enumerate(fams):
+            frames = (block << i * stride * width) * repeat
+            for y in fam:
+                row[y] |= frames
+        out.append(row)
+    return out
+
+
 def _local_mask(holds: Callable[[frozenset[int], int], Any],
                 head: tuple[frozenset[int], ...],
-                families: tuple[frozenset[int], ...], shared: dict,
+                lists: tuple[tuple[frozenset[int], ...], ...], shared: dict,
                 key: Hashable) -> int:
     """The run mask of a local verdict: bit j set iff ``holds(fam, s)`` is
-    true for each head state s and its family, and for the last state and
-    ``families[j]``.  The last state's mask over the list depends on the
-    list alone, so ``shared`` keeps it under ``key`` for every head that
-    shares the list; the head's verdicts are fixed for the run."""
-    last = shared.get(key)
-    if last is None:
-        s = len(head)
-        last = shared[key] = sum(1 << j for j, fam in enumerate(families)
-                                 if holds(fam, s))
+    true for every state s and its family in frame j, the head's and the
+    trailing states' (entry d_t of list t, as for ``_members``).  The
+    trailing states' mask depends on the lists alone, so ``shared`` keeps
+    it under ``key`` for every head that shares them; the head's verdicts
+    are fixed for the run.  The mask is built from the last list up: the
+    frames of an entry of list t repeat the mask of the lists after it,
+    ``size`` bits, once for each entry that holds."""
+    tail = shared.get(key)
+    if tail is None:
+        tail = size = 1
+        s = len(head) + len(lists)
+        for fams in reversed(lists):
+            s -= 1
+            tail *= sum(1 << i * size for i, fam in enumerate(fams)
+                        if holds(fam, s))
+            size *= len(fams)
+        shared[key] = tail
     for s, fam in enumerate(head):
         if not holds(fam, s):
             return 0
-    return last
+    return tail
 
 
 def _run_props(run, prop: FrameProperty) -> int:
     """Bit j set iff frame j of a ``generators._Run`` has ``prop``."""
-    return _mask(prop, run.head, run.families, run.shared)
+    return _mask(prop, run.head, run.lists, run.shared)
 
 
-# Key of the per-subset selectors in a run's ``shared`` dict.
+# Key of the (b), (4), (5) rows and holder cases in a run's ``shared`` dict.
 _SEL = "sel"
 
 
 def _mask(prop: FrameProperty, head: tuple[frozenset[int], ...],
-          families: tuple[frozenset[int], ...], shared: dict) -> int:
-    """Bit j set iff the frame with the families ``head`` at states 0..n−2
-    and ``families[j]`` at state n−1 has ``prop``.  ``shared`` keeps what
-    depends on ``families`` alone, for every head that shares the list: the
-    last state's verdicts of a local property, under the property, and the
-    selectors of (b), (4) and (5)."""
-    full = (1 << len(head) + 1) - 1
+          lists: tuple[tuple[frozenset[int], ...], ...], shared: dict) -> int:
+    """Bit j set iff the frame with the families ``head`` at the leading
+    states and frame j's entries of ``lists`` at the trailing ones has
+    ``prop``; with no lists, the one frame ``head``.  ``shared`` keeps what
+    depends on ``lists`` alone, for every head that shares them: the
+    trailing states' verdicts of a local property, under the property, and
+    the rows and holder cases of (b), (4) and (5)."""
+    full = (1 << len(head) + len(lists)) - 1
     if prop in LOCAL_PROPERTIES:
         at_state = prop is FrameProperty.T
         return _local_mask(
             lambda fam, s: _family_verdict(prop, fam, full,
                                            s if at_state else -1),
-            head, families, shared, prop)
-    sel = shared.get(_SEL)
-    if sel is None:
-        # sel[y]: bit j set iff y ∈ families[j]
-        sel = shared[_SEL] = [0] * (full + 1)
-        for j, fam in enumerate(families):
-            for y in fam:
-                sel[y] |= 1 << j
-    return _clauses(prop, head, sel, full, (1 << len(families)) - 1)
+            head, lists, shared, prop)
+    tail = shared.get(_SEL)
+    if tail is None:
+        rows = _members(lists, full)
+        ones = (1 << math.prod(map(len, lists))) - 1
+        # cases[z]: a (T, frames) pair for each set T of trailing states, as
+        # state bits, that are exactly the trailing holders of z in some
+        # frames of the run, with those frames; they split the run
+        cases = [[(0, ones)]] * (full + 1)
+        for t, row in enumerate(rows, len(head)):
+            cases = [[pair for b, frames in got
+                      for pair in ((b | 1 << t, frames & has),
+                                   (b, frames & ~has))
+                      if pair[1]]
+                     for got, has in zip(cases, row)]
+        tail = shared[_SEL] = (rows, cases, ones)
+    return _clauses(prop, head, *tail)
 
 
 def _clauses(prop: FrameProperty, head: tuple[frozenset[int], ...],
-             sel: list[int], full: int, ones: int) -> int:
-    """(b), (4) or (5) over a run, bit-parallel: ``ones`` has a bit per
-    frame and ``sel[y]`` the frames whose last family holds y.  Each clause
-    (s, x) asks whether a set built from holders[z], the states that have z
-    as a neighborhood, is in N(s).  The head's holders are fixed; frame j
-    adds the last state iff z ∈ F_j, so the clause reads target ``t1`` on
-    the frames of ``sel[z]`` and ``t0`` on the rest."""
+             rows: list[list[int]], cases: list[list[tuple[int, int]]],
+             ones: int) -> int:
+    """(b), (4) or (5) over a run, bit-parallel, with a bit per frame:
+    ``rows`` holds each trailing state's row (``_members``) and ``cases``
+    the holder cases (``_mask``).  Each clause (s, x) asks whether
+    a set built from holders[z], the states that have z as a neighborhood,
+    is in N(s).  The head's holders are fixed; the frames of case (T, ·)
+    add the trailing states T, so the clause reads target ``t0 ^ T`` on
+    them, 2^r cases for r trailing states."""
     if prop not in (FrameProperty.B, FrameProperty.FOUR, FrameProperty.FIVE):
         raise ValueError(f"unknown frame property {prop!r}")
-    top = 1 << len(head)
+    full = len(cases) - 1
     holders = [0] * (full + 1)
+    lead = []  # each head state's row: the frames whose N(s) holds y
     for u, fam in enumerate(head):
+        row = [0] * (full + 1)
         for x in fam:
             holders[x] |= 1 << u
-    # rows[s][y]: the frames whose N(s) holds y
-    rows = [[ones if y in fam else 0 for y in range(full + 1)]
-            for fam in head]
-    rows.append(sel)
+            row[x] = ones
+        lead.append(row)
+    rows = lead + rows
     ok = ones
     for s, row in enumerate(rows):
         for x in range(full + 1):
             if prop is FrameProperty.B:
                 # s ∈ x → S ∖ holders[S ∖ x] ∈ N(s)
-                when = ones if x >> s & 1 else 0
-                z = full ^ x
+                if not x >> s & 1:
+                    continue
+                when, z = ones, full ^ x
                 t0 = full ^ holders[z]
-                t1 = t0 ^ top
             elif prop is FrameProperty.FOUR:
                 # x ∈ N(s) → holders[x] ∈ N(s)
                 when, z = row[x], x
                 t0 = holders[x]
-                t1 = t0 | top
             else:
                 # x ∉ N(s) → S ∖ holders[x] ∈ N(s)
                 when, z = ones ^ row[x], x
                 t0 = full ^ holders[x]
-                t1 = t0 ^ top
             if when:
-                has = sel[z]
-                ok &= ((ones ^ when) | (has & row[t1])
-                       | ((ones ^ has) & row[t0]))
+                good = ones ^ when
+                for t, frames in cases[z]:
+                    good |= frames & row[t0 ^ t]
+                ok &= good
                 if not ok:
                     return 0
     return ok

@@ -36,16 +36,17 @@ ascending order, stopping at the first failing pass.  A frame evaluated
 this way reads no table or verdict that another call filled.
 
 A frame tagged by ``generators``' product sweep belongs to a *run*: the L
-frames that differ only in the last state's family, which takes each
-family of the run's list in turn.  The run's validity mask, bit j set iff
-frame j validates the program, is built once per run and kept on it under
-(formula object, semantics, ``max_bits``), compared by identity
-(``_verdict``).  A set bit answers: the frame is valid, before any
-compiling or budget check.  Every other frame is evaluated on its own, as
-above.  What a mask is built from belongs to the walk (one
-``_product_frames`` call, whose runs share one dict): a ``_Memo`` per
-(formula object, semantics), holding the compiled program and the last
-run's mask.  A run of one frame has no mask.
+frames (at most ``generators._RUN_FRAMES``) that share the leading states'
+families and vary the trailing r ≥ 1 states, each over its own list, frame
+j taking the entries of the digits of j in the mixed radix of the list
+lengths.  The run's validity mask, bit j set iff frame j validates the
+program, is built once per run and kept on it under (formula object,
+semantics, ``max_bits``), compared by identity (``_verdict``).  A set bit
+answers: the frame is valid, before any compiling or budget check.  Every
+other frame is evaluated on its own, as above.  What a mask is built from
+belongs to the walk (one ``_product_frames`` call, whose runs share one
+dict): a ``_Memo`` per (formula object, semantics), holding the compiled
+program and the last run's mask.  A run of one frame has no mask.
 
 - A program of modal depth at most 1 is *state-local*: its truth at state
   s under valuation v reads only N(s) and v, so whether s has a falsifying
@@ -56,17 +57,19 @@ run's mask.  A run of one frame has no mask.
   holds for (t) classes too, whose per-state lists only choose which
   families appear.  The mask is ``model._local_mask`` over the columns, the
   rule that local properties use: the head states' bits ANDed with the
-  last state's mask over the walk's list, kept in the walk's dict under
+  trailing states' mask over their lists, kept in the walk's dict under
   the memo.  So a walk evaluates each family it meets once, and runs no
   run pass.
-- A deeper program's mask comes from one pass at width L·V, if L·V fits in
-  2^``_CHUNK_BITS`` bits per state (V = 2^(n·k) valuations, so the program
-  also runs in one pass): bits [s·L·V + j·V, s·L·V + (j+1)·V) are frame j's
-  plane at state s.  States 0..n−2 OR their shared family's minterms as
-  above; the last state ORs M_X & sel_X over every X, where sel_X has the
-  planes of the frames whose last family holds X (for ``old`` Δ, X or
-  S∖X).  Frame j is valid iff its planes hold no zero in any state.  A run
-  that does not fit has no mask.
+- A deeper program's mask comes from passes at width W = count·V over the
+  run's frames (V = 2^(n·k) valuations): bits [s·W + j·V, s·W + (j+1)·V)
+  are frame j's plane at state s.  Each pass covers as many whole
+  last-state rows (the frames that differ only in the last state) as fit
+  2^``_CHUNK_BITS`` bits per state, all L frames if they fit.  The leading
+  states OR their shared family's minterms as above; each trailing state
+  ORs M_X & sel_X over every X, where sel_X has the planes of the frames
+  whose family at that state holds X (for ``old`` Δ, X or S∖X).  Frame j
+  is valid iff its planes hold no zero in any state.  A run whose one row
+  does not fit has no mask.
 
 Only ``frame_valid`` decides locality; ``extension`` and ``taut_valid``
 never do.
@@ -81,7 +84,7 @@ from typing import Sequence
 
 from .formula import And, Atom, Box, Delta, Formula, Not, Top, to_core
 from .model import (_RUN, BudgetError, KripkeModel, NeighborhoodModel,
-                    _local_mask, bits)
+                    _local_mask, _members, bits)
 
 
 class SemanticsKind(Enum):
@@ -174,17 +177,20 @@ def _program(f: Formula) -> Program:
 # ---------------------------------------------------------------------------
 # Evaluation.
 
-# A run's last-state selectors: for Δ (index 0) and □ (index 1), each
-# (X, sel_X) with sel_X nonzero, where sel_X has the V-bit plane of frame j
-# of the run set iff frame j's last family holds X (for ``old`` Δ, X or S∖X).
+# A trailing state's selectors in a pass over frames of a run: for Δ
+# (index 0) and □ (index 1), each (X, sel_X) with sel_X nonzero, where
+# sel_X has the V-bit plane of frame j of the pass set iff frame j's family
+# at that state holds X (for ``old`` Δ, X or S∖X).
 _Selectors = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
 def _run(prog: Program, m: Model, kind: SemanticsKind, width: int,
-         atoms: Sequence[int], last: _Selectors | None = None) -> int:
+         atoms: Sequence[int], tail: tuple[_Selectors, ...] | None = None
+         ) -> int:
     """Value of ``prog`` on ``m`` at plane width ``width``, given each atom's
-    n·width-bit value in ``names`` order.  With ``last``, the last state's
-    family is read from those selectors instead of from ``m``."""
+    n·width-bit value in ``names`` order.  With ``tail``, the families of
+    the last len(tail) states are read from those selectors, one set per
+    state, instead of from ``m``."""
     n = len(m.states)
     full = (1 << n * width) - 1
     vals: list[int] = []
@@ -198,14 +204,14 @@ def _run(prog: Program, m: Model, kind: SemanticsKind, width: int,
         elif op == TOP:
             vals.append(full)
         else:
-            vals.append(_modal(m, kind, op == BOX, vals[a], n, width, last))
+            vals.append(_modal(m, kind, op == BOX, vals[a], n, width, tail))
     return vals[prog.root]
 
 
 def _modal(m: Model, kind: SemanticsKind, box: bool, x: int, n: int,
-           width: int, last: _Selectors | None = None) -> int:
+           width: int, tail: tuple[_Selectors, ...] | None = None) -> int:
     """Δ (or □ if ``box``) applied to the child value ``x``, state by state;
-    ``last`` as for ``_run``."""
+    ``tail`` as for ``_run``."""
     out = 0
     if width == 1:
         # One valuation: the minterm OR below reduces to a membership test,
@@ -222,37 +228,41 @@ def _modal(m: Model, kind: SemanticsKind, box: bool, x: int, n: int,
         return out
     plane = (1 << width) - 1
     pos = [x >> t * width & plane for t in range(n)]
-    neg = [plane ^ p for p in pos]
     if kind is SemanticsKind.KRIPKE:
         for s, r in enumerate(m.succ):
-            yes = no = plane
+            # all successors true, or none: the AND of the planes, or the
+            # complement of their OR
+            yes, some = plane, 0
             for t in bits(r):
                 yes &= pos[t]
-                no &= neg[t]
-            out |= (yes if box else yes | no) << s * width
+                some |= pos[t]
+            out |= (yes if box else yes | plane ^ some) << s * width
         return out
     if n <= _TABLE_STATES:
-        # all 2^n minterms by doubling; index bit t picks pos[t] over neg[t]
+        # all 2^n minterms by doubling; index bit t picks pos[t] over its
+        # complement
         minterms = [plane]
-        for p, q in zip(pos, neg):
+        for p in pos:
+            q = plane ^ p
             minterms = [mt & q for mt in minterms] + [mt & p for mt in minterms]
     else:
-        minterms = _Minterms(pos, neg, plane)
+        minterms = _Minterms(pos, plane)
     both = kind is SemanticsKind.OLD and not box
     full = (1 << n) - 1
-    fams = m.neighborhoods if last is None else m.neighborhoods[:-1]
-    for s, fam in enumerate(fams):
+    lead = n if tail is None else n - len(tail)
+    for s, fam in enumerate(m.neighborhoods[:lead]):
         got = 0
         for mask in fam:
             got |= minterms[mask]
             if both:
                 got |= minterms[full ^ mask]
         out |= got << s * width
-    if last is not None:
-        got = 0
-        for mask, sel in last[box]:
-            got |= minterms[mask] & sel
-        out |= got << (n - 1) * width
+    if tail is not None:
+        for s, sels in enumerate(tail, lead):
+            got = 0
+            for mask, sel in sels[box]:
+                got |= minterms[mask] & sel
+            out |= got << s * width
     return out
 
 
@@ -266,14 +276,14 @@ _TABLE_STATES = 4
 class _Minterms(dict):
     """Minterm planes M_X computed on first lookup of X."""
 
-    def __init__(self, pos: list[int], neg: list[int], plane: int):
+    def __init__(self, pos: list[int], plane: int):
         super().__init__()
-        self.pos, self.neg, self.plane = pos, neg, plane
+        self.pos, self.plane = pos, plane
 
     def __missing__(self, mask: int) -> int:
         got = self.plane
-        for t, (p, q) in enumerate(zip(self.pos, self.neg)):
-            got &= p if mask >> t & 1 else q
+        for t, p in enumerate(self.pos):
+            got &= p if mask >> t & 1 else self.plane ^ p
         self[mask] = got
         return got
 
@@ -470,9 +480,10 @@ def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
     key matches by identity, else built from the walk's ``_Memo`` for
     (``f``, ``kind``).  ``mask`` has bit j set iff frame j is valid: for a
     state-local program from the memo's columns (``model._local_mask``,
-    keyed by the memo), for a deeper one from one run pass (``_run_mask``).
-    It is None for a run of one frame or a deeper program whose run does
-    not fit one pass.  Refused like ``frame_valid``."""
+    keyed by the memo), for a deeper one from the run's passes
+    (``_run_mask``).  It is None for a run of one frame or a deeper program
+    whose last-state row does not fit one pass.  Refused like
+    ``frame_valid``."""
     kept = run.valid_verdict
     if (kept is not None and kept[0] is f and kept[1] is kind
             and kept[2] == max_bits):
@@ -484,62 +495,79 @@ def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
     _check_bits(len(frame.states), len(memo.program.names), max_bits)
     if memo.run is not run:
         memo.run, memo.mask = run, None
-        if len(run.families) > 1:  # a run of one frame has nothing to share
+        if run.count > 1:  # a run of one frame has nothing to share
             memo.mask = (_run_mask(memo, frame, run) if memo.columns is None
-                         else _local_mask(memo.holds, run.head, run.families,
+                         else _local_mask(memo.holds, run.head, run.lists,
                                           run.shared, memo))
     run.valid_verdict = (f, kind, max_bits, memo.mask)
     return run.valid_verdict
 
 
 def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
-    """The run's validity mask from one pass of width L·V, None if L·V does
-    not fit ``_CHUNK_BITS``.  Bits [s·L·V + j·V, s·L·V + (j+1)·V) of the
-    pass's zeros are frame j's falsified valuations at state s: states
-    0..n−2 read ``frame``'s families, which the run shares, and the last
-    state reads the run's selectors.  Frame j is valid iff its V bits are
-    clear in every state's plane."""
-    count = len(run.families)
-    if count << memo.bits > 1 << _CHUNK_BITS:
-        return None
+    """The run's validity mask from its passes, None if it has none.  In a
+    pass over ``count`` frames from frame ``lo``, of width W = count·V,
+    bits [s·W + j·V, s·W + (j+1)·V) of the zeros are frame lo+j's falsified
+    valuations at state s: the leading states read ``frame``'s families,
+    which the run shares, and the trailing states the pass's selectors.
+    Frame lo+j is valid iff its V bits are clear in every state's plane.
+    The states' planes are ORed; adding ``low`` (each block's low V−1 bits)
+    to each block's low part carries into its top bit iff the part is
+    nonzero, so the top bits (``high``) mark the invalid frames, read off
+    every V-th digit of the binary string."""
     prog, kind = memo.program, memo.kind
-    n, k = len(frame.states), len(prog.names)
-    v = 1 << memo.bits
-    width = count * v
-    sels = _selectors(run.families, n, v, kind is SemanticsKind.OLD)
-    zeros = ((1 << n * width) - 1) ^ _run(prog, frame, kind, width,
-                                          _run_layout(n, k, count), sels)
-    block = (1 << width) - 1
-    folded = 0
-    for s in range(n):
-        folded |= zeros >> s * width & block
-    plane = (1 << v) - 1
+    n, v = len(frame.states), 1 << memo.bits
+    passes = _passes(run.lists, run.count, n, len(prog.names),
+                     kind is SemanticsKind.OLD)
+    if not passes:
+        return None
     valid = 0
-    for j in range(count):
-        if not folded >> j * v & plane:
-            valid |= 1 << j
+    for lo, count, atoms, sels, low, high in passes:
+        width = count * v
+        zeros = ((1 << n * width) - 1) ^ _run(prog, frame, kind, width,
+                                              atoms, sels)
+        folded = 0
+        for s in range(n):
+            folded |= zeros >> s * width
+        top = ((folded & low) + low | folded) & high
+        invalid = int(bin(top | 1 << width)[3::v], 2)
+        valid |= (((1 << count) - 1) ^ invalid) << lo
     return valid
 
 
 @lru_cache(maxsize=64)
-def _selectors(families: tuple[frozenset[int], ...], n: int, v: int,
-               old: bool) -> _Selectors:
+def _passes(lists: tuple[tuple[frozenset[int], ...], ...], total: int,
+            n: int, k: int, old: bool) -> tuple:
+    """The passes that build the mask of a run of ``total`` frames over
+    ``lists`` for n states and k atoms, V = 2^(n·k): each ``(lo, count, atoms, selectors, low,
+    high)`` covers ``count`` frames from frame ``lo``, as many whole
+    last-state rows (runs of len(lists[-1]) frames) as fit
+    2^``_CHUNK_BITS`` bits per state, with each atom's value
+    (``_run_layout``), one selector set per trailing state, and the low
+    V−1 bits and the top bit of each frame's V-bit block."""
+    v = 1 << n * k
+    row = len(lists[-1])
+    per = (1 << _CHUNK_BITS) // (row * v) * row
+    if not per:
+        return ()
     full = (1 << n) - 1
-    plane = (1 << v) - 1
-    delta = [0] * (full + 1)
-    box = [0] * (full + 1)
-    for j, fam in enumerate(families):
-        bit = plane << j * v
-        for mask in fam:
-            box[mask] |= bit
-            delta[mask] |= bit
-            if old:
-                delta[full ^ mask] |= bit
-    return tuple(tuple((mask, sel) for mask, sel in enumerate(sels) if sel)
-                 for sels in (delta, box))
+    members = _members(lists, full, v)
+    out = []
+    for lo in range(0, total, per):
+        count = min(per, total - lo)
+        frames = (1 << count * v) - 1
+        sels = []
+        for box in members:
+            box = [sel >> lo * v & frames for sel in box]
+            delta = ([sel | box[full ^ x] for x, sel in enumerate(box)]
+                     if old else box)
+            sels.append(tuple(tuple((x, sel) for x, sel in enumerate(side)
+                                    if sel) for side in (delta, box)))
+        ones = frames // ((1 << v) - 1)  # the lowest bit of each block
+        out.append((lo, count, _run_layout(n, k, count), tuple(sels),
+                    (ones << v - 1) - ones, ones << v - 1))
+    return tuple(out)
 
 
-@lru_cache(maxsize=64)
 def _run_layout(n: int, k: int, count: int) -> tuple[int, ...]:
     """Each atom's value over ``count`` frames at once: its one-pass value
     from ``_layout``, each state's plane repeated ``count`` times."""

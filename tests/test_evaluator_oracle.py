@@ -258,8 +258,8 @@ def _walk_memo(frame, f: Formula, kind: SemanticsKind):
 def _walk_sample(n: int, rnd: random.Random, count: int) -> list:
     """``count`` tagged frames of one new walk at n states, in random order,
     so that later frames meet columns that frames of other runs filled: the
-    c-frames at 1 and 2 states, six runs of 16 c-frames at 3 states and
-    three runs of 12 quasi-filter frames at 4 states, each range from a
+    c-frames at 1 and 2 states, 96 c-frames at 3 states (runs of 256) and
+    36 quasi-filter frames at 4 states (runs of 144), each range from a
     random start."""
     if n <= 2:
         frames = list(_product_frames(n, FRAME_CLASSES["c"]))
@@ -317,23 +317,25 @@ def _heads(frames) -> dict:
     """The frames of each run of a walk, by the run's head families."""
     runs: dict = {}
     for frame in frames:
-        runs.setdefault(frame.neighborhoods[:-1], []).append(frame)
+        runs.setdefault(vars(frame)[_RUN][0].head, []).append(frame)
     return runs
 
 
 def test_frame_answered_from_earlier_entries_runs_no_pass(monkeypatch):
-    # the runs with heads (a, x) and (y, b) fill the walk's columns; the
-    # run with head (a, b) takes each head state's bit from them and the
-    # last state's from the list, so its mask comes from the columns alone:
-    # a valid frame runs no pass, and an invalid one runs one pass of its
-    # own (3 states, 2 atoms: width 2^6), which gives its witness
+    # the run with head (y,) fills the walk's columns: the trailing states'
+    # lists hold every c-family, a among them.  The run with head (a,)
+    # takes its head state's bit and the trailing states' from them, so its
+    # mask comes from the columns alone: a valid frame runs no pass, and an
+    # invalid one runs one pass of its own (3 states, 2 atoms: width 2^6),
+    # which gives its witness
     f = parse("D top -> (D p -> p | q)")
     for kind in (NEW, OLD):
         runs = _heads(_product_frames(3, FRAME_CLASSES["c"]))
         heads = list(runs)
-        (a, x), (y, b) = heads[1 * 16 + 2], heads[3 * 16 + 5]
-        assert a is not y and x is not b
-        for frame in runs[a, x] + runs[y, b]:
+        assert len(heads) == 16
+        (a,), (y,) = heads[5], heads[11]
+        assert a is not y
+        for frame in runs[(y,)]:
             frame_valid(frame, f, kind)
         passes, own = [], []
         evaluate, evaluate_frame = semantics._run, semantics._program_valid
@@ -341,11 +343,11 @@ def test_frame_answered_from_earlier_entries_runs_no_pass(monkeypatch):
             args[3]) or evaluate(*args))
         monkeypatch.setattr(semantics, "_program_valid", lambda *args: own.append(
             args[0]) or evaluate_frame(*args))
-        got = [frame_valid(frame, f, kind) for frame in runs[a, b]]
+        got = [frame_valid(frame, f, kind) for frame in runs[(a,)]]
         monkeypatch.undo()
         assert got == [oracle_frame_valid(frame, f, kind)
-                       for frame in runs[a, b]], kind
-        invalid = [frame for frame, check in zip(runs[a, b], got)
+                       for frame in runs[(a,)]], kind
+        invalid = [frame for frame, check in zip(runs[(a,)], got)
                    if not check]
         assert 0 < len(invalid) < len(got)
         assert own == invalid and passes == [64] * len(invalid), kind
@@ -419,9 +421,10 @@ def test_walk_keeps_one_memo_per_formula_object_and_semantics():
     frame_valid(frame, f, NEW)
     memo = _walk_memo(frame, f, NEW)
     # one column per family value that the call met, the head's own and
-    # the last state's whole list, each keyed by a family object of the walk
-    assert set(memo.columns) == set(run.head) | set(run.families)
-    walk = {id(fam) for fam in run.head + run.families}
+    # the trailing states' whole lists, each keyed by a family object of
+    # the walk
+    assert set(memo.columns) == set(run.head).union(*run.lists)
+    walk = {id(fam) for fam in run.head + sum(run.lists, ())}
     assert all(id(key) in walk for key in memo.columns)
     frame_valid(frame, g, NEW)  # an equal formula, but a new object
     assert _walk_memo(frame, g, NEW) is not memo
@@ -545,9 +548,11 @@ def _class_frames(name: str, n: int) -> list:
 
 
 def _takes_run_path(frame, f: Formula) -> bool:
+    """Whether a depth-2 formula gets a mask on ``frame``'s run: a run of
+    more than one frame whose last-state rows fit one pass."""
     run, _ = vars(frame)[_RUN]
-    count = len(run.families)
-    return count > 1 and count << frame.n * len(metrics(f).vars) <= \
+    row = len(run.lists[-1])
+    return run.count > 1 and row << frame.n * len(metrics(f).vars) <= \
         1 << _CHUNK_BITS
 
 
@@ -662,16 +667,16 @@ def test_run_is_evaluated_once(monkeypatch):
             _run_mask(frame, f, kind)
             frame_valid(frame, f, kind)
         monkeypatch.undo()
-        # 256 runs of 16 frames, each evaluated at width 16 * 2^3; each
-        # invalid frame alone at width 2^3
-        assert [width for width in calls if width != 8] == [16 * 8] * 256
+        # 16 runs of 256 frames (the last two states vary), each evaluated
+        # at width 256 * 2^3; each invalid frame alone at width 2^3
+        assert [width for width in calls if width != 8] == [256 * 8] * 16
         assert calls.count(8) == invalid, kind
     # one pass per (run, program, semantics) through the definability check:
-    # 1, 4 and 256 runs of 2, 4 and 16 frames at 1, 2 and 3 states
+    # 1, 1 and 16 runs of 2, 16 and 256 frames at 1, 2 and 3 states
     monkeypatch.setattr(semantics, "_run", counting)
     calls.clear()
     assert defines(builtin_claim("4"), 3)
-    assert calls == [2 * 2] + [4 * 4] * 4 + [16 * 8] * 256
+    assert calls == [2 * 2] + [16 * 4] + [256 * 8] * 16
 
 
 def test_state_local_run_fills_its_tables_once(monkeypatch):
@@ -706,7 +711,7 @@ def test_state_local_run_fills_its_tables_once(monkeypatch):
             assert got == want, (text, kind)
             assert len(evaluated) == 16, (text, kind, len(evaluated))
             assert {frame.neighborhoods[0] for frame in evaluated} == \
-                set(vars(frames[0])[_RUN][0].families)
+                set().union(*vars(frames[0])[_RUN][0].lists)
             assert all(len(set(frame.neighborhoods)) == 1
                        for frame in evaluated)
             k = len(metrics(f).vars)
@@ -752,7 +757,8 @@ def test_alternating_formulas_keep_their_memos(monkeypatch):
 def test_alternating_deep_formulas_run_one_pass_per_run_each(monkeypatch):
     # two formulas of modal depth 2, one call each per frame in turn: the
     # walk's memo of each keeps its last run's mask, so a switch back reads
-    # it, and each run gets one pass of width 16 * 2^3 per formula
+    # it, and each of the 16 runs gets one pass of width 256 * 2^3 per
+    # formula
     pair = parse("D p -> D D p"), parse("p -> D N p")
     frames = list(_product_frames(3, FRAME_CLASSES["c"]))
     evaluate = semantics._run
@@ -762,8 +768,8 @@ def test_alternating_deep_formulas_run_one_pass_per_run_each(monkeypatch):
         wide = []
 
         def counting(prog, m, *args):
-            if args[1] == 16 * 8:
-                wide.append((prog, m.neighborhoods[:-1]))
+            if args[1] == 256 * 8:
+                wide.append((prog, m.neighborhoods[:1]))
             return evaluate(prog, m, *args)
 
         monkeypatch.setattr(semantics, "_run", counting)
@@ -773,22 +779,26 @@ def test_alternating_deep_formulas_run_one_pass_per_run_each(monkeypatch):
                 out.append(frame_valid(frame, f, kind))
         monkeypatch.undo()
         assert together == want, kind
-        assert len(wide) == len(set(wide)) == 2 * 256, kind
+        assert len(wide) == len(set(wide)) == 2 * 16, kind
 
 
 def test_range_starting_mid_run_matches_the_whole_stream():
-    # the second of two quasi-filter ranges at 3 states starts at frame 63,
-    # which is frame 3 of a run of 5
+    # the second of two ranges starts mid-run: the quasi-filter frames at 3
+    # states are one run of 125, all three states varying, and the second
+    # range starts at its frame 63; the c-frames at 3 states are 16 runs of
+    # 256, and a range from frame 1000 starts at frame 232 of the fourth
     f = parse("N p -> D(q | N p)")
-    stream = list(_product_frames(3, FRAME_CLASSES["quasi-filter"]))
-    part = list(_product_frames(3, FRAME_CLASSES["quasi-filter"], 63, 125))
-    assert part == stream[63:]
-    assert [vars(fr)[_RUN][1] for fr in part[:4]] == [3, 4, 0, 1]
-    for kind in (NEW, OLD):
-        for a, b in zip(part, stream[63:]):
-            assert frame_valid(a, f, kind) == frame_valid(b, f, kind) == \
-                frame_valid(_untagged(a), f, kind), (kind, a)
-            assert _run_bit(a, f, kind) == _run_bit(b, f, kind), (kind, a)
+    for name, start, index in (("quasi-filter", 63, [63, 64, 65, 66]),
+                               ("c", 1000, [232, 233, 234, 235])):
+        stream = list(_product_frames(3, FRAME_CLASSES[name]))
+        part = list(_product_frames(3, FRAME_CLASSES[name], start))
+        assert part == stream[start:]
+        assert [vars(fr)[_RUN][1] for fr in part[:4]] == index
+        for kind in (NEW, OLD):
+            for a, b in zip(part, stream[start:]):
+                assert frame_valid(a, f, kind) == frame_valid(b, f, kind) \
+                    == frame_valid(_untagged(a), f, kind), (kind, a)
+                assert _run_bit(a, f, kind) == _run_bit(b, f, kind), (kind, a)
 
 
 def test_pickle_round_trip_drops_the_run():

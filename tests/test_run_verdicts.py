@@ -77,9 +77,9 @@ def _ranges():
                 yield name, n, 300, 300 + 3 * 256
             else:
                 yield name, n, 0, None
-    yield "c", 3, 1000, 1300          # runs of 16
-    yield "filter", 3, 5, 300         # runs of 8
-    yield "quasi-filter", 3, 63, 125  # runs of 5
+    yield "c", 3, 1000, 1300          # runs of 256
+    yield "filter", 3, 5, 300         # runs of 64
+    yield "quasi-filter", 3, 63, 125  # one run of 125
 
 
 # --- the fast path against untagged copies ---------------------------------
@@ -225,8 +225,8 @@ def test_every_other_frame_is_evaluated_on_its_own(monkeypatch):
 # --- a kept verdict answers only its own key --------------------------------
 
 def _small_runs() -> list[NeighborhoodModel]:
-    """Tagged frames of a few whole runs: ``all`` at 2 states (runs of 16)
-    and c at 3 states from a start mid-run (runs of 16)."""
+    """Tagged frames of a few runs: ``all`` at 2 states (one run of 256)
+    and c at 3 states from a start mid-run (runs of 256)."""
     return (list(_product_frames(2, frozenset()))
             + list(_product_frames(3, FRAME_CLASSES["c"], 1000, 1100)))
 
@@ -332,8 +332,8 @@ def test_claim_and_formula_verdicts_are_kept_apart(monkeypatch):
     for frame in frames:
         assert check_frame(claim, frame) is None
         got.append(frame_valid(frame, g, NEW))
-    assert len(runs) == len(claimed) == 256
+    assert len(runs) == len(claimed) == 16
     # one validity mask for the claim's formula and one for g, per run
-    assert len(masks) == 2 * 256
+    assert len(masks) == 2 * 16
     assert got == [frame_valid(_copy(frame), g, NEW) for frame in frames]
     assert sum(not check for check in got) > 1000
