@@ -26,7 +26,9 @@ a code.
 Random generation is deterministic per seed; constrained sampling draws
 per-state families from the admissible lists wherever they may be built and
 falls back to closure-then-check above that.  A sampled size whose families
-could hold more than the limit in total (n·2^n members) is refused.
+could hold more than the limit in total (n·2^n members) is refused, and so is
+``frame_at`` at such a size and a random Kripke model whose successor sets
+could hold more (n·n pairs).
 Distribution shape is not a contract.
 """
 
@@ -121,7 +123,11 @@ def frame_from_codes(n: int, codes: Sequence[int]) -> NeighborhoodModel:
 
 
 def frame_at(n: int, index: int) -> NeighborhoodModel:
-    """Frame #index of the raw (unfiltered) exhaustive stream at n states."""
+    """Frame #index of the raw (unfiltered) exhaustive stream at n states.
+    Refused, like a random frame, where its families could hold more than
+    ``MAX_ENUMERATION`` members in total (n·2^n, from 20 states)."""
+    _check_enumeration(n * _pow2(n), f"{n}-state families could hold "
+                                     f"{n}·2^{n} members")
     base = 1 << (1 << n)
     codes = []
     for _ in range(n):
@@ -578,10 +584,13 @@ def random_model(spec: GenSpec, atoms: Sequence[str]) -> NeighborhoodModel:
 
 def random_kripke(spec: GenSpec, atoms: Sequence[str]) -> KripkeModel:
     """Seed-deterministic random Kripke model; a property filter is a
-    ``ValueError``."""
+    ``ValueError``.  Refused where its successor sets could hold more than
+    ``MAX_ENUMERATION`` pairs (n·n, above 4,096 states)."""
     _no_kripke_filter(spec)
-    rnd = random.Random(spec.seed)
     n = spec.n_states
+    _check_enumeration(n * n, f"random {n}-state successor sets could "
+                              f"hold {n}·{n} pairs")
+    rnd = random.Random(spec.seed)
     succ = tuple(rnd.getrandbits(n) for _ in range(n))
     valuation = {p: rnd.getrandbits(n) for p in atoms}
     return KripkeModel(state_names(n), succ, valuation)

@@ -28,8 +28,8 @@ bit j set iff frame j's family there holds y, each clause reads holders[z]
 (the states that have z as a neighborhood), and its 2^r candidate holder
 sets, one per set of trailing states added to the head's holders, pick the
 frames where exactly those trailing states hold z, in O(n·2^n·2^r) per run.
-``has_property`` on one frame runs the same code on a run of one frame with
-no trailing state.
+A single frame is a run of one with no trailing state, for every property:
+``has_property`` reads the same ``_mask`` as a swept run does.
 
 Quasi-filter normal form: a family N has (n), (i), (c), (ws) iff N = Q_R =
 {X : R ⊆ X or X ∩ R = ∅} for R = {t : {t} ∉ N}.  (n), (c), (i) make N a
@@ -327,15 +327,10 @@ def is_qf_family(family: frozenset[int], full: int) -> bool:
 
 
 def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
-    """Whether every state's neighborhood family satisfies ``prop``.  A local
-    property reads each family's cached verdict; (b), (4) and (5) read the
-    model as a run of one frame, with no trailing state."""
-    fams = m.neighborhoods
-    if prop in LOCAL_PROPERTIES:
-        full, at_state = m.full, prop is FrameProperty.T
-        return all(_family_verdict(prop, fam, full, s if at_state else -1)
-                   for s, fam in enumerate(fams))
-    return _mask(prop, fams, (), {}) == 1
+    """Whether ``m`` has ``prop``: the mask of ``m`` read as a run of one
+    frame, with no trailing state.  A local property reads each family's
+    cached verdict there."""
+    return _mask(prop, m.neighborhoods, (), {}) == 1
 
 
 @functools.lru_cache(maxsize=1 << 10)

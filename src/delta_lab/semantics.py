@@ -62,7 +62,8 @@ program and the last run's mask.  A run of one frame has no mask.
   run pass.
 - A deeper program's mask comes from passes at width W = count·V over the
   run's frames (V = 2^(n·k) valuations): bits [s·W + j·V, s·W + (j+1)·V)
-  are frame j's plane at state s.  Each pass covers as many whole
+  are frame j's plane at state s, and the atoms' values come from
+  ``_layout``, as for one frame.  Each pass covers as many whole
   last-state rows (the frames that differ only in the last state) as fit
   2^``_CHUNK_BITS`` bits per state, all L frames if they fit.  The leading
   states OR their shared family's minterms as above; each trailing state
@@ -268,8 +269,9 @@ def _modal(m: Model, kind: SemanticsKind, box: bool, x: int, n: int,
 
 # Frames up to this many states get the full minterm table at each modal op;
 # larger ones compute only the minterms their families name, since the table
-# grows as 2^n.  On the sweep workload's 2- and 3-state frames the table gives
-# ~15% more queries per second than building every minterm on first use.
+# grows as 2^n.  The lazy ``_Minterms`` at every size is slower on small
+# frames: a sweep round read x1.027 and ``audit --system K --max-states 3``
+# x1.076 (2 vCPU, Python 3.11.7).
 _TABLE_STATES = 4
 
 
@@ -319,13 +321,17 @@ _CHUNK_BITS = 12
 
 
 @lru_cache(maxsize=256)
-def _layout(n: int, k: int) -> tuple[int, tuple[int, ...],
-                                     tuple[tuple[int, int, int], ...]]:
+def _layout(n: int, k: int, count: int = 1
+            ) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """The valuation-index bits one pass sweeps, each atom's value over them,
     and the (atom, state, pass-number bit) triples for the bits above them,
-    whose states a pass fills in with a constant plane."""
+    whose states a pass fills in with a constant plane.  With ``count``
+    frames side by side (n·k ≤ ``_CHUNK_BITS``, so there are no such bits),
+    each state's plane is ``count`` V-bit blocks, V = 2^(n·k), one per
+    frame: an atom's pattern has a period that divides V, so it runs on
+    unchanged across the blocks."""
     width_bits = min(n * k, _CHUNK_BITS)
-    width = 1 << width_bits
+    width = count << width_bits
     ones = (1 << width) - 1
     atoms = [0] * k
     high = []
@@ -400,6 +406,10 @@ def _first_zeros(frame: Model, prog: Program, kind: SemanticsKind,
 
 
 def _modal_depth(prog: Program) -> int:
+    """The modal depth of a compiled program.  Read off the program, not
+    ``formula.metrics``: metrics walks the formula and costs 7.5-12.7 us per
+    memo against 1.4-2.6 us here, which made the small audit rows about 10%
+    slower (2 vCPU, Python 3.11.7)."""
     depth: list[int] = []
     for op, a, b in prog.ops:
         if op in (ATOM, TOP):
@@ -495,7 +505,12 @@ def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
     _check_bits(len(frame.states), len(memo.program.names), max_bits)
     if memo.run is not run:
         memo.run, memo.mask = run, None
-        if run.count > 1:  # a run of one frame has nothing to share
+        # A run of one frame gets no mask: the mask would cost its frame's
+        # one evaluation, and an invalid frame would be evaluated again for
+        # its witness.  A mask made the 1-state ``countermodel --formula
+        # "D p -> p" --class quasi-filter`` row 5-10% slower (0.20-0.21
+        # against 0.21-0.23 ms, 2 vCPU, Python 3.11.7).
+        if run.count > 1:
             memo.mask = (_run_mask(memo, frame, run) if memo.columns is None
                          else _local_mask(memo.holds, run.head, run.lists,
                                           run.shared, memo))
@@ -538,14 +553,23 @@ def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
 def _passes(lists: tuple[tuple[frozenset[int], ...], ...], total: int,
             n: int, k: int, old: bool) -> tuple:
     """The passes that build the mask of a run of ``total`` frames over
-    ``lists`` for n states and k atoms, V = 2^(n·k): each ``(lo, count, atoms, selectors, low,
-    high)`` covers ``count`` frames from frame ``lo``, as many whole
-    last-state rows (runs of len(lists[-1]) frames) as fit
-    2^``_CHUNK_BITS`` bits per state, with each atom's value
-    (``_run_layout``), one selector set per trailing state, and the low
-    V−1 bits and the top bit of each frame's V-bit block."""
+    ``lists`` for n states and k atoms, V = 2^(n·k): each ``(lo, count,
+    atoms, selectors, low, high)`` covers ``count`` frames from frame
+    ``lo``, as many whole last-state rows (runs of len(lists[-1]) frames)
+    as fit 2^``_CHUNK_BITS`` bits per state, with each atom's value laid
+    out by ``_layout`` over ``count`` frames, one selector set per trailing
+    state, and the low V−1 bits and the top bit of each frame's V-bit
+    block."""
     v = 1 << n * k
     row = len(lists[-1])
+    # Whole rows only, so a run whose row does not fit a pass has no mask and
+    # its frames are evaluated one by one.  Packing 2^12 >> n·k frames per
+    # pass from any offset would give every run with n·k ≤ 12 a mask, but
+    # each invalid frame would then be evaluated twice, for the mask and for
+    # its witness.  On 3-state c-frames that took ``D D(p & q) -> D D(p | r)``
+    # from 31.1 to 54.3 us per frame and a 4-atom depth-2 formula from 60.2
+    # to 120.5 us; one 3-atom case went from 46.6 to 37.0 us, so the rule is
+    # a trade (2 vCPU, Python 3.11.7).
     per = (1 << _CHUNK_BITS) // (row * v) * row
     if not per:
         return ()
@@ -563,22 +587,9 @@ def _passes(lists: tuple[tuple[frozenset[int], ...], ...], total: int,
             sels.append(tuple(tuple((x, sel) for x, sel in enumerate(side)
                                     if sel) for side in (delta, box)))
         ones = frames // ((1 << v) - 1)  # the lowest bit of each block
-        out.append((lo, count, _run_layout(n, k, count), tuple(sels),
+        out.append((lo, count, _layout(n, k, count)[1], tuple(sels),
                     (ones << v - 1) - ones, ones << v - 1))
     return tuple(out)
-
-
-def _run_layout(n: int, k: int, count: int) -> tuple[int, ...]:
-    """Each atom's value over ``count`` frames at once: its one-pass value
-    from ``_layout``, each state's plane repeated ``count`` times."""
-    _, atoms, _ = _layout(n, k)
-    v = 1 << n * k
-    width = count * v
-    plane = (1 << v) - 1
-    repeat = ((1 << width) - 1) // plane
-    return tuple(sum((a >> s * v & plane) * repeat << s * width
-                     for s in range(n))
-                 for a in atoms)
 
 
 # Truth-table rows are the valuations of a one-state frame.

@@ -80,6 +80,27 @@ def test_exhaustive_budget():
     assert next(enum_frames(GenSpec(3))) == frame_at(3, 0)
 
 
+def test_random_kripke_refuses_above_the_limit():
+    # 4096·4096 successor pairs are exactly the limit, 4097·4097 are not
+    assert random_kripke(GenSpec(4096, seed=3), []).n == 4096
+    with pytest.raises(BudgetError) as info:
+        random_kripke(GenSpec(4097, seed=3), ["p"])
+    message = str(info.value)
+    assert "4097·4097" in message and "16,777,216" in message, message
+    assert "\n" not in message
+
+
+def test_frame_at_refuses_above_the_limit():
+    # 19·2^19 members fit in 2^24, 20·2^20 do not, as for random frames
+    assert frame_at(19, 0).n == 19
+    for n in (20, 24):
+        with pytest.raises(BudgetError) as info:
+            frame_at(n, 0)
+        message = str(info.value)
+        assert f"{n}·2^{n}" in message and "16,777,216" in message, message
+        assert "\n" not in message
+
+
 def test_count_frames_equals_the_streamed_count():
     # closed-form counts stream nothing; the 16.7M frames of ``all`` at 3
     # states are compared with their closed form, (2^(2^3))^3, instead
