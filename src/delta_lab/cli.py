@@ -39,13 +39,11 @@ from . import bisim, definability, generators, proofsys, transform
 from .formula import Formula, ParseError, parse
 from .model import (BudgetError, FrameProperty, KripkeModel,
                     NeighborhoodModel, frame_class, validate)
-from .semantics import SemanticsKind, evaluate
+from .semantics import MAX_BITS, SemanticsKind, evaluate
 
 EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_USAGE = 2
-
-DEFAULT_BUDGET = 24
 
 
 class CliError(argparse.ArgumentTypeError):
@@ -408,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--budget", type=_budget,
                      help="valuation-sweep budget in bits: a frame sweep "
                           "over more than 2^N valuations is refused "
-                          f"(default: DELTA_LAB_BUDGET, else {DEFAULT_BUDGET})")
+                          f"(default: DELTA_LAB_BUDGET, else {MAX_BITS})")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a formula at a state")
@@ -482,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _env_budget() -> int:
-    text = os.environ.get("DELTA_LAB_BUDGET", str(DEFAULT_BUDGET))
+    text = os.environ.get("DELTA_LAB_BUDGET", str(MAX_BITS))
     try:
         return _budget(text)
     except CliError as exc:

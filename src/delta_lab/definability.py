@@ -15,8 +15,9 @@ from typing import Iterable
 from .formula import Formula, parse
 from .generators import first_hit, sweep
 from .model import (_RUN, FRAME_CLASSES, FrameProperty, NeighborhoodModel,
-                    _run_props, has_property)
-from .semantics import FrameCheck, SemanticsKind, _verdict, frame_valid
+                    has_property)
+from .semantics import (MAX_BITS, FrameCheck, SemanticsKind, _run_props,
+                        _verdict, frame_valid)
 
 _TABLE = (
     ("n", "D top", "c"),
@@ -77,13 +78,13 @@ def builtin_claim(letter: str) -> DefinabilityClaim:
 
 
 def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
-                max_bits: int = 24) -> Counterexample | None:
+                max_bits: int = MAX_BITS) -> Counterexample | None:
     """The per-frame biconditional: property holds iff the formula is valid.
 
     A frame of a product sweep reads one bit of its run's ``claim_verdict``,
     kept under this claim object and ``max_bits``: ``valid ^ props``, from
     the run's validity mask (``semantics._verdict``) and property mask
-    (``model._run_props``), or every bit if the run has no validity mask.
+    (``semantics._run_props``), or every bit if the run lacks either.
     A clear bit answers: no counterexample.  Every other frame is checked
     on its own, and a counterexample holds an untagged copy of it."""
     handle = frame.__dict__.get(_RUN)
@@ -93,9 +94,10 @@ def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
         if kept is None or kept[0] is not claim or kept[1] != max_bits:
             valid = _verdict(frame, run, claim.formula, claim.semantics,
                              max_bits)[3]
-            differ = (-1 if valid is None
-                      else valid ^ _run_props(run, claim.prop))
-            kept = run.claim_verdict = (claim, max_bits, differ)
+            props = None if valid is None else _run_props(frame, run,
+                                                          claim.prop)
+            kept = run.claim_verdict = (
+                claim, max_bits, -1 if props is None else valid ^ props)
         if not kept[2] >> index & 1:
             return None
     holds = has_property(frame, claim.prop)
@@ -120,7 +122,7 @@ def _check_at(claim: DefinabilityClaim, max_bits: int,
 
 def defines(claim: DefinabilityClaim, max_states: int = 2,
             frames: Iterable[NeighborhoodModel] | None = None,
-            max_bits: int = 24, jobs: int = 1) -> DefinesResult:
+            max_bits: int = MAX_BITS, jobs: int = 1) -> DefinesResult:
     """Verify the claim over every background-class frame with at most
     ``max_states`` states, or over an explicit frame stream.  ``jobs`` is
     passed to ``generators.sweep``; the result is the same for every value."""

@@ -47,8 +47,9 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
 from .model import (FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
-                    FrameProperty, KripkeModel, NeighborhoodModel, _run_props,
-                    bits, family_satisfies, has_property, qf_family, submasks)
+                    FrameProperty, KripkeModel, NeighborhoodModel, bits,
+                    family_satisfies, has_property, qf_family, submasks)
+from .semantics import _run_props
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -268,8 +269,9 @@ class _Run:
     least significant: the product's own order.  ``count`` is the number of
     frames.  ``shared`` is one dict for every run of a ``_product_frames``
     call, the walk: what ``model`` and ``semantics`` build once per walk,
-    such as the trailing states' verdicts, the rows of (b), (4) and (5) and
-    ``semantics``' memo of each (formula object, semantics).
+    such as the trailing states' verdicts and ``semantics``' memo of each
+    (formula object, semantics), the correspondents of (b), (4) and (5)
+    among them.
 
     Each per-frame check keeps the one mask it reads, under its own key
     compared by identity, so a swept frame's call is one key comparison
@@ -304,7 +306,8 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     product of their list lengths within ``_RUN_FRAMES``, and at least the
     last state.  Each frame is tagged with its run and its index in that
     run, read off its raw product index, so a range that starts mid-run
-    tags the same way.  Global properties are read from the run's masks.
+    tags the same way.  Global properties are read from the run's masks
+    (``semantics._run_props``), and frame by frame where the run has none.
 
     A frame's fields and its handle (under ``model._RUN``) are written
     straight into the instance ``__dict__`` in one update: the frozen
@@ -333,8 +336,12 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
         indices = range(offset, min(width, stop - base))
         if global_props:
             keep = -1
+            first = NeighborhoodModel(names, head + tails[0])
             for p in global_props:
-                keep &= _run_props(run, p)
+                mask = _run_props(first, run, p)
+                keep &= mask if mask is not None else sum(
+                    has_property(NeighborhoodModel(names, head + tails[i]), p)
+                    << i for i in indices)
             indices = [index for index in indices if keep >> index & 1]
         for index in indices:
             frame = new(NeighborhoodModel)
@@ -509,12 +516,17 @@ def enum_kripke_frames(spec: GenSpec) -> Iterator[KripkeModel]:
         yield KripkeModel(names, succ)
 
 
-def _random_family(n: int, props: frozenset[FrameProperty],
+def _random_family(n: int, props: frozenset[FrameProperty], state: int,
                    rnd: random.Random) -> frozenset[int]:
-    """A random family closed under whatever (n)/(c)/(s)/(i) require; the
-    caller verifies the remaining properties and retries."""
+    """A random family for ``state`` closed under whatever (n)/(c)/(s)/(i)
+    require; under (t) every drawn set holds the state, which the (n), (s)
+    and (i) closures keep.  (c) adds each member's complement, which leaves
+    the state out, so with (c) a (t) family still comes only from an empty
+    draw.  The caller verifies the remaining properties and retries."""
     full = (1 << n) - 1
-    fam = {rnd.getrandbits(n) for _ in range(rnd.randrange(0, n + 3))}
+    own = 1 << state if FrameProperty.T in props else 0
+    fam = {rnd.getrandbits(n) | own
+           for _ in range(rnd.randrange(0, n + 3))}
     if FrameProperty.N in props:
         fam.add(full)
     # Complement, superset and intersection closures feed each other;
@@ -561,7 +573,7 @@ def _random_frame(n: int, props: frozenset[FrameProperty],
                     f"no {n}-state family satisfies {sorted(p.value for p in local)}")
             frame = frame_from_codes(n, codes)
         else:
-            fams = tuple(_random_family(n, local, rnd) for _ in range(n))
+            fams = tuple(_random_family(n, local, s, rnd) for s in range(n))
             frame = NeighborhoodModel(state_names(n), fams)
             if not all(family_satisfies(p, fam, frame.full, s)
                        for p in local

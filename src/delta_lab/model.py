@@ -6,30 +6,33 @@ an empty valuation.  Both model types share one base class, ``Model``.
 
 Property checks are polynomial in the families' size: (s) asks X ∪ {i} ∈ N
 for each X ∈ N and i ∉ X; (ws) reads N's upward core, built largest first by
-the same one-step rule; (b), (4), (5) read which states hold each set as a
-neighborhood.  Models keep no verdicts: a verdict is a function of the
-families, cached per family value.  A local property's verdict on a family
-is kept in a table per (property, size), or per (property, size, state) for
-(t), and a composite class's in a table per (class, size).  Sweep frames
-share their family objects, and fresh models repeat value-equal families.
+the same one-step rule.  Models keep no verdicts: a verdict is a function of
+the families, cached per family value.  A local property's verdict on a
+family is kept in a table per (property, size), or per (property, size,
+state) for (t), and a composite class's in a table per (class, size).
+Sweep frames share their family objects, and fresh models repeat
+value-equal families.
+
+(b), (4) and (5) read more than one state's family.  Each is the frame
+condition that a modal axiom defines on neighborhood frames, where □φ holds
+at s iff φ's extension is in N(s) (Chellas, *Modal Logic: An
+Introduction*, 1980, ch. 7-9; Pacuit, *Neighborhood Semantics for Modal
+Logic*, 2017), so each is decided as the frame validity of that axiom, its
+*correspondent* (``CORRESPONDENTS``), under ``new``, by ``semantics``' one
+evaluator.  □ is ``B``, which reads N(s) under both neighborhood semantics.
 
 A frame of ``generators``' product sweep belongs to a *run*, the frames that
 share the leading states' families and vary the r trailing states, frame j
-taking entry d_t of trailing list t for the mixed-radix digits d_t of j
-(``_members``).  ``_run_props`` answers for the whole run with a mask whose
-bit j is frame j's verdict.  Any verdict that is a function of (family,
-state) gets its run mask from ``_local_mask``: the head states' verdicts
+taking entry d_t of trailing list t for the mixed-radix digits d_t of j.
+``_mask`` answers a local property for the whole run with a mask whose bit
+j is frame j's verdict, from ``_local_mask``: the head states' verdicts
 ANDed with the trailing states' mask over their lists, kept for every run
-of the sweep.  Local properties read it through ``_family_verdict``, and
-``semantics`` reads it for formulas of modal depth at most 1 through the
-columns of its walk memos.  (b), (4) and (5) are written once, as a
-bit-parallel loop over their clauses (s, x): row[y] of a trailing state has
-bit j set iff frame j's family there holds y, each clause reads holders[z]
-(the states that have z as a neighborhood), and its 2^r candidate holder
-sets, one per set of trailing states added to the head's holders, pick the
-frames where exactly those trailing states hold z, in O(n·2^n·2^r) per run.
-A single frame is a run of one with no trailing state, for every property:
-``has_property`` reads the same ``_mask`` as a swept run does.
+of the sweep.  ``semantics`` reads the same rule for formulas of modal
+depth at most 1, through the columns of its walk memos, and the mask of
+(b), (4) or (5) is the run's validity mask of its correspondent
+(``semantics._run_props``).  A single frame is a run of one with no
+trailing state: ``has_property`` reads a local property from the same
+``_mask`` as a swept run does.
 
 Quasi-filter normal form: a family N has (n), (i), (c), (ws) iff N = Q_R =
 {X : R ⊆ X or X ∩ R = ∅} for R = {t : {t} ∉ N}.  (n), (c), (i) make N a
@@ -43,11 +46,12 @@ model, to name the one that fails.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
                     TypeVar)
+
+from .formula import Formula, parse
 
 
 _M = TypeVar("_M", bound="Model")
@@ -105,10 +109,16 @@ class FrameProperty(Enum):
         raise ValueError(f"unknown frame property {letter!r}")
 
 
+# The modal axioms whose frame validity under ``new`` is (b), (4) and (5):
+# p → □◇p, □p → □□p and ◇p → □◇p, with ◇ = ~□~ and □ written ``B``.
+CORRESPONDENTS: dict[FrameProperty, Formula] = {
+    FrameProperty.B: parse("p -> B ~B ~p"),
+    FrameProperty.FOUR: parse("B p -> B B p"),
+    FrameProperty.FIVE: parse("~B p -> B ~B p"),
+}
+
 # Properties whose clause reads only one state's neighborhood family.
-LOCAL_PROPERTIES = frozenset(
-    p for p in FrameProperty
-    if p not in (FrameProperty.B, FrameProperty.FOUR, FrameProperty.FIVE))
+LOCAL_PROPERTIES = frozenset(FrameProperty) - CORRESPONDENTS.keys()
 
 # Composite model classes and the frame classes used in sweeps.
 MODEL_CLASSES: dict[str, frozenset[FrameProperty]] = {
@@ -327,10 +337,18 @@ def is_qf_family(family: frozenset[int], full: int) -> bool:
 
 
 def has_property(m: NeighborhoodModel, prop: FrameProperty) -> bool:
-    """Whether ``m`` has ``prop``: the mask of ``m`` read as a run of one
-    frame, with no trailing state.  A local property reads each family's
-    cached verdict there."""
-    return _mask(prop, m.neighborhoods, (), {}) == 1
+    """Whether ``m`` has ``prop``.  A local property reads the mask of ``m``
+    as a run of one frame, with no trailing state, from each family's cached
+    verdict.  (b), (4) and (5) are the frame validity of their
+    correspondent under ``new``, a one-atom sweep of 2^n valuations, under
+    the default valuation budget ``semantics.MAX_BITS``: a frame of more
+    than 24 states is refused with ``BudgetError``."""
+    if prop in LOCAL_PROPERTIES:
+        return _mask(prop, m.neighborhoods, (), {}) == 1
+    from . import semantics  # it imports this module
+    return semantics._program_valid(
+        m, semantics._CORRESPONDENTS[prop], semantics.SemanticsKind.NEW,
+        semantics.MAX_BITS).valid
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -347,38 +365,14 @@ def _family_verdict(prop: FrameProperty, family: frozenset[int], full: int,
     return family_satisfies(prop, family, full, state)
 
 
-def _members(lists: tuple[tuple[frozenset[int], ...], ...], full: int,
-             width: int = 1) -> list[list[int]]:
-    """For each trailing state of a run over ``lists``, row[y]: the frames
-    whose family at that state holds y, ``width`` bits per frame.  Frame j
-    takes entry d_t of list t, the digits of j in the mixed radix of the
-    list lengths with the last list least significant, so the frames of
-    one entry of list t are runs of ``stride`` frames, one every
-    ``period``."""
-    count = math.prod(map(len, lists))
-    ones = (1 << count * width) - 1
-    stride, out = count, []
-    for fams in lists:
-        stride //= len(fams)
-        period = len(fams) * stride
-        block = (1 << stride * width) - 1
-        repeat = ones // ((1 << period * width) - 1)
-        row = [0] * (full + 1)
-        for i, fam in enumerate(fams):
-            frames = (block << i * stride * width) * repeat
-            for y in fam:
-                row[y] |= frames
-        out.append(row)
-    return out
-
-
 def _local_mask(holds: Callable[[frozenset[int], int], Any],
                 head: tuple[frozenset[int], ...],
                 lists: tuple[tuple[frozenset[int], ...], ...], shared: dict,
                 key: Hashable) -> int:
     """The run mask of a local verdict: bit j set iff ``holds(fam, s)`` is
     true for every state s and its family in frame j, the head's and the
-    trailing states' (entry d_t of list t, as for ``_members``).  The
+    trailing states' (entry d_t of list t, for the mixed-radix digits d_t
+    of j with the last list least significant).  The
     trailing states' mask depends on the lists alone, so ``shared`` keeps
     it under ``key`` for every head that shares them; the head's verdicts
     are fixed for the run.  The mask is built from the last list up: the
@@ -400,95 +394,18 @@ def _local_mask(holds: Callable[[frozenset[int], int], Any],
     return tail
 
 
-def _run_props(run, prop: FrameProperty) -> int:
-    """Bit j set iff frame j of a ``generators._Run`` has ``prop``."""
-    return _mask(prop, run.head, run.lists, run.shared)
-
-
-# Key of the (b), (4), (5) rows and holder cases in a run's ``shared`` dict.
-_SEL = "sel"
-
-
 def _mask(prop: FrameProperty, head: tuple[frozenset[int], ...],
           lists: tuple[tuple[frozenset[int], ...], ...], shared: dict) -> int:
     """Bit j set iff the frame with the families ``head`` at the leading
-    states and frame j's entries of ``lists`` at the trailing ones has
-    ``prop``; with no lists, the one frame ``head``.  ``shared`` keeps what
-    depends on ``lists`` alone, for every head that shares them: the
-    trailing states' verdicts of a local property, under the property, and
-    the rows and holder cases of (b), (4) and (5)."""
+    states and frame j's entries of ``lists`` at the trailing ones has the
+    local property ``prop``; with no lists, the one frame ``head``.
+    ``shared`` keeps the trailing states' verdicts under the property, for
+    every head that shares the lists."""
     full = (1 << len(head) + len(lists)) - 1
-    if prop in LOCAL_PROPERTIES:
-        at_state = prop is FrameProperty.T
-        return _local_mask(
-            lambda fam, s: _family_verdict(prop, fam, full,
-                                           s if at_state else -1),
-            head, lists, shared, prop)
-    tail = shared.get(_SEL)
-    if tail is None:
-        rows = _members(lists, full)
-        ones = (1 << math.prod(map(len, lists))) - 1
-        # cases[z]: a (T, frames) pair for each set T of trailing states, as
-        # state bits, that are exactly the trailing holders of z in some
-        # frames of the run, with those frames; they split the run
-        cases = [[(0, ones)]] * (full + 1)
-        for t, row in enumerate(rows, len(head)):
-            cases = [[pair for b, frames in got
-                      for pair in ((b | 1 << t, frames & has),
-                                   (b, frames & ~has))
-                      if pair[1]]
-                     for got, has in zip(cases, row)]
-        tail = shared[_SEL] = (rows, cases, ones)
-    return _clauses(prop, head, *tail)
-
-
-def _clauses(prop: FrameProperty, head: tuple[frozenset[int], ...],
-             rows: list[list[int]], cases: list[list[tuple[int, int]]],
-             ones: int) -> int:
-    """(b), (4) or (5) over a run, bit-parallel, with a bit per frame:
-    ``rows`` holds each trailing state's row (``_members``) and ``cases``
-    the holder cases (``_mask``).  Each clause (s, x) asks whether
-    a set built from holders[z], the states that have z as a neighborhood,
-    is in N(s).  The head's holders are fixed; the frames of case (T, ·)
-    add the trailing states T, so the clause reads target ``t0 ^ T`` on
-    them, 2^r cases for r trailing states."""
-    if prop not in (FrameProperty.B, FrameProperty.FOUR, FrameProperty.FIVE):
-        raise ValueError(f"unknown frame property {prop!r}")
-    full = len(cases) - 1
-    holders = [0] * (full + 1)
-    lead = []  # each head state's row: the frames whose N(s) holds y
-    for u, fam in enumerate(head):
-        row = [0] * (full + 1)
-        for x in fam:
-            holders[x] |= 1 << u
-            row[x] = ones
-        lead.append(row)
-    rows = lead + rows
-    ok = ones
-    for s, row in enumerate(rows):
-        for x in range(full + 1):
-            if prop is FrameProperty.B:
-                # s ∈ x → S ∖ holders[S ∖ x] ∈ N(s)
-                if not x >> s & 1:
-                    continue
-                when, z = ones, full ^ x
-                t0 = full ^ holders[z]
-            elif prop is FrameProperty.FOUR:
-                # x ∈ N(s) → holders[x] ∈ N(s)
-                when, z = row[x], x
-                t0 = holders[x]
-            else:
-                # x ∉ N(s) → S ∖ holders[x] ∈ N(s)
-                when, z = ones ^ row[x], x
-                t0 = full ^ holders[x]
-            if when:
-                good = ones ^ when
-                for t, frames in cases[z]:
-                    good |= frames & row[t0 ^ t]
-                ok &= good
-                if not ok:
-                    return 0
-    return ok
+    at_state = prop is FrameProperty.T
+    return _local_mask(
+        lambda fam, s: _family_verdict(prop, fam, full, s if at_state else -1),
+        head, lists, shared, prop)
 
 
 @functools.lru_cache(maxsize=1 << 10)

@@ -21,7 +21,8 @@ from .formula import (And, Atom, Delta, Formula, Iff, Imp, Not, Or, Top,
                       arity, parse, subformulas, walk)
 from .generators import plan, sweep, worker_pool
 from .model import NeighborhoodModel, frame_class
-from .semantics import FrameCheck, SemanticsKind, frame_valid, taut_valid
+from .semantics import (MAX_BITS, FrameCheck, SemanticsKind, frame_valid,
+                        taut_valid)
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -258,7 +259,7 @@ def _counterexample(f: Formula, max_bits: int, frame: NeighborhoodModel,
 
 
 def audit_soundness(system: AxiomSystem, max_states: int = 2,
-                    max_bits: int = 24, jobs: int = 1) -> AuditReport:
+                    max_bits: int = MAX_BITS, jobs: int = 1) -> AuditReport:
     """Sweep every frame of the system's class up to ``max_states`` against a
     fresh-atom instance of each axiom schema.  The report also carries the
     standing negative result: the smallest filter frame (monotone, closed
@@ -283,8 +284,8 @@ def audit_soundness(system: AxiomSystem, max_states: int = 2,
     return AuditReport(system, max_states, tuple(audits), negative)
 
 
-def filter_equ_witness(max_states: int = 1, max_bits: int = 24, jobs: int = 1,
-                       pool: Executor | None = None,
+def filter_equ_witness(max_states: int = 1, max_bits: int = MAX_BITS,
+                       jobs: int = 1, pool: Executor | None = None,
                        ) -> tuple[NeighborhoodModel, FrameCheck] | None:
     """First filter frame with at most ``max_states`` states falsifying the
     ΔEqu instance, if any.  ``jobs`` and ``pool`` are passed to
@@ -294,7 +295,7 @@ def filter_equ_witness(max_states: int = 1, max_bits: int = 24, jobs: int = 1,
 
 
 def countermodel_search(f: Formula, class_name: str, max_states: int = 2,
-                        max_bits: int = 24, jobs: int = 1,
+                        max_bits: int = MAX_BITS, jobs: int = 1,
                         ) -> tuple[NeighborhoodModel, str] | None:
     """A model of the class with at most ``max_states`` states and a state
     falsifying ``f``, or None if the bounded search is exhausted.  Never a

@@ -74,18 +74,27 @@ program and the last run's mask.  A run of one frame has no mask.
 
 Only ``frame_valid`` decides locality; ``extension`` and ``taut_valid``
 never do.
+
+The frame properties (b), (4) and (5) are decided by this evaluator too,
+as the validity under ``new`` of their correspondents
+(``model.CORRESPONDENTS``), compiled once at import (``_CORRESPONDENTS``):
+``model.has_property`` sweeps a frame's 2^n valuations of the one atom,
+and a run's property mask (``_run_props``) is the run's validity mask of
+the correspondent, built by ``_verdict`` like a claim's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
 from .formula import And, Atom, Box, Delta, Formula, Not, Top, to_core
-from .model import (_RUN, BudgetError, KripkeModel, NeighborhoodModel,
-                    _local_mask, _members, bits)
+from .model import (_RUN, CORRESPONDENTS, LOCAL_PROPERTIES, BudgetError,
+                    FrameProperty, KripkeModel, NeighborhoodModel, _local_mask,
+                    _mask, bits)
 
 
 class SemanticsKind(Enum):
@@ -173,6 +182,14 @@ def _program(f: Formula) -> Program:
         prog = compile_formula(f)
         _last = (f, prog)
     return prog
+
+
+# The correspondents of (b), (4) and (5), compiled once: ``model.has_property``
+# and every walk's memo of one read these programs.  A walk that compiled
+# them made the 2-state b, 4 and 5 sweep rows x1.16-1.18 slower (per-row
+# best of 40 interleaved rounds, 2 vCPU, Python 3.11.7).
+_CORRESPONDENTS = {prop: compile_formula(f)
+                   for prop, f in CORRESPONDENTS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +365,11 @@ def _layout(n: int, k: int, count: int = 1
     return width_bits, tuple(atoms), tuple(high)
 
 
+# The default valuation budget: a sweep of more than 2^MAX_BITS valuations
+# is refused.
+MAX_BITS = 24
+
+
 def _check_bits(n: int, k: int, max_bits: int) -> None:
     if n * k > max_bits:
         raise BudgetError(
@@ -356,7 +378,7 @@ def _check_bits(n: int, k: int, max_bits: int) -> None:
 
 
 def _program_valid(frame: Model, prog: Program, kind: SemanticsKind,
-                   max_bits: int = 24) -> FrameCheck:
+                   max_bits: int = MAX_BITS) -> FrameCheck:
     """Frame validity of a compiled program, from its first failing pass."""
     _check_bits(len(frame.states), len(prog.names), max_bits)
     return _witness(frame, prog.names, _first_zeros(frame, prog, kind, 1))
@@ -434,9 +456,9 @@ class _Memo:
     __slots__ = ("formula", "program", "kind", "states", "bits", "columns",
                  "run", "mask")
 
-    def __init__(self, f: Formula, kind: SemanticsKind,
+    def __init__(self, f: Formula, program: Program, kind: SemanticsKind,
                  states: tuple[str, ...]):
-        self.formula, self.program, self.kind = f, _program(f), kind
+        self.formula, self.program, self.kind = f, program, kind
         self.states = states
         self.bits = len(states) * len(self.program.names)
         self.columns: dict[frozenset[int], int] | None = (
@@ -459,7 +481,7 @@ class _Memo:
 
 
 def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
-                max_bits: int = 24) -> FrameCheck:
+                max_bits: int = MAX_BITS) -> FrameCheck:
     """Validity of ``f`` on the frame: every valuation of vars(f), every state.
 
     Each variable ranges over all subsets of the state set, so the sweep has
@@ -484,16 +506,16 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
 
 
 def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
-             max_bits: int) -> tuple:
+             max_bits: int, prog: Program | None = None) -> tuple:
     """The run's ``valid_verdict`` for (``f``, ``kind``, ``max_bits``):
     ``(f, kind, max_bits, mask)``, kept on the run and returned while its
     key matches by identity, else built from the walk's ``_Memo`` for
-    (``f``, ``kind``).  ``mask`` has bit j set iff frame j is valid: for a
-    state-local program from the memo's columns (``model._local_mask``,
-    keyed by the memo), for a deeper one from the run's passes
-    (``_run_mask``).  It is None for a run of one frame or a deeper program
-    whose last-state row does not fit one pass.  Refused like
-    ``frame_valid``."""
+    (``f``, ``kind``), which holds ``prog`` if given, else ``f`` compiled.
+    ``mask`` has bit j set iff frame j is valid: for a state-local program
+    from the memo's columns (``model._local_mask``, keyed by the memo), for
+    a deeper one from the run's passes (``_run_mask``).  It is None for a
+    run of one frame or a deeper program whose last-state row does not fit
+    one pass.  Refused like ``frame_valid``."""
     kept = run.valid_verdict
     if (kept is not None and kept[0] is f and kept[1] is kind
             and kept[2] == max_bits):
@@ -501,7 +523,8 @@ def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
     _check_kind(frame, kind)
     memo = run.shared.get((id(f), kind))
     if memo is None:
-        memo = run.shared[id(f), kind] = _Memo(f, kind, frame.states)
+        memo = run.shared[id(f), kind] = _Memo(f, prog or _program(f), kind,
+                                               frame.states)
     _check_bits(len(frame.states), len(memo.program.names), max_bits)
     if memo.run is not run:
         memo.run, memo.mask = run, None
@@ -516,6 +539,19 @@ def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
                                           run.shared, memo))
     run.valid_verdict = (f, kind, max_bits, memo.mask)
     return run.valid_verdict
+
+
+def _run_props(frame: NeighborhoodModel, run, prop: FrameProperty
+               ) -> int | None:
+    """Bit j set iff frame j of ``frame``'s run has ``prop``: a local
+    property's mask from ``model._mask``, and for (b), (4) or (5) the run's
+    validity mask of its correspondent under ``new`` (``_verdict``, under
+    the default budget).  None if the run has no validity mask: each frame
+    is then checked on its own."""
+    if prop in LOCAL_PROPERTIES:
+        return _mask(prop, run.head, run.lists, run.shared)
+    return _verdict(frame, run, CORRESPONDENTS[prop], SemanticsKind.NEW,
+                    MAX_BITS, _CORRESPONDENTS[prop])[3]
 
 
 def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
@@ -547,6 +583,31 @@ def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
         invalid = int(bin(top | 1 << width)[3::v], 2)
         valid |= (((1 << count) - 1) ^ invalid) << lo
     return valid
+
+
+def _members(lists: tuple[tuple[frozenset[int], ...], ...], full: int,
+             width: int) -> list[list[int]]:
+    """For each trailing state of a run over ``lists``, row[y]: the frames
+    whose family at that state holds y, ``width`` bits per frame.  Frame j
+    takes entry d_t of list t, the digits of j in the mixed radix of the
+    list lengths with the last list least significant, so the frames of
+    one entry of list t are runs of ``stride`` frames, one every
+    ``period``."""
+    count = math.prod(map(len, lists))
+    ones = (1 << count * width) - 1
+    stride, out = count, []
+    for fams in lists:
+        stride //= len(fams)
+        period = len(fams) * stride
+        block = (1 << stride * width) - 1
+        repeat = ones // ((1 << period * width) - 1)
+        row = [0] * (full + 1)
+        for i, fam in enumerate(fams):
+            frames = (block << i * stride * width) * repeat
+            for y in fam:
+                row[y] |= frames
+        out.append(row)
+    return out
 
 
 @lru_cache(maxsize=64)

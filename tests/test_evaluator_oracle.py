@@ -671,12 +671,13 @@ def test_run_is_evaluated_once(monkeypatch):
         # at width 256 * 2^3; each invalid frame alone at width 2^3
         assert [width for width in calls if width != 8] == [256 * 8] * 16
         assert calls.count(8) == invalid, kind
-    # one pass per (run, program, semantics) through the definability check:
-    # 1, 1 and 16 runs of 2, 16 and 256 frames at 1, 2 and 3 states
+    # one pass per (run, program, semantics) through the definability check,
+    # the claim's and then its property's correspondent's: 1, 1 and 16 runs
+    # of 2, 16 and 256 frames at 1, 2 and 3 states
     monkeypatch.setattr(semantics, "_run", counting)
     calls.clear()
     assert defines(builtin_claim("4"), 3)
-    assert calls == [2 * 2] + [16 * 4] + [256 * 8] * 16
+    assert calls == [2 * 2] * 2 + [16 * 4] * 2 + [256 * 8] * 2 * 16
 
 
 def test_state_local_run_fills_its_tables_once(monkeypatch):

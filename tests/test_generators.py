@@ -17,7 +17,7 @@ from delta_lab.generators import (GenerationError, GenSpec, count_frames,
                                   sweep)
 from delta_lab.model import (FRAME_CLASSES, MODEL_CLASSES, BudgetError,
                              FrameProperty, classify, family_satisfies,
-                             has_property)
+                             frame_class, has_property)
 from delta_lab.proofsys import AxiomSystem, audit_soundness
 from delta_lab.formula import metrics
 from delta_lab.semantics import SemanticsKind, frame_valid
@@ -328,7 +328,23 @@ def test_random_model_large_states_closure_path():
     assert has_property(cs, FP.C) and has_property(cs, FP.S)
 
 
-def superset_walk_family(n, props, rnd):
+def test_seeded_t_sampling_past_the_admissible_lists():
+    # past 4 states each family is drawn and closed, not taken from a list;
+    # under (t) every drawn set holds its state, so no draw is retried for
+    # (t) and every seed yields a model
+    for name in ("t", "n,t", "s,t", "i,t"):
+        props = frame_class(name)
+        for n in (6, 7):
+            for seed in range(30):
+                m = random_model(GenSpec(n, props, seed=seed), ["p"])
+                assert all(has_property(m, p) for p in props), (name, n, seed)
+    # what ``enumerate --mode random --class t --states 7`` streams
+    frames = list(enum_frames(GenSpec(7, frame_class("t"), mode="random")))
+    assert len(frames) == 10
+    assert all(has_property(frame, FP.T) for frame in frames)
+
+
+def superset_walk_family(n, props, state, rnd):
     """Reference closure for ``_random_family``: each round adds every
     superset of every member by walking the submasks of its complement."""
     full = (1 << n) - 1
@@ -365,8 +381,8 @@ def test_random_family_closure_matches_superset_walk(monkeypatch):
         for n in (1, 3, 5, 7):
             for seed in range(40):
                 new, old = random.Random(seed), random.Random(seed)
-                assert (generators._random_family(n, frozenset(props), new)
-                        == superset_walk_family(n, props, old))
+                assert (generators._random_family(n, frozenset(props), 0, new)
+                        == superset_walk_family(n, props, 0, old))
                 assert new.random() == old.random()
     specs = [GenSpec(n, frozenset({FP.C, FP.S}), seed=seed, mode="random")
              for n in (5, 6) for seed in range(30)]

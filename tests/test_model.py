@@ -5,11 +5,11 @@ import pickle
 
 import pytest
 
-from delta_lab import generators, model
+from delta_lab import generators, model, semantics
 from delta_lab.bisim import BisimKind, PairRelation, check_bisim, max_bisim
 from delta_lab.generators import (GenSpec, enum_frames, enum_kripke_frames,
                                   random_kripke, random_model)
-from delta_lab.model import (MODEL_CLASSES, FrameProperty,
+from delta_lab.model import (MODEL_CLASSES, BudgetError, FrameProperty,
                              KripkeModel, NeighborhoodModel, classify,
                              family_satisfies, first_failing, has_property,
                              is_qf_family, qf_family, qf_relation, validate)
@@ -316,8 +316,17 @@ def test_run_property_matches_untagged_copies_and_literal_oracle():
         run, index = vars(frame)[model._RUN]
         copy = NeighborhoodModel(frame.states, frame.neighborhoods)
         for prop in FrameProperty:
-            got = model._run_props(run, prop) >> index & 1
+            mask = semantics._run_props(frame, run, prop)
             want = has_property(copy, prop)
+            if mask is None:
+                # only a run of one frame has no validity mask for the
+                # correspondent of (b), (4) or (5): its frame is checked
+                # on its own, as ``want`` is
+                assert run.count == 1, (frame, prop)
+                assert prop not in model.LOCAL_PROPERTIES, (frame, prop)
+                got = want
+            else:
+                got = mask >> index & 1
             assert got == want, (frame, prop)
             if prop in model.LOCAL_PROPERTIES:
                 for s, fam in enumerate(frame.neighborhoods):
@@ -336,15 +345,22 @@ def test_run_property_matches_untagged_copies_and_literal_oracle():
     assert all(verdicts == {0, 1} for verdicts in seen.values()), seen
 
 
-def test_run_masks_are_kept_per_run_and_list():
-    # a run's mask is computed from what the walk keeps for its list: the
-    # selectors of (b), built once, and the last state's local verdicts
+def test_run_masks_are_kept_per_run_and_list(monkeypatch):
+    # a run's mask is computed from what the walk keeps: the validity mask
+    # of the correspondent of (b) or (4), built once per run even when the
+    # two alternate, and the last state's local verdicts for its list
     frames = list(generators._product_frames(3, MODEL_CLASSES["c-model"]))
     run, _ = vars(frames[0])[model._RUN]
-    mask = model._run_props(run, FP.B)
-    sel = run.shared["sel"]
-    assert model._run_props(run, FP.B) == mask and run.shared["sel"] is sel
-    last = model._run_props(run, FP.D)
+    built = []
+    run_mask = semantics._run_mask
+    monkeypatch.setattr(semantics, "_run_mask",
+                        lambda *args: built.append(args) or run_mask(*args))
+    mask = semantics._run_props(frames[0], run, FP.B)
+    four = semantics._run_props(frames[0], run, FP.FOUR)
+    assert semantics._run_props(frames[1], run, FP.B) == mask
+    assert semantics._run_props(frames[1], run, FP.FOUR) == four
+    assert len(built) == 2  # one pass per (run, correspondent)
+    last = semantics._run_props(frames[0], run, FP.D)
     assert run.shared[FP.D] == last  # the head's families are both empty
     # every run of one sweep shares the list's data; a new sweep has its own
     later, _ = vars(frames[-1])[model._RUN]
@@ -364,6 +380,40 @@ def test_global_filter_reads_the_run_masks():
         assert kept == [f for f in every
                         if oracle(f, FP.B) and oracle(f, FP.FOUR)], n
         assert generators.count_frames(GenSpec(n, props)) == len(kept)
+
+
+def test_global_filter_over_a_run_of_one_frame_checks_each_frame():
+    # the quasi-filter class at 1 state has one frame, a run of one with no
+    # validity mask, so the filter checks (b), (4) or (5) on the frame
+    # itself; larger runs read their masks.  Both keep the frames the
+    # literal oracle accepts
+    qf = MODEL_CLASSES["quasi-filter"]
+    counts = {FP.B: [1, 2, 11], FP.FOUR: [1, 4, 48], FP.FIVE: [1, 2, 11]}
+    for prop, want in counts.items():
+        got = []
+        for n in (1, 2, 3):
+            every = [NeighborhoodModel(f.states, f.neighborhoods)
+                     for f in generators._product_frames(n, qf)]
+            kept = list(generators._product_frames(n, qf | {prop}))
+            assert kept == [f for f in every if oracle(f, prop)], (prop, n)
+            got.append(len(kept))
+        assert got == want, prop
+    (frame,) = generators._product_frames(1, qf)
+    run, _ = vars(frame)[model._RUN]
+    assert run.count == 1
+    assert all(semantics._run_props(frame, run, prop) is None
+               for prop in counts)
+
+
+def test_correspondent_properties_refuse_frames_past_the_budget():
+    # (b), (4) and (5) sweep 2^n valuations of one atom under the default
+    # budget of 2^24, so a 25-state frame is refused before any is swept
+    frame = NeighborhoodModel(generators.state_names(25),
+                              (frozenset({0}),) * 25)
+    for prop in (FP.B, FP.FOUR, FP.FIVE):
+        with pytest.raises(BudgetError,
+                           match=r"needs 2\^25 cases, budget is 2\^24"):
+            has_property(frame, prop)
 
 
 # --- the quasi-filter normal form ------------------------------------------

@@ -312,7 +312,9 @@ def test_a_refused_budget_is_one_error_line_from_the_cli(capsys):
 
 def test_claim_and_formula_verdicts_are_kept_apart(monkeypatch):
     # a check_frame and a frame_valid call on every frame, alternately: each
-    # keeps its own verdict, so each builds it once per run
+    # keeps its own verdict, so each builds it once per run; the claim's
+    # verdict reads two validity masks, its formula's and its property's
+    # correspondent's
     claimed, masks = [], []
 
     def counting(calls, real, *args):
@@ -333,7 +335,8 @@ def test_claim_and_formula_verdicts_are_kept_apart(monkeypatch):
         assert check_frame(claim, frame) is None
         got.append(frame_valid(frame, g, NEW))
     assert len(runs) == len(claimed) == 16
-    # one validity mask for the claim's formula and one for g, per run
-    assert len(masks) == 2 * 16
+    # per run, one validity mask each for the claim's formula, the
+    # correspondent of (4) and g
+    assert len(masks) == 3 * 16
     assert got == [frame_valid(_copy(frame), g, NEW) for frame in frames]
     assert sum(not check for check in got) > 1000
