@@ -93,7 +93,7 @@ def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
         kept = run.claim_verdict
         if kept is None or kept[0] is not claim or kept[1] != max_bits:
             valid = _verdict(frame, run, claim.formula, claim.semantics,
-                             max_bits)[3]
+                             max_bits)
             props = None if valid is None else _run_props(frame, run,
                                                           claim.prop)
             kept = run.claim_verdict = (

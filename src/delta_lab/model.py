@@ -28,11 +28,12 @@ taking entry d_t of trailing list t for the mixed-radix digits d_t of j.
 j is frame j's verdict, from ``_local_mask``: the head states' verdicts
 ANDed with the trailing states' mask over their lists, kept for every run
 of the sweep.  ``semantics`` reads the same rule for formulas of modal
-depth at most 1, through the columns of its walk memos, and the mask of
-(b), (4) or (5) is the run's validity mask of its correspondent
-(``semantics._run_props``).  A single frame is a run of one with no
-trailing state: ``has_property`` reads a local property from the same
-``_mask`` as a swept run does.
+depth at most 1, through the columns of its walk memos, and builds the
+trailing states' selectors of its deeper passes with it, one V-bit block
+per frame where a verdict takes one bit; the mask of (b), (4) or (5) is
+the run's validity mask of its correspondent (``semantics._run_props``).
+A single frame is a run of one with no trailing state: ``has_property``
+reads a local property from the same ``_mask`` as a swept run does.
 
 Quasi-filter normal form: a family N has (n), (i), (c), (ws) iff N = Q_R =
 {X : R ⊆ X or X ∩ R = ∅} for R = {t : {t} ∉ N}.  (n), (c), (i) make N a
@@ -368,19 +369,22 @@ def _family_verdict(prop: FrameProperty, family: frozenset[int], full: int,
 def _local_mask(holds: Callable[[frozenset[int], int], Any],
                 head: tuple[frozenset[int], ...],
                 lists: tuple[tuple[frozenset[int], ...], ...], shared: dict,
-                key: Hashable) -> int:
-    """The run mask of a local verdict: bit j set iff ``holds(fam, s)`` is
-    true for every state s and its family in frame j, the head's and the
-    trailing states' (entry d_t of list t, for the mixed-radix digits d_t
-    of j with the last list least significant).  The
-    trailing states' mask depends on the lists alone, so ``shared`` keeps
-    it under ``key`` for every head that shares them; the head's verdicts
-    are fixed for the run.  The mask is built from the last list up: the
-    frames of an entry of list t repeat the mask of the lists after it,
-    ``size`` bits, once for each entry that holds."""
+                key: Hashable, width: int = 1) -> int:
+    """The run mask of a local verdict: block j, the ``width`` bits from
+    bit j·width, is all ones iff ``holds(fam, s)`` is true for every state
+    s and its family in frame j, the head's and the trailing states' (entry
+    d_t of list t, for the mixed-radix digits d_t of j with the last list
+    least significant), and all zeros otherwise.  A property or a formula
+    takes one bit per frame (``width`` 1); ``semantics._passes`` builds its
+    selectors with one V-bit block per frame.  The trailing states' mask
+    depends on the lists alone, so ``shared`` keeps it under ``key`` for
+    every head that shares them; the head's verdicts are fixed for the run.
+    The mask is built from the last list up: the frames of an entry of list
+    t repeat the mask of the lists after it, ``size`` bits, once for each
+    entry that holds."""
     tail = shared.get(key)
     if tail is None:
-        tail = size = 1
+        tail, size = (1 << width) - 1, width
         s = len(head) + len(lists)
         for fams in reversed(lists):
             s -= 1

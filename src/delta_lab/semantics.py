@@ -40,13 +40,14 @@ frames (at most ``generators._RUN_FRAMES``) that share the leading states'
 families and vary the trailing r ≥ 1 states, each over its own list, frame
 j taking the entries of the digits of j in the mixed radix of the list
 lengths.  The run's validity mask, bit j set iff frame j validates the
-program, is built once per run and kept on it under (formula object,
-semantics, ``max_bits``), compared by identity (``_verdict``).  A set bit
-answers: the frame is valid, before any compiling or budget check.  Every
-other frame is evaluated on its own, as above.  What a mask is built from
-belongs to the walk (one ``_product_frames`` call, whose runs share one
-dict): a ``_Memo`` per (formula object, semantics), holding the compiled
-program and the last run's mask.  A run of one frame has no mask.
+program, is built once per run (``_verdict``) and kept on it by
+``frame_valid`` under (formula object, semantics, ``max_bits``), compared
+by identity.  A set bit answers: the frame is valid, before any compiling
+or budget check.  Every other frame is evaluated on its own, as above.
+What a mask is built from belongs to the walk (one ``_product_frames``
+call, whose runs share one dict): a ``_Memo`` per (formula object,
+semantics), holding the compiled program and the last run's mask.  A run
+of one frame has no mask.
 
 - A program of modal depth at most 1 is *state-local*: its truth at state
   s under valuation v reads only N(s) and v, so whether s has a falsifying
@@ -68,9 +69,11 @@ program and the last run's mask.  A run of one frame has no mask.
   2^``_CHUNK_BITS`` bits per state, all L frames if they fit.  The leading
   states OR their shared family's minterms as above; each trailing state
   ORs M_X & sel_X over every X, where sel_X has the planes of the frames
-  whose family at that state holds X (for ``old`` Δ, X or S∖X).  Frame j
-  is valid iff its planes hold no zero in any state.  A run whose one row
-  does not fit has no mask.
+  whose family at that state holds X (for ``old`` Δ, X or S∖X).  sel_X is
+  ``model._local_mask`` at width V, the rule of every run mask, over the
+  verdict "the family at this state holds X".  Frame j is valid iff its
+  planes hold no zero in any state.  A run whose one row does not fit has
+  no mask.
 
 Only ``frame_valid`` decides locality; ``extension`` and ``taut_valid``
 never do.
@@ -85,7 +88,6 @@ the correspondent, built by ``_verdict`` like a claim's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -489,37 +491,37 @@ def frame_valid(frame: Model, f: Formula, kind: SemanticsKind,
     refused.  Returns the first falsifying valuation and state otherwise.
 
     A frame of a product sweep whose bit is set in its run's validity mask
-    for this formula object, ``kind`` and ``max_bits`` (``_verdict``) is
-    valid at once.  Every other frame is evaluated on its own, a swept one
-    with the program its walk's memo holds.
+    (``_verdict``) is valid at once.  The run keeps that mask in its
+    ``valid_verdict`` slot under this formula object, ``kind`` and
+    ``max_bits``, compared by identity.  Every other frame is evaluated on
+    its own, a swept one with the program its walk's memo holds.
     """
     handle = frame.__dict__.get(_RUN)
     if handle is None:
         _check_kind(frame, kind)
         return _program_valid(frame, _program(f), kind, max_bits)
     run, index = handle
-    valid = _verdict(frame, run, f, kind, max_bits)[3]
-    if valid is not None and valid >> index & 1:
+    kept = run.valid_verdict
+    if (kept is None or kept[0] is not f or kept[1] is not kind
+            or kept[2] != max_bits):
+        kept = run.valid_verdict = (f, kind, max_bits,
+                                    _verdict(frame, run, f, kind, max_bits))
+    if kept[3] is not None and kept[3] >> index & 1:
         return _VALID
     return _program_valid(frame, run.shared[id(f), kind].program, kind,
                           max_bits)
 
 
 def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
-             max_bits: int, prog: Program | None = None) -> tuple:
-    """The run's ``valid_verdict`` for (``f``, ``kind``, ``max_bits``):
-    ``(f, kind, max_bits, mask)``, kept on the run and returned while its
-    key matches by identity, else built from the walk's ``_Memo`` for
-    (``f``, ``kind``), which holds ``prog`` if given, else ``f`` compiled.
-    ``mask`` has bit j set iff frame j is valid: for a state-local program
-    from the memo's columns (``model._local_mask``, keyed by the memo), for
-    a deeper one from the run's passes (``_run_mask``).  It is None for a
-    run of one frame or a deeper program whose last-state row does not fit
-    one pass.  Refused like ``frame_valid``."""
-    kept = run.valid_verdict
-    if (kept is not None and kept[0] is f and kept[1] is kind
-            and kept[2] == max_bits):
-        return kept
+             max_bits: int, prog: Program | None = None) -> int | None:
+    """The run's validity mask for ``f`` under ``kind``, bit j set iff
+    frame j is valid, from the walk's ``_Memo`` for (``f``, ``kind``),
+    which holds ``prog`` if given, else ``f`` compiled, and keeps the last
+    run's mask.  A state-local program's mask comes from the memo's columns
+    (``model._local_mask``, keyed by the memo), a deeper one's from the
+    run's passes (``_run_mask``).  It is None for a run of one frame or a
+    deeper program whose last-state row does not fit one pass.  Refused
+    like ``frame_valid``."""
     _check_kind(frame, kind)
     memo = run.shared.get((id(f), kind))
     if memo is None:
@@ -537,8 +539,7 @@ def _verdict(frame: NeighborhoodModel, run, f: Formula, kind: SemanticsKind,
             memo.mask = (_run_mask(memo, frame, run) if memo.columns is None
                          else _local_mask(memo.holds, run.head, run.lists,
                                           run.shared, memo))
-    run.valid_verdict = (f, kind, max_bits, memo.mask)
-    return run.valid_verdict
+    return memo.mask
 
 
 def _run_props(frame: NeighborhoodModel, run, prop: FrameProperty
@@ -551,7 +552,7 @@ def _run_props(frame: NeighborhoodModel, run, prop: FrameProperty
     if prop in LOCAL_PROPERTIES:
         return _mask(prop, run.head, run.lists, run.shared)
     return _verdict(frame, run, CORRESPONDENTS[prop], SemanticsKind.NEW,
-                    MAX_BITS, _CORRESPONDENTS[prop])[3]
+                    MAX_BITS, _CORRESPONDENTS[prop])
 
 
 def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
@@ -585,31 +586,6 @@ def _run_mask(memo: _Memo, frame: NeighborhoodModel, run) -> int | None:
     return valid
 
 
-def _members(lists: tuple[tuple[frozenset[int], ...], ...], full: int,
-             width: int) -> list[list[int]]:
-    """For each trailing state of a run over ``lists``, row[y]: the frames
-    whose family at that state holds y, ``width`` bits per frame.  Frame j
-    takes entry d_t of list t, the digits of j in the mixed radix of the
-    list lengths with the last list least significant, so the frames of
-    one entry of list t are runs of ``stride`` frames, one every
-    ``period``."""
-    count = math.prod(map(len, lists))
-    ones = (1 << count * width) - 1
-    stride, out = count, []
-    for fams in lists:
-        stride //= len(fams)
-        period = len(fams) * stride
-        block = (1 << stride * width) - 1
-        repeat = ones // ((1 << period * width) - 1)
-        row = [0] * (full + 1)
-        for i, fam in enumerate(fams):
-            frames = (block << i * stride * width) * repeat
-            for y in fam:
-                row[y] |= frames
-        out.append(row)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _passes(lists: tuple[tuple[frozenset[int], ...], ...], total: int,
             n: int, k: int, old: bool) -> tuple:
@@ -635,7 +611,14 @@ def _passes(lists: tuple[tuple[frozenset[int], ...], ...], total: int,
     if not per:
         return ()
     full = (1 << n) - 1
-    members = _members(lists, full, v)
+    # members[t][y]: the V-bit blocks of the frames whose family at
+    # trailing state t holds y.  The cache above keeps them with the passes,
+    # so a sweep builds them once per layout: a miss (k = 1) costs 0.13 ms
+    # for c at 3 states, 0.32 ms for all at 3 and 0.23 ms for quasi-filter
+    # at 4, a hit 0.3-1.2 us (2 vCPU, Python 3.11.7).
+    members = [[_local_mask(lambda fam, s: s != t or y in fam, (), lists, {},
+                            None, v) for y in range(full + 1)]
+               for t in range(len(lists))]
     out = []
     for lo in range(0, total, per):
         count = min(per, total - lo)

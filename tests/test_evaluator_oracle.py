@@ -559,7 +559,7 @@ def _takes_run_path(frame, f: Formula) -> bool:
 def _run_mask(frame, f: Formula, kind: SemanticsKind) -> int | None:
     """The validity mask of ``frame``'s run, as ``frame_valid`` reads it."""
     run, _ = vars(frame)[_RUN]
-    return semantics._verdict(frame, run, f, kind, 24)[3]
+    return semantics._verdict(frame, run, f, kind, 24)
 
 
 def _run_bit(frame, f: Formula, kind: SemanticsKind) -> int | None:

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import itertools
+import math
 import pickle
+import random
 
 import pytest
 
@@ -367,6 +369,87 @@ def test_run_masks_are_kept_per_run_and_list(monkeypatch):
     assert later is not run and later.shared is run.shared
     other = next(iter(generators._product_frames(3, MODEL_CLASSES["c-model"])))
     assert vars(other)[model._RUN][0].shared is not run.shared
+
+
+def _digits(j, lists):
+    """Frame j's entry of each list: its mixed-radix digits, the last list
+    least significant."""
+    out = []
+    for fams in reversed(lists):
+        j, d = divmod(j, len(fams))
+        out.append(d)
+    return out[::-1]
+
+
+def test_local_mask_is_the_mixed_radix_rule_at_every_width():
+    # seeded layouts of 0-2 head states and 1-3 trailing lists of unequal
+    # lengths, as (t) gives, under random verdicts: block j is all ones iff
+    # every state's entry in frame j holds, and all zeros otherwise
+    rnd = random.Random(33)
+    nonzero = 0
+    for _ in range(200):
+        heads = rnd.randrange(3)
+        lengths = [rnd.randrange(1, 6) for _ in range(rnd.randrange(1, 4))]
+        n = heads + len(lengths)
+
+        def family():
+            return frozenset(rnd.sample(range(1 << n), rnd.randrange(3)))
+
+        lists = tuple(tuple(family() for _ in range(length))
+                      for length in lengths)
+        verdict = {}
+
+        def holds(fam, s):
+            return verdict.setdefault((fam, s), rnd.random() < 0.8)
+
+        count = math.prod(lengths)
+        for width in (1, 3, 8, 64):
+            shared = {}
+            ones = (1 << width) - 1
+            for _ in range(2):  # the second head reads the kept tail
+                head = tuple(family() for _ in range(heads))
+                mask = model._local_mask(holds, head, lists, shared, "key",
+                                         width)
+                assert mask >> count * width == 0
+                for j in range(count):
+                    want = all(holds(fam, s) for s, fam in enumerate(head))
+                    for t, d in enumerate(_digits(j, lists)):
+                        want = holds(lists[t][d], heads + t) and want
+                    assert mask >> j * width & ones == (ones if want else 0), \
+                        (head, lists, width, j)
+                nonzero += mask != 0
+    assert nonzero > 500
+
+
+def test_pass_selectors_match_each_frames_family():
+    # the selectors of ``_passes`` for every shipped class at 1-3 states:
+    # in the pass from frame lo, sel_X of trailing state t has frame lo+j's
+    # V-bit block set iff its family there holds X, and under ``old`` the
+    # Δ side iff it holds X or S∖X
+    checked = 0
+    for name, props in generators.FRAME_CLASSES.items():
+        for n, k, old in itertools.product((1, 2, 3), (1, 2), (False, True)):
+            frame = next(iter(generators._product_frames(n, props)))
+            run, _ = vars(frame)[model._RUN]
+            v, full = 1 << n * k, frame.full
+            ones = (1 << v) - 1
+            passes = semantics._passes(run.lists, run.count, n, k, old)
+            assert sum(p[1] for p in passes) in (0, run.count)
+            for lo, count, _, sels, _, _ in passes:
+                assert len(sels) == len(run.lists)
+                for j in range(count):
+                    digits = _digits(lo + j, run.lists)
+                    for t, (delta, box) in enumerate(sels):
+                        fam = run.lists[t][digits[t]]
+                        delta, box = dict(delta), dict(box)
+                        for x in range(full + 1):
+                            both = x in fam or (old and full ^ x in fam)
+                            for sel, want in ((box, x in fam), (delta, both)):
+                                block = sel.get(x, 0) >> j * v & ones
+                                assert block == (ones if want else 0), \
+                                    (name, n, k, old, lo + j, t, x)
+                checked += count
+    assert checked > 2000
 
 
 def test_global_filter_reads_the_run_masks():
