@@ -15,10 +15,12 @@ exits with code 2; ``main`` is the only place that maps an exception to it.
 ``--budget`` bounds valuation sweeps only; without the flag it is read from
 DELTA_LAB_BUDGET (default 24) on every call.  ``bisim check``, ``bisim max``
 and ``equiv-partition`` run in time polynomial in the models and need no
-budget.  It does not lift the enumeration limit: a frame sweep or
-``enumerate`` over more than ``generators.MAX_ENUMERATION`` frames (or
-family codes, or sampled family members) at one size is refused, with exit
-code 2.
+budget.  ``proof-check`` does not read it either: its ``TAUT`` lines are
+checked under the default budget of 24 atoms.  ``--budget`` does not lift
+the enumeration limit: a frame sweep or ``enumerate`` over more than
+``generators.MAX_ENUMERATION`` frames (or family codes, or sampled family
+members, or the members ``transform qf-variation`` would build) at one size
+is refused, with exit code 2.
 
 ``--jobs N`` runs the frame sweeps of ``definability``, ``audit`` (with or
 without ``--negative``) and ``countermodel`` in up to N worker processes,

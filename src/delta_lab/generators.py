@@ -26,9 +26,9 @@ a code.
 Random generation is deterministic per seed; constrained sampling draws
 per-state families from the admissible lists wherever they may be built and
 falls back to closure-then-check above that.  A sampled size whose families
-could hold more than the limit in total (n·2^n members) is refused, and so is
-``frame_at`` at such a size and a random Kripke model whose successor sets
-could hold more (n·n pairs).
+could hold more than the limit in total (n·2^n members) is refused, and so are
+``frame_at`` and ``transform.qf_variation`` at such a size and a random
+Kripke model whose successor sets could hold more (n·n pairs).
 Distribution shape is not a contract.
 """
 
@@ -94,13 +94,14 @@ def _pow2(bits: int) -> int:
     return 1 << min(bits, MAX_ENUMERATION.bit_length())
 
 
-def _check_enumeration(count: int, what: str) -> None:
+def _check_enumeration(count: int, what: Callable[[], str]) -> None:
     """Refuse with ``BudgetError`` an enumeration of ``count`` items at one
-    size above ``MAX_ENUMERATION``; ``what`` names the items and their
-    count."""
+    size above ``MAX_ENUMERATION``; ``what()`` names the items and their
+    count, and is called only on refusal: formatting it on every call cost
+    2–3% of a qf-variation query in the benchmark's eval workload."""
     if count > MAX_ENUMERATION:
         raise BudgetError(
-            f"{what}, above the enumeration limit of "
+            f"{what()}, above the enumeration limit of "
             f"{MAX_ENUMERATION:,} items at one size")
 
 
@@ -127,8 +128,8 @@ def frame_at(n: int, index: int) -> NeighborhoodModel:
     """Frame #index of the raw (unfiltered) exhaustive stream at n states.
     Refused, like a random frame, where its families could hold more than
     ``MAX_ENUMERATION`` members in total (n·2^n, from 20 states)."""
-    _check_enumeration(n * _pow2(n), f"{n}-state families could hold "
-                                     f"{n}·2^{n} members")
+    _check_enumeration(n * _pow2(n), lambda: f"{n}-state families could "
+                                             f"hold {n}·2^{n} members")
     base = 1 << (1 << n)
     codes = []
     for _ in range(n):
@@ -194,8 +195,9 @@ def _shared_codes(n: int, props: frozenset[FrameProperty]) -> Sequence[int]:
     set of local properties without (t), ascending; the same list for every
     state.  A shipped class's list is built from its closed form, any other
     by filtering every code."""
-    _check_enumeration(_code_count(n), f"{n}-state admissible lists would "
-                                       f"filter 2^(2^{n}) family codes")
+    _check_enumeration(_code_count(n), lambda: f"{n}-state admissible lists "
+                                               f"would filter 2^(2^{n}) "
+                                               f"family codes")
     form = _CLOSED_FORMS.get(props)
     if form is not None:
         return form(n)
@@ -248,8 +250,8 @@ def _frame_count(n: int, properties: Iterable[FrameProperty]) -> int:
     filtered to count or to refuse it."""
     local, _ = _split_props(properties)
     total = math.prod(len(_admissible_codes(n, local, s)) for s in range(n))
-    _check_enumeration(total, f"exhaustive enumeration at {n} states would "
-                              f"walk {total:,} frames")
+    _check_enumeration(total, lambda: f"exhaustive enumeration at {n} "
+                                      f"states would walk {total:,} frames")
     return total
 
 
@@ -509,8 +511,9 @@ def enum_kripke_frames(spec: GenSpec) -> Iterator[KripkeModel]:
         raise ValueError("Kripke frames are enumerated exhaustively; "
                          "use random_kripke to sample")
     n = spec.n_states
-    _check_enumeration(_pow2(n * n), f"exhaustive Kripke enumeration at {n} "
-                                     f"states would walk 2^{n * n} frames")
+    _check_enumeration(_pow2(n * n), lambda: f"exhaustive Kripke enumeration "
+                                             f"at {n} states would walk "
+                                             f"2^{n * n} frames")
     names = state_names(n)
     for succ in itertools.product(range(1 << n), repeat=n):
         yield KripkeModel(names, succ)
@@ -554,24 +557,18 @@ def _random_family(n: int, props: frozenset[FrameProperty], state: int,
 
 def _random_frame(n: int, props: frozenset[FrameProperty],
                   rnd: random.Random) -> NeighborhoodModel:
-    _check_enumeration(n * _pow2(n), f"random {n}-state families could hold "
-                                     f"{n}·2^{n} members")
+    _check_enumeration(n * _pow2(n), lambda: f"random {n}-state families "
+                                             f"could hold {n}·2^{n} members")
     local, global_props = _split_props(props)
-    use_lists = _code_count(n) <= MAX_ENUMERATION
+    lists = None
+    if _code_count(n) <= MAX_ENUMERATION:
+        lists = [_admissible_codes(n, local, s) for s in range(n)]
+        if not all(lists):
+            raise GenerationError(
+                f"no {n}-state family satisfies {sorted(p.value for p in local)}")
     for _ in range(_RETRY_LIMIT):
-        if use_lists:
-            codes = []
-            ok = True
-            for s in range(n):
-                admissible = _admissible_codes(n, local, s)
-                if not admissible:
-                    ok = False
-                    break
-                codes.append(rnd.choice(admissible))
-            if not ok:
-                raise GenerationError(
-                    f"no {n}-state family satisfies {sorted(p.value for p in local)}")
-            frame = frame_from_codes(n, codes)
+        if lists is not None:
+            frame = frame_from_codes(n, [rnd.choice(codes) for codes in lists])
         else:
             fams = tuple(_random_family(n, local, s, rnd) for s in range(n))
             frame = NeighborhoodModel(state_names(n), fams)
@@ -600,8 +597,8 @@ def random_kripke(spec: GenSpec, atoms: Sequence[str]) -> KripkeModel:
     ``MAX_ENUMERATION`` pairs (n·n, above 4,096 states)."""
     _no_kripke_filter(spec)
     n = spec.n_states
-    _check_enumeration(n * n, f"random {n}-state successor sets could "
-                              f"hold {n}·{n} pairs")
+    _check_enumeration(n * n, lambda: f"random {n}-state successor sets "
+                                      f"could hold {n}·{n} pairs")
     rnd = random.Random(spec.seed)
     succ = tuple(rnd.getrandbits(n) for _ in range(n))
     valuation = {p: rnd.getrandbits(n) for p in atoms}

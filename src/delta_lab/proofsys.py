@@ -7,6 +7,12 @@ instead adds the unit, conjunction, and disjunction axioms matching Kripke
 reasoning.  Modus ponens is a rule of every system.  Soundness is audited by
 exhaustive frame sweeps at small sizes, and non-theoremhood by bounded
 countermodel search.
+
+A ``TAUT`` line is checked row by row over its propositional skeleton, one
+atom per distinct maximal modal subformula, under the default valuation
+budget ``semantics.MAX_BITS``: a skeleton of more than 24 atoms is refused
+with ``BudgetError``.  Proof checking has no budget parameter, so the CLI's
+``proof-check`` uses that default and does not read ``--budget``.
 """
 
 from __future__ import annotations
@@ -100,13 +106,11 @@ def instantiate(schema: Formula, binding: dict[str, Formula]) -> Formula:
     return walk(schema, visit)
 
 
-_TAUT_ATOM_BUDGET = 20
-
-
 def is_taut_instance(f: Formula) -> bool:
     """Propositional tautology after abstracting each maximal modal subformula
-    to a fresh atom (equal subformulas share one atom)."""
-    return taut_valid(f, _TAUT_ATOM_BUDGET)
+    to a fresh atom (equal subformulas share one atom).  Refused with
+    ``BudgetError`` above the default valuation budget ``MAX_BITS`` atoms."""
+    return taut_valid(f, MAX_BITS)
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,21 @@ R(s) back as the states t with {t} ∉ N(s).  Both go through the normal form
 in ``model`` (``qf_family``, ``qf_relation``), and ``qf_to_kripke`` is gated
 by the O(|N(s)|) per state recogniser in ``model.first_failing``.  All three
 keep state names, ordering and valuation.
+
+``qf_variation`` is bounded by the enumeration limit
+(``generators.MAX_ENUMERATION``) under the rule that bounds random frames:
+its families could hold n·2^n members in total (Q_R has 2^n when R(s) is
+empty), so it builds up to 19 states and refuses from 20 with
+``BudgetError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .model import (BudgetError, KripkeModel, NeighborhoodModel, first_failing,
-                    qf_family, qf_relation)
-
-#: Largest state count for which ``qf_variation`` builds families: Q_R has
-#: up to 2^n members per state.
-MAX_SUBSET_STATES = 16
+from .generators import _check_enumeration, _pow2
+from .model import (KripkeModel, NeighborhoodModel, first_failing, qf_family,
+                    qf_relation)
 
 
 def c_variation(m: NeighborhoodModel) -> NeighborhoodModel:
@@ -34,13 +37,14 @@ def c_variation(m: NeighborhoodModel) -> NeighborhoodModel:
 
 
 def qf_variation(k: KripkeModel) -> NeighborhoodModel:
-    """Neighborhoods of s are the X with R(s) inside X or disjoint from X."""
+    """Neighborhoods of s are the X with R(s) inside X or disjoint from X.
+    Refused where the families could hold more than ``MAX_ENUMERATION``
+    members in total (n·2^n, from 20 states)."""
     if not isinstance(k, KripkeModel):
         raise ValueError("qf-variation needs a Kripke model")
-    if k.n > MAX_SUBSET_STATES:
-        raise BudgetError(
-            f"qf-variation builds up to 2^{k.n} neighborhoods per state, "
-            f"limit is 2^{MAX_SUBSET_STATES}")
+    n = k.n
+    _check_enumeration(n * _pow2(n), lambda: f"qf-variation of {n} states "
+                                             f"could build {n}·2^{n} members")
     fams = tuple(qf_family(r, k.full) for r in k.succ)
     return NeighborhoodModel(k.states, fams, dict(k.valuation))
 

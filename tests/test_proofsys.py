@@ -40,9 +40,12 @@ def test_taut_distinguishes_distinct_modal_subformulas():
 
 
 def test_taut_atom_budget():
-    text = " & ".join(f"D p{i}" for i in range(21))
-    with pytest.raises(BudgetError):
-        is_taut_instance(parse(f"({text}) -> p"))
+    # the default valuation budget, MAX_BITS = 24 atoms, bounds the skeleton
+    text = " & ".join(f"D p{i}" for i in range(24))
+    assert is_taut_instance(parse(f"({text}) -> D p0"))
+    text = " & ".join(f"D p{i}" for i in range(25))
+    with pytest.raises(BudgetError, match="25 atoms"):
+        is_taut_instance(parse(f"({text}) -> D p0"))
 
 
 def test_check_proof_examples():

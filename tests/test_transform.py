@@ -3,9 +3,9 @@ import pytest
 from delta_lab.bisim import logical_equiv_partition
 from delta_lab.formula import parse
 from delta_lab.generators import (GenSpec, enum_kripke_frames, random_formula,
-                                  random_kripke, random_model)
-from delta_lab.model import FrameProperty, KripkeModel, NeighborhoodModel, \
-    classify, has_property
+                                  random_kripke, random_model, state_names)
+from delta_lab.model import BudgetError, FrameProperty, KripkeModel, \
+    NeighborhoodModel, classify, has_property
 from delta_lab.semantics import SemanticsKind, extension
 from delta_lab.transform import c_variation, qf_to_kripke, qf_variation
 
@@ -51,6 +51,17 @@ def test_qf_variation_edge_relations():
     out = qf_variation(k)
     assert out.neighborhoods[0] == frozenset(range(4))   # empty R sees all
     assert out.neighborhoods[1] == frozenset({0, 0b11})  # total R keeps 0 and S
+
+
+def test_qf_variation_refuses_by_the_enumeration_limit():
+    # the n·2^n members the families could hold decide, as for random
+    # frames, not what R builds: a complete relation gives {∅, S} everywhere
+    full = (1 << 19) - 1
+    out = qf_variation(KripkeModel(state_names(19), (full,) * 19))
+    assert out.neighborhoods == (frozenset({0, full}),) * 19
+    full = (1 << 20) - 1
+    with pytest.raises(BudgetError, match=r"20·2\^20"):
+        qf_variation(KripkeModel(state_names(20), (full,) * 20))
 
 
 def test_qf_variation_worked_example():
