@@ -18,9 +18,9 @@ and ``equiv-partition`` run in time polynomial in the models and need no
 budget.  ``proof-check`` does not read it either: its ``TAUT`` lines are
 checked under the default budget of 24 atoms.  ``--budget`` does not lift
 the enumeration limit: a frame sweep or ``enumerate`` over more than
-``generators.MAX_ENUMERATION`` frames (or family codes, or sampled family
-members, or the members ``transform qf-variation`` would build) at one size
-is refused, with exit code 2.
+``generators.MAX_ENUMERATION`` frames (or family codes, or states named by
+the family members that random sampling or ``transform qf-variation`` could
+build) at one size is refused, with exit code 2.
 
 ``--jobs N`` runs the frame sweeps of ``definability``, ``audit`` (with or
 without ``--negative``) and ``countermodel`` in up to N worker processes,

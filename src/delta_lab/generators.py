@@ -25,10 +25,12 @@ a code.
 
 Random generation is deterministic per seed; constrained sampling draws
 per-state families from the admissible lists wherever they may be built and
-falls back to closure-then-check above that.  A sampled size whose families
-could hold more than the limit in total (n·2^n members) is refused, and so are
-``frame_at`` and ``transform.qf_variation`` at such a size and a random
-Kripke model whose successor sets could hold more (n·n pairs).
+falls back to closure-then-check above that.  A model is held and written
+whole, so ``check_members`` counts what its families could hold by the
+states they name, n·2^n members of up to n states each, against the same
+limit: random sampling, ``frame_at`` and ``transform.qf_variation`` refuse
+from 17 states.  A random Kripke model is refused where its successor sets
+could hold more than the limit (n·n pairs).
 Distribution shape is not a contract.
 """
 
@@ -94,15 +96,24 @@ def _pow2(bits: int) -> int:
     return 1 << min(bits, MAX_ENUMERATION.bit_length())
 
 
-def _check_enumeration(count: int, what: Callable[[], str]) -> None:
+def _check_enumeration(count: int, what: str) -> None:
     """Refuse with ``BudgetError`` an enumeration of ``count`` items at one
-    size above ``MAX_ENUMERATION``; ``what()`` names the items and their
-    count, and is called only on refusal: formatting it on every call cost
-    2–3% of a qf-variation query in the benchmark's eval workload."""
+    size above ``MAX_ENUMERATION``; ``what`` names the items and their
+    count."""
     if count > MAX_ENUMERATION:
         raise BudgetError(
-            f"{what()}, above the enumeration limit of "
+            f"{what}, above the enumeration limit of "
             f"{MAX_ENUMERATION:,} items at one size")
+
+
+def check_members(n: int, what: str) -> None:
+    """Refuse ``what`` at n states where its families could name more than
+    ``MAX_ENUMERATION`` states: n·2^n members of up to n states each, so it
+    is built up to 16 states.  Its members are held at once and written
+    whole, not visited one by one like the items of a walk."""
+    _check_enumeration(n * n * _pow2(n), f"{what} at {n} states could hold "
+                                         f"{n}·2^{n} members naming up to {n} states "
+                                         f"each")
 
 
 def _code_count(n: int) -> int:
@@ -126,10 +137,8 @@ def frame_from_codes(n: int, codes: Sequence[int]) -> NeighborhoodModel:
 
 def frame_at(n: int, index: int) -> NeighborhoodModel:
     """Frame #index of the raw (unfiltered) exhaustive stream at n states.
-    Refused, like a random frame, where its families could hold more than
-    ``MAX_ENUMERATION`` members in total (n·2^n, from 20 states)."""
-    _check_enumeration(n * _pow2(n), lambda: f"{n}-state families could "
-                                             f"hold {n}·2^{n} members")
+    Refused by ``check_members``, like a random frame."""
+    check_members(n, "frame_at")
     base = 1 << (1 << n)
     codes = []
     for _ in range(n):
@@ -195,9 +204,8 @@ def _shared_codes(n: int, props: frozenset[FrameProperty]) -> Sequence[int]:
     set of local properties without (t), ascending; the same list for every
     state.  A shipped class's list is built from its closed form, any other
     by filtering every code."""
-    _check_enumeration(_code_count(n), lambda: f"{n}-state admissible lists "
-                                               f"would filter 2^(2^{n}) "
-                                               f"family codes")
+    _check_enumeration(_code_count(n), f"{n}-state admissible lists would "
+                                       f"filter 2^(2^{n}) family codes")
     form = _CLOSED_FORMS.get(props)
     if form is not None:
         return form(n)
@@ -250,8 +258,8 @@ def _frame_count(n: int, properties: Iterable[FrameProperty]) -> int:
     filtered to count or to refuse it."""
     local, _ = _split_props(properties)
     total = math.prod(len(_admissible_codes(n, local, s)) for s in range(n))
-    _check_enumeration(total, lambda: f"exhaustive enumeration at {n} "
-                                      f"states would walk {total:,} frames")
+    _check_enumeration(total, f"exhaustive enumeration at {n} states would "
+                              f"walk {total:,} frames")
     return total
 
 
@@ -511,9 +519,8 @@ def enum_kripke_frames(spec: GenSpec) -> Iterator[KripkeModel]:
         raise ValueError("Kripke frames are enumerated exhaustively; "
                          "use random_kripke to sample")
     n = spec.n_states
-    _check_enumeration(_pow2(n * n), lambda: f"exhaustive Kripke enumeration "
-                                             f"at {n} states would walk "
-                                             f"2^{n * n} frames")
+    _check_enumeration(_pow2(n * n), f"exhaustive Kripke enumeration at {n} "
+                                     f"states would walk 2^{n * n} frames")
     names = state_names(n)
     for succ in itertools.product(range(1 << n), repeat=n):
         yield KripkeModel(names, succ)
@@ -557,8 +564,7 @@ def _random_family(n: int, props: frozenset[FrameProperty], state: int,
 
 def _random_frame(n: int, props: frozenset[FrameProperty],
                   rnd: random.Random) -> NeighborhoodModel:
-    _check_enumeration(n * _pow2(n), lambda: f"random {n}-state families "
-                                             f"could hold {n}·2^{n} members")
+    check_members(n, "random sampling")
     local, global_props = _split_props(props)
     lists = None
     if _code_count(n) <= MAX_ENUMERATION:
@@ -597,8 +603,8 @@ def random_kripke(spec: GenSpec, atoms: Sequence[str]) -> KripkeModel:
     ``MAX_ENUMERATION`` pairs (n·n, above 4,096 states)."""
     _no_kripke_filter(spec)
     n = spec.n_states
-    _check_enumeration(n * n, lambda: f"random {n}-state successor sets "
-                                      f"could hold {n}·{n} pairs")
+    _check_enumeration(n * n, f"random {n}-state successor sets could "
+                              f"hold {n}·{n} pairs")
     rnd = random.Random(spec.seed)
     succ = tuple(rnd.getrandbits(n) for _ in range(n))
     valuation = {p: rnd.getrandbits(n) for p in atoms}

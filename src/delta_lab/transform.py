@@ -10,18 +10,17 @@ in ``model`` (``qf_family``, ``qf_relation``), and ``qf_to_kripke`` is gated
 by the O(|N(s)|) per state recogniser in ``model.first_failing``.  All three
 keep state names, ordering and valuation.
 
-``qf_variation`` is bounded by the enumeration limit
-(``generators.MAX_ENUMERATION``) under the rule that bounds random frames:
-its families could hold n·2^n members in total (Q_R has 2^n when R(s) is
-empty), so it builds up to 19 states and refuses from 20 with
-``BudgetError``.
+``qf_variation`` is bounded by ``generators.check_members``, the rule that
+bounds random frames: Q_R has 2^n members when R(s) is empty, so its families
+could hold n·2^n members of up to n states each.  It builds up to 16 states
+and refuses from 17 with ``BudgetError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .generators import _check_enumeration, _pow2
+from .generators import check_members
 from .model import (KripkeModel, NeighborhoodModel, first_failing, qf_family,
                     qf_relation)
 
@@ -38,13 +37,10 @@ def c_variation(m: NeighborhoodModel) -> NeighborhoodModel:
 
 def qf_variation(k: KripkeModel) -> NeighborhoodModel:
     """Neighborhoods of s are the X with R(s) inside X or disjoint from X.
-    Refused where the families could hold more than ``MAX_ENUMERATION``
-    members in total (n·2^n, from 20 states)."""
+    Refused by ``check_members``, from 17 states."""
     if not isinstance(k, KripkeModel):
         raise ValueError("qf-variation needs a Kripke model")
-    n = k.n
-    _check_enumeration(n * _pow2(n), lambda: f"qf-variation of {n} states "
-                                             f"could build {n}·2^{n} members")
+    check_members(k.n, "qf-variation")
     fams = tuple(qf_family(r, k.full) for r in k.succ)
     return NeighborhoodModel(k.states, fams, dict(k.valuation))
 

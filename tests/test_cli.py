@@ -286,7 +286,7 @@ def test_usage_error_exit_code(tmp_path, nbh_path, capsys):
         strung[name].write_text(json.dumps(data))
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"type": "kripke",
-                                "states": [f"s{i}" for i in range(20)],
+                                "states": [f"s{i}" for i in range(17)],
                                 "R": {"s0": ["s1"]}}))
     for argv in (
             ["no-such-command"],

@@ -91,9 +91,10 @@ def test_random_kripke_refuses_above_the_limit():
 
 
 def test_frame_at_refuses_above_the_limit():
-    # 19·2^19 members fit in 2^24, 20·2^20 do not, as for random frames
-    assert frame_at(19, 0).n == 19
-    for n in (20, 24):
+    # 16·2^16 members of 16 states fit in 2^24, 17·2^17 of 17 do not, as
+    # for random frames
+    assert frame_at(16, 0).n == 16
+    for n in (17, 24):
         with pytest.raises(BudgetError) as info:
             frame_at(n, 0)
         message = str(info.value)
@@ -150,9 +151,10 @@ def test_kripke_generators_refuse_what_they_cannot_honour():
 
 
 def test_random_sampling_refuses_above_the_limit():
-    # 19·2^19 members fit in 2^24, 20·2^20 do not
-    with pytest.raises(BudgetError, match="20·2\\^20"):
-        random_model(GenSpec(20, frozenset({FP.C, FP.S}), seed=1), ["p"])
+    # 16·2^16 members of 16 states fit in 2^24, 17·2^17 of 17 do not
+    assert random_model(GenSpec(16, seed=1), ["p"]).n == 16
+    with pytest.raises(BudgetError, match="17·2\\^17"):
+        random_model(GenSpec(17, frozenset({FP.C, FP.S}), seed=1), ["p"])
     with pytest.raises(BudgetError):
         next(enum_frames(GenSpec(24, frozenset({FP.C, FP.S}),
                                  mode="random")))

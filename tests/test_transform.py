@@ -53,15 +53,16 @@ def test_qf_variation_edge_relations():
     assert out.neighborhoods[1] == frozenset({0, 0b11})  # total R keeps 0 and S
 
 
-def test_qf_variation_refuses_by_the_enumeration_limit():
-    # the n·2^n members the families could hold decide, as for random
-    # frames, not what R builds: a complete relation gives {∅, S} everywhere
-    full = (1 << 19) - 1
-    out = qf_variation(KripkeModel(state_names(19), (full,) * 19))
-    assert out.neighborhoods == (frozenset({0, full}),) * 19
-    full = (1 << 20) - 1
-    with pytest.raises(BudgetError, match=r"20·2\^20"):
-        qf_variation(KripkeModel(state_names(20), (full,) * 20))
+def test_qf_variation_refuses_by_the_member_rule():
+    # the n·2^n members of up to n states each that the families could hold
+    # decide, as for random frames: empty relations reach that bound
+    for succ in (0, (1 << 16) - 1):
+        out = qf_variation(KripkeModel(state_names(16), (succ,) * 16))
+        assert sum(map(len, out.neighborhoods)) == \
+            16 * (1 << 16 if succ == 0 else 2)
+    for succ in (0, (1 << 17) - 1):
+        with pytest.raises(BudgetError, match=r"17·2\^17"):
+            qf_variation(KripkeModel(state_names(17), (succ,) * 17))
 
 
 def test_qf_variation_worked_example():
