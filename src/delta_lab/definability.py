@@ -114,9 +114,11 @@ def check_frame(claim: DefinabilityClaim, frame: NeighborhoodModel,
 def _check_at(claim: DefinabilityClaim, max_bits: int,
               frame: NeighborhoodModel) -> Counterexample | None:
     """``check_frame`` with the budget before the frame, so that a sweep's
-    ``partial`` passes every argument by position: calling a ``partial``
-    that holds a keyword costs ~3× as much, even counting this call, and
-    every swept frame pays it."""
+    ``partial`` passes every argument by position, which every swept frame
+    pays for.  On the 4,096 3-state c-frames of (n), each answered by its
+    run's mask, the calls took 1.00–1.03 ms through this hop against
+    1.58–1.65 ms through a ``partial`` that holds ``max_bits=`` (×1.6), and
+    0.78–0.81 ms calling ``check_frame`` inline (2 vCPU, Python 3.11.7)."""
     return check_frame(claim, frame, max_bits)
 
 

@@ -48,7 +48,7 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Sequence,
 
 from .formula import (And, Atom, Box, Bot, Delta, Formula, Iff, Imp, Nabla,
                       Not, Or, Top)
-from .model import (FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
+from .model import (_RUN, FRAME_CLASSES, LOCAL_PROPERTIES, BudgetError,
                     FrameProperty, KripkeModel, NeighborhoodModel, bits,
                     family_satisfies, has_property, qf_family, submasks)
 from .semantics import _run_props
@@ -277,7 +277,10 @@ class _Run:
     order.  Frame j of the run takes entry d_t of list t, where the d_t are
     the digits of j in the mixed radix of the list lengths, the last list
     least significant: the product's own order.  ``count`` is the number of
-    frames.  ``shared`` is one dict for every run of a ``_product_frames``
+    frames.  ``names`` and ``tails`` are the walk's state names and the
+    product of ``lists``, from which ``model.Model.__getattr__`` writes
+    frame j's fields (``head + tails[j]``) when one is first read.
+    ``shared`` is one dict for every run of a ``_product_frames``
     call, the walk: what ``model`` and ``semantics`` build once per walk,
     such as the trailing states' verdicts and ``semantics``' memo of each
     (formula object, semantics), the correspondents of (b), (4) and (5)
@@ -295,14 +298,15 @@ class _Run:
     ``valid_verdict`` and a clear bit of ``claim_verdict`` answer; every
     other frame is checked on its own."""
 
-    __slots__ = ("head", "lists", "count", "shared", "claim_verdict",
-                 "valid_verdict")
+    __slots__ = ("head", "lists", "count", "names", "tails", "shared",
+                 "claim_verdict", "valid_verdict")
 
     def __init__(self, head: tuple[frozenset[int], ...],
                  lists: tuple[tuple[frozenset[int], ...], ...], count: int,
-                 shared: dict):
+                 names: tuple[str, ...],
+                 tails: list[tuple[frozenset[int], ...]], shared: dict):
         self.head, self.lists, self.count = head, lists, count
-        self.shared = shared
+        self.names, self.tails, self.shared = names, tails, shared
         self.claim_verdict = self.valid_verdict = None
 
 
@@ -319,10 +323,11 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     tags the same way.  Global properties are read from the run's masks
     (``semantics._run_props``), and frame by frame where the run has none.
 
-    A frame's fields and its handle (under ``model._RUN``) are written
-    straight into the instance ``__dict__`` in one update: the frozen
-    dataclass ``__init__`` costs more than the rest of a swept frame's
-    construction, and so would one more call per frame."""
+    A frame's instance ``__dict__`` holds only its handle (under
+    ``model._RUN``) until a field is read, when ``model.Model.__getattr__``
+    writes the fields from the run: the frozen dataclass ``__init__`` costs
+    more than the rest of a swept frame's construction, and a frame that a
+    run mask answers reads no field."""
     per_state, global_props = admissible_space(n, properties)
     names = state_names(n)
     choices = [[_family_of_code(code, 1 << n) for code in codes]
@@ -342,7 +347,7 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
     shared: dict = {}
     new = object.__new__
     for base, head in zip(range(first * width, stop, width), heads):
-        run = _Run(head, lists, width, shared)
+        run = _Run(head, lists, width, names, tails, shared)
         indices = range(offset, min(width, stop - base))
         if global_props:
             keep = -1
@@ -355,9 +360,7 @@ def _product_frames(n: int, properties: Iterable[FrameProperty],
             indices = [index for index in indices if keep >> index & 1]
         for index in indices:
             frame = new(NeighborhoodModel)
-            frame.__dict__.update(states=names,
-                                  neighborhoods=head + tails[index],
-                                  valuation={}, _run=(run, index))
+            frame.__dict__[_RUN] = run, index
             yield frame
         offset = 0
 
@@ -424,6 +427,8 @@ def plan(properties: Iterable[FrameProperty], max_states: int) -> list[int]:
 
 
 def _workers(jobs: int) -> int:
+    if jobs == 1:
+        return 1
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     return min(jobs, os.cpu_count() or 1)

@@ -167,8 +167,12 @@ class Model:
     sweep: the frame's run (the frames that differ only in the trailing
     states' families) and its index there, which
     ``definability.check_frame`` and ``semantics.frame_valid`` read to
-    answer from the run's masks.
-    ``replace`` and ``with_valuation`` build untagged models.
+    answer from the run's masks.  A swept frame's dict holds only its
+    handle until a field is read: ``__getattr__``, reached only for a name
+    missing from the instance dict, then writes all three fields from the
+    run, so a frame that a run mask answers builds none of them.
+    Pickling, ``copy``, ``replace`` and ``with_valuation`` build untagged
+    models.
     """
 
     states: tuple[str, ...]
@@ -203,7 +207,21 @@ class Model:
     def with_valuation(self: _M, valuation: Mapping[str, int]) -> _M:
         return replace(self, valuation=dict(valuation))
 
+    def __getattr__(self, name: str) -> Any:
+        fields = self.__dict__
+        handle = fields.get(_RUN)
+        if handle is None or name not in {"states", "neighborhoods",
+                                          "valuation"}:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}", name=name, obj=self)
+        run, index = handle
+        fields["states"] = run.names
+        fields["neighborhoods"] = run.head + run.tails[index]
+        fields["valuation"] = {}
+        return fields[name]
+
     def __getstate__(self) -> dict:
+        self.states  # a swept frame writes its fields on the first read
         state = dict(self.__dict__)
         state.pop(_RUN, None)
         return state

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 from .formula import (And, Atom, Delta, Formula, Iff, Imp, Not, Or, Top,
                       arity, parse, subformulas, walk)
 from .generators import plan, sweep, worker_pool
-from .model import NeighborhoodModel, frame_class
+from .model import BudgetError, NeighborhoodModel, frame_class
 from .semantics import (MAX_BITS, FrameCheck, SemanticsKind, frame_valid,
                         taut_valid)
 
@@ -143,11 +143,16 @@ def _parse_refs(parts: list[str], count: int, upto: int) -> list[int] | str:
 def check_proof(system: AxiomSystem,
                 script: Sequence[ProofLine]) -> ProofVerdict:
     """Validate every line as a tautology instance, a schema instance of the
-    system, modus ponens, or replacement from an earlier biconditional."""
+    system, modus ponens, or replacement from an earlier biconditional.  A
+    ``TAUT`` line over budget is refused with a ``BudgetError`` that names
+    it."""
     if not script:
         raise ValueError("empty proof script")
     for no, line in enumerate(script, start=1):
-        reason = _check_line(system, script, no, line)
+        try:
+            reason = _check_line(system, script, no, line)
+        except BudgetError as exc:
+            raise BudgetError(f"line {no}: {exc}") from exc
         if reason is not None:
             return ProofVerdict(False, no, reason)
     return ProofVerdict(True)

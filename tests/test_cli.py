@@ -164,6 +164,19 @@ def test_proof_check_command(tmp_path, capsys):
     assert capsys.readouterr().out == "ok (3 lines)\n"
 
 
+def test_over_budget_taut_line_is_refused_by_its_line(tmp_path, capsys):
+    # 25 modal atoms exceed the default valuation budget of 24
+    text = " & ".join(f"D p{i}" for i in range(25))
+    path = tmp_path / "taut25.json"
+    path.write_text(json.dumps([{"formula": f"({text}) -> D p0",
+                                 "by": "TAUT"}]))
+    assert main(["proof-check", "--system", "K", "--script", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err == ("error: line 1: abstraction yields 25 atoms, "
+                   "budget is 24\n"), err
+
+
 def test_countermodel_command(capsys):
     assert main(["countermodel", "--formula", "D p -> p",
                  "--class", "quasi-filter", "--max-states", "1"]) == 1

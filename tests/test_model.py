@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -287,6 +288,54 @@ def test_swept_frames_match_constructed_frames():
         assert frame.valuation == {} and model._RUN not in vars(valued)
     # each frame has a valuation dict of its own
     assert len({id(frame.valuation) for frame in swept}) == len(swept)
+
+
+def _swept_and_expected():
+    """(props, n, stream, expected) for every frame of c up to 3 states,
+    of all up to 2, and of c,4 at 3 (a global filter): the stream is
+    ``enum_frames``', the expected frames are built from their product
+    codes (``frame_at`` for all) and filtered frame by frame."""
+    c = MODEL_CLASSES["c-model"]
+    for props, sizes in ((c, (1, 2, 3)), (frozenset(), (1, 2)),
+                         (c | {FP.FOUR}, (3,))):
+        for n in sizes:
+            per_state, global_props = generators.admissible_space(n, props)
+            if props:
+                built = (generators.frame_from_codes(n, codes)
+                         for codes in itertools.product(*per_state))
+            else:
+                built = (generators.frame_at(n, k)
+                         for k in range(math.prod(map(len, per_state))))
+            expected = [m for m in built
+                        if all(has_property(m, p) for p in global_props)]
+            yield props, n, enum_frames(GenSpec(n, props)), expected
+
+
+@pytest.mark.parametrize("first_read", [
+    lambda frame: frame.states,
+    dataclasses.replace,
+    copy.copy,
+    lambda frame: pickle.loads(pickle.dumps(frame)),
+], ids=["field", "replace", "copy", "pickle"])
+def test_swept_frame_is_an_ordinary_model_once_read(first_read):
+    for props, n, stream, expected in _swept_and_expected():
+        frames = list(stream)
+        assert len(frames) == len(expected), (props, n)
+        for frame, built in zip(frames, expected):
+            # unread, a frame holds its handle alone, and asking for a
+            # name it lacks writes nothing
+            assert list(vars(frame)) == [model._RUN]
+            assert not hasattr(frame, "succ")
+            assert list(vars(frame)) == [model._RUN]
+            first = first_read(frame)
+            assert frame == built and frame.valuation == {}
+            for other in (first, dataclasses.replace(frame), copy.copy(frame),
+                          pickle.loads(pickle.dumps(frame))):
+                if isinstance(other, NeighborhoodModel):
+                    assert other == built and model._RUN not in vars(other)
+                    assert list(vars(other)) == list(vars(built))
+        # each frame's valuation is a dict of its own
+        assert len({id(frame.valuation) for frame in frames}) == len(frames)
 
 
 # --- run masks: one verdict per product run, bit j for frame j -------------
